@@ -13,20 +13,8 @@ import sys
 import time
 from pathlib import Path
 
-from kernel_repair.cli import _DEMO_EXPECTATIONS
-from kernel_repair.corrector import RepairOutcome
-from kernel_repair.demos import DEMOS, run_demo
+from kernel_repair.demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from kernel_repair.fileio import strip_timing, to_json
-
-
-def demo_doc(report) -> dict:
-    doc = {"summary": report.summary, "reports": {}}
-    if report.outcome is not None:
-        doc["reports"]["main"] = report.outcome.report
-    for key, obj in report.objects.items():
-        if isinstance(obj, RepairOutcome):
-            doc["reports"][key] = obj.report
-    return doc
 
 
 def main(argv=None) -> int:
@@ -49,14 +37,14 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         report = run_demo(name, seed=args.seed)
         elapsed = time.perf_counter() - started
-        as_expected = _DEMO_EXPECTATIONS[name](report.summary)
+        as_expected = DEMO_EXPECTATIONS[name](report.summary)
         verdict = "as expected" if as_expected else "UNEXPECTED"
         print(f"== {name} ({elapsed:.2f}s, {verdict})")
         print(json.dumps(report.summary, indent=2, sort_keys=True))
         if not as_expected:
             failures += 1
         if args.out_dir:
-            doc = demo_doc(report)
+            doc = report.to_doc()
             if args.strip_timing:
                 doc = strip_timing(doc)
             path = args.out_dir / f"{name}.json"

@@ -11,13 +11,14 @@ byte-identical reports except for timing fields.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
 
 from .constraint import violations
-from .corrector import RepairConfig, RepairOutcome, audit_ae_hypothesis, repair
-from .demos import DEMOS, run_demo
+from .corrector import RepairConfig, audit_ae_hypothesis, repair
+from .demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from .density import density_mass
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
 from .fileio import (
@@ -214,30 +215,12 @@ def cmd_ramsey(args) -> int:
     return 0
 
 
-_DEMO_EXPECTATIONS = {
-    "triangle-removal": lambda s: s["status"] == "ok",
-    "metric-repair": lambda s: s["status"] == "ok",
-    "remark": lambda s: (
-        s["symmetrized_status"] == "infeasible"
-        and s["diagonal_status"] == "infeasible"
-        and s["antisymmetry_status"] == "ok"
-    ),
-    "audit": lambda s: True,
-}
-
-
 def cmd_demo(args) -> int:
     report = run_demo(args.name, seed=args.seed)
-    doc = {"summary": report.summary, "reports": {}}
-    if report.outcome is not None:
-        doc["reports"]["main"] = report.outcome.report
-    for key, obj in report.objects.items():
-        if isinstance(obj, RepairOutcome):
-            doc["reports"][key] = obj.report
     if args.out:
-        write_report(doc, args.out)
+        write_report(report.to_doc(), args.out)
     sys.stdout.write(to_json(report.summary))
-    return 0 if _DEMO_EXPECTATIONS[args.name](report.summary) else 2
+    return 0 if DEMO_EXPECTATIONS[args.name](report.summary) else 2
 
 
 def cmd_audit(args) -> int:
@@ -282,7 +265,10 @@ def cmd_verify(args) -> int:
     viols = violations(system, evaluate, kernel.space, points, eps)
     for v in viols[:10]:
         print(f"violated: {v.detail} at ({','.join(frac_str(x) for x in v.assignment)})")
-    print(f"checked {len(points)}^{system.variables} assignments: "
+    n, v = len(points), system.variables
+    # multiset mode sweeps every n^v tuple, distinct mode only the injective ones
+    checked = f"{n}^{v}" if system.mode == "multiset" else str(math.perm(n, v))
+    print(f"checked {checked} assignments: "
           f"{'all atoms hold' if not viols else f'{len(viols)} violations'}")
     return 0 if not viols else 2
 

@@ -23,6 +23,7 @@ the configuration seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -164,12 +165,12 @@ def _report_violations(space, viols) -> list:
 
 def _count_vectors(parts: int, total: int) -> list[tuple[int, ...]]:
     """All nonnegative integer vectors of the given length summing to total."""
-    vecs = set()
+    vecs = []
     for combo in itertools.combinations_with_replacement(range(parts), total):
         vec = [0] * parts
         for i in combo:
             vec[i] += 1
-        vecs.add(tuple(vec))
+        vecs.append(tuple(vec))
     return sorted(vecs)
 
 
@@ -177,8 +178,9 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     """Repair the kernel's values over the given points for the system.
 
     Distinct-mode systems use the one-sample construction, multiset-mode
-    systems the pool-and-extraction construction.  The outcome's report is
-    identical across runs with the same inputs except for its timing entry.
+    systems the pool-and-extraction construction; both share one
+    verify/probe/escalate loop.  The outcome's report is identical across
+    runs with the same inputs except for its timing entry.
     """
     cfg = config or RepairConfig()
     start = time.perf_counter()
@@ -198,10 +200,76 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     cap = cfg.max_refinement
     if cap is not None and cap < kernel.resolution:
         cap = kernel.resolution
-    if system.mode == "distinct":
-        status, corrected, report = _repair_distinct(kernel, system, pts, cfg, cap)
+    space = kernel.space
+    eps = cfg.epsilon
+    symmetric = system.mode == "multiset"
+    if symmetric:
+        if eps <= 0:
+            raise ContractError("multiset-mode repair needs a positive epsilon")
+        if not kernel.symmetric_base:
+            raise ContractError("multiset-mode repair needs a symmetric base grid")
+        core_size = max(system.variables, kernel.arity)
+        pool = cfg.pool_size if cfg.pool_size is not None else 2 * core_size
+        if pool < core_size:
+            raise ContractError(f"pool_size {pool} is below the core size {core_size}")
     else:
-        status, corrected, report = _repair_multiset(kernel, system, pts, cfg, cap)
+        # distinct mode is a pool of one guarded sample per point
+        pool = 1
+    m = separating_refinement(pts, kernel.resolution, cap)
+    partition = epsilon_partition(space, eps) if eps > 0 else None
+    part = 2 if symmetric else 1
+    report = _base_report(part, system, pts, cfg, m)
+    if symmetric:
+        report["core_size"] = core_size
+        read_values = functools.partial(
+            _read_cores,
+            partition=partition,
+            core_size=core_size,
+            vectors=_count_vectors(len(pts), kernel.arity),
+            cfg=cfg,
+        )
+    else:
+        read_values = _read_samples
+    status, corrected = _STATUS_FAILED, None
+    for attempt in range(cfg.max_escalations + 1):
+        report["final_m"] = m
+        rng = random.Random(f"{cfg.seed}:p{part}:{attempt}")
+        pools = _draw_pools(rng, kernel, pts, pool, m)
+        try:
+            values = read_values(kernel, pts, pools, report, attempt)
+        except ExtractionFailed:
+            if attempt == cfg.max_escalations:
+                break
+            pool *= 2
+            report["escalations"].append({"reason": "extraction", "pool": pool})
+            continue
+        viols = violations(
+            system, lambda t: values[tuple(sorted(t)) if symmetric else t], space, pts, eps
+        )
+        closeness, agree = _closeness_table(kernel, partition, values, eps)
+        report["values"] = _report_values(space, values)
+        report["violations"] = _report_violations(space, viols)
+        report["verdicts"] = _verdicts(system, viols)
+        report["density_closeness"] = closeness
+        report["agreement_failures"] = [_point_key(t) for t in agree]
+        if not viols and not agree:
+            status = _STATUS_OK
+            corrected = CorrectedKernel(
+                points=pts, arity=kernel.arity, symmetric=symmetric, values=values
+            )
+            break
+        if viols and not report["probe"]["ran"]:
+            report["probe"]["ran"] = True
+            if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
+                report["probe"]["proven_infeasible"] = True
+                status = _STATUS_INFEASIBLE
+                break
+        if attempt == cfg.max_escalations or (cap is not None and m * 2 > cap):
+            break
+        m *= 2
+        reason = "constraints" if viols else "agreement"
+        report["escalations"].append({"reason": reason, "m": m})
+    report["status"] = status
     report["timing"] = time.perf_counter() - start
     return RepairOutcome(status=status, corrected=corrected, report=report)
 
@@ -221,53 +289,73 @@ def _base_report(part: int, system, pts, cfg, m_init: int) -> dict:
     }
 
 
-def _repair_distinct(kernel, system, pts, cfg, cap):
-    space = kernel.space
-    eps = cfg.epsilon
-    m_init = separating_refinement(pts, kernel.resolution, cap)
-    partition = epsilon_partition(space, eps) if eps > 0 else None
-    report = _base_report(1, system, pts, cfg, m_init)
-    m = m_init
-    for attempt in range(cfg.max_escalations + 1):
-        rng = random.Random(f"{cfg.seed}:p1:{attempt}")
-        forbidden = set(kernel.exception_constants()) | set(pts)
-        samples = {}
-        for z in pts:
+def _draw_pools(rng: random.Random, kernel, pts, pool: int, m: int) -> list[list[Fraction]]:
+    """Pool guarded samples per point, pairwise distinct and clear of the points."""
+    forbidden = set(kernel.exception_constants()) | set(pts)
+    pools = []
+    for z in pts:
+        drawn = []
+        for _ in range(pool):
             y = _draw_guarded(rng, z, m, forbidden)
-            samples[z] = y
             forbidden.add(y)
-        values = {
-            t: kernel.value_at(tuple(samples[p] for p in t))
-            for t in itertools.product(pts, repeat=kernel.arity)
-        }
-        viols = violations(system, lambda t: values[t], space, pts, eps)
-        closeness, agree = _closeness_table(kernel, partition, values, eps)
-        report["final_m"] = m
-        report["samples"] = {frac_str(z): frac_str(y) for z, y in samples.items()}
-        report["values"] = _report_values(space, values)
-        report["violations"] = _report_violations(space, viols)
-        report["verdicts"] = _verdicts(system, viols)
-        report["density_closeness"] = closeness
-        report["agreement_failures"] = [_point_key(t) for t in agree]
-        if not viols and not agree:
-            report["status"] = _STATUS_OK
-            corrected = CorrectedKernel(
-                points=pts, arity=kernel.arity, symmetric=False, values=values
+            drawn.append(y)
+        pools.append(drawn)
+    return pools
+
+
+def _report_pools(pts, pools) -> dict:
+    return {frac_str(z): [frac_str(y) for y in p] for z, p in zip(pts, pools)}
+
+
+def _read_samples(kernel, pts, pools, report, attempt) -> dict:
+    """Distinct mode: read the kernel off the one sample drawn per point."""
+    samples = {z: p[0] for z, p in zip(pts, pools)}
+    report["samples"] = {frac_str(z): frac_str(y) for z, y in samples.items()}
+    return {
+        t: kernel.value_at(tuple(samples[p] for p in t))
+        for t in itertools.product(pts, repeat=kernel.arity)
+    }
+
+
+def _read_cores(kernel, pts, pools, report, attempt, *, partition, core_size, vectors, cfg) -> dict:
+    """Multiset mode: extract cores and read the kernel at sorted representatives.
+
+    Raises ExtractionFailed when the pools hold no simultaneously
+    monochromatic cores.
+    """
+    report["pool_size"] = len(pools[0])
+    report["pools"] = _report_pools(pts, pools)
+
+    def coloring_for(vec):
+        def color(selection):
+            sample = tuple(sorted(itertools.chain.from_iterable(selection)))
+            return partition.cell_of(kernel.value_at(sample))
+
+        return color
+
+    cores = multi_type_extract(
+        pools,
+        vectors,
+        coloring_for,
+        core_size,
+        method=cfg.method,
+        seed=f"{cfg.seed}:x:{attempt}",
+        restarts=cfg.restarts,
+    )
+    cores = [sorted(c) for c in cores]
+    report["cores"] = _report_pools(pts, cores)
+    values = {}
+    for vec in vectors:
+        key = tuple(
+            itertools.chain.from_iterable(
+                itertools.repeat(z, n) for z, n in zip(pts, vec)
             )
-            return _STATUS_OK, corrected, report
-        if viols and not report["probe"]["ran"]:
-            report["probe"]["ran"] = True
-            if proven_infeasible(system, space, len(pts)):
-                report["probe"]["proven_infeasible"] = True
-                report["status"] = _STATUS_INFEASIBLE
-                return _STATUS_INFEASIBLE, None, report
-        if attempt == cfg.max_escalations or (cap is not None and m * 2 > cap):
-            break
-        m *= 2
-        reason = "constraints" if viols else "agreement"
-        report["escalations"].append({"reason": reason, "m": m})
-    report["status"] = _STATUS_FAILED
-    return _STATUS_FAILED, None, report
+        )
+        reps = tuple(
+            sorted(itertools.chain.from_iterable(c[:n] for c, n in zip(cores, vec)))
+        )
+        values[key] = kernel.value_at(reps)
+    return values
 
 
 def _verdicts(system, viols) -> list:
@@ -298,109 +386,6 @@ def _closeness_table(kernel, partition, values: dict, eps):
                 bad.append(t)
         table[_point_key(t)] = {"density": dense, "dist": frac_str(d)}
     return table, bad
-
-
-def _repair_multiset(kernel, system, pts, cfg, cap):
-    space = kernel.space
-    eps = cfg.epsilon
-    if eps <= 0:
-        raise ContractError("multiset-mode repair needs a positive epsilon")
-    if not kernel.symmetric_base:
-        raise ContractError("multiset-mode repair needs a symmetric base grid")
-    core_size = max(system.variables, kernel.arity)
-    pool = cfg.pool_size if cfg.pool_size is not None else 2 * core_size
-    if pool < core_size:
-        raise ContractError(f"pool_size {pool} is below the core size {core_size}")
-    m_init = separating_refinement(pts, kernel.resolution, cap)
-    partition = epsilon_partition(space, eps)
-    report = _base_report(2, system, pts, cfg, m_init)
-    report["core_size"] = core_size
-    report["pool_size"] = pool
-    vectors = _count_vectors(len(pts), kernel.arity)
-    m = m_init
-    for attempt in range(cfg.max_escalations + 1):
-        report["final_m"] = m
-        report["pool_size"] = pool
-        rng = random.Random(f"{cfg.seed}:p2:{attempt}")
-        forbidden = set(kernel.exception_constants()) | set(pts)
-        pools = []
-        for z in pts:
-            drawn = []
-            for _ in range(pool):
-                y = _draw_guarded(rng, z, m, forbidden)
-                forbidden.add(y)
-                drawn.append(y)
-            pools.append(drawn)
-        report["pools"] = {
-            frac_str(z): [frac_str(y) for y in p] for z, p in zip(pts, pools)
-        }
-
-        def coloring_for(vec):
-            def color(selection):
-                sample = tuple(sorted(itertools.chain.from_iterable(selection)))
-                return partition.cell_of(kernel.value_at(sample))
-
-            return color
-
-        try:
-            cores = multi_type_extract(
-                pools,
-                vectors,
-                coloring_for,
-                core_size,
-                method=cfg.method,
-                seed=f"{cfg.seed}:x:{attempt}",
-                restarts=cfg.restarts,
-            )
-        except ExtractionFailed:
-            if attempt == cfg.max_escalations:
-                break
-            pool *= 2
-            report["escalations"].append({"reason": "extraction", "pool": pool})
-            continue
-        cores = [sorted(c) for c in cores]
-        report["cores"] = {
-            frac_str(z): [frac_str(y) for y in c] for z, c in zip(pts, cores)
-        }
-        values = {}
-        for vec in vectors:
-            key = tuple(
-                itertools.chain.from_iterable(
-                    itertools.repeat(z, n) for z, n in zip(pts, vec)
-                )
-            )
-            reps = tuple(
-                sorted(itertools.chain.from_iterable(c[:n] for c, n in zip(cores, vec)))
-            )
-            values[key] = kernel.value_at(reps)
-        viols = violations(
-            system, lambda t: values[tuple(sorted(t))], space, pts, eps
-        )
-        closeness, agree = _closeness_table(kernel, partition, values, eps)
-        report["values"] = _report_values(space, values)
-        report["violations"] = _report_violations(space, viols)
-        report["verdicts"] = _verdicts(system, viols)
-        report["density_closeness"] = closeness
-        report["agreement_failures"] = [_point_key(t) for t in agree]
-        if not viols and not agree:
-            report["status"] = _STATUS_OK
-            corrected = CorrectedKernel(
-                points=pts, arity=kernel.arity, symmetric=True, values=values
-            )
-            return _STATUS_OK, corrected, report
-        if viols and not report["probe"]["ran"]:
-            report["probe"]["ran"] = True
-            if proven_infeasible(system, space, len(pts), symmetrize=True):
-                report["probe"]["proven_infeasible"] = True
-                report["status"] = _STATUS_INFEASIBLE
-                return _STATUS_INFEASIBLE, None, report
-        if attempt == cfg.max_escalations or (cap is not None and m * 2 > cap):
-            break
-        m *= 2
-        reason = "constraints" if viols else "agreement"
-        report["escalations"].append({"reason": reason, "m": m})
-    report["status"] = _STATUS_FAILED
-    return _STATUS_FAILED, None, report
 
 
 # 97.5th normal quantile, for two-sided 95% coverage.

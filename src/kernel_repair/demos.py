@@ -44,6 +44,16 @@ class DemoReport:
     outcome: Optional[RepairOutcome]
     objects: dict
 
+    def to_doc(self) -> dict:
+        """The summary plus every repair report, as written to a report file."""
+        doc = {"summary": self.summary, "reports": {}}
+        if self.outcome is not None:
+            doc["reports"]["main"] = self.outcome.report
+        for key, obj in self.objects.items():
+            if isinstance(obj, RepairOutcome):
+                doc["reports"][key] = obj.report
+        return doc
+
 
 def count_triangles(value_at, points) -> int:
     """Ordered triples (repeats included) whose three pair values are all nonzero."""
@@ -356,6 +366,18 @@ DEMOS = {
     "metric-repair": metric_demo,
     "remark": remark_demo,
     "audit": audit_demo,
+}
+
+#: Per demo, whether a summary shows the outcome the demo exists to show.
+DEMO_EXPECTATIONS = {
+    "triangle-removal": lambda s: s["status"] == "ok",
+    "metric-repair": lambda s: s["status"] == "ok",
+    "remark": lambda s: (
+        s["symmetrized_status"] == "infeasible"
+        and s["diagonal_status"] == "infeasible"
+        and s["antisymmetry_status"] == "ok"
+    ),
+    "audit": lambda s: True,
 }
 
 

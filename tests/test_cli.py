@@ -342,6 +342,34 @@ def test_verify_part_two_reads_sorted_keys(tmp_path, capsys):
     assert "all atoms hold" in out
 
 
+@pytest.mark.parametrize("mode, checked", [("distinct", "6"), ("multiset", "3^2")])
+def test_verify_counts_the_assignments_it_sweeps(tmp_path, capsys, mode, checked):
+    kpath = kernel_file(tmp_path, constant_kernel(F(1, 2)))
+    cpath = str(tmp_path / "equality.json")
+    with open(cpath, "w") as fh:
+        fh.write(to_json({
+            "mode": mode,
+            "arity": 2,
+            "variables": 2,
+            "atoms": [{"kind": "equality", "left": [1, 2], "right": [2, 1]}],
+        }))
+    points = ["1/4", "1/2", "3/4"]
+    rpath = tmp_path / "report.json"
+    rpath.write_text(to_json({
+        "result": {
+            "part": 1,
+            "points": points,
+            "epsilon": "0",
+            "values": {f"{a},{b}": "1/2" for a in points for b in points},
+        }
+    }))
+    code, out, _ = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", str(rpath)
+    )
+    assert code == 0
+    assert f"checked {checked} assignments: all atoms hold" in out
+
+
 def test_verify_incomplete_table_exits_1(tmp_path, capsys):
     kpath, cpath = equality_files(tmp_path)
     values = symmetric_values()

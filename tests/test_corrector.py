@@ -23,7 +23,8 @@ from kernel_repair.corrector import (
     _count_vectors,
 )
 from kernel_repair.demos import loopy_bipartite_kernel
-from kernel_repair.errors import ContractError
+from kernel_repair import corrector
+from kernel_repair.errors import ContractError, ExtractionFailed
 from kernel_repair.fileio import strip_timing
 from kernel_repair.kernel import CoordIs, ExceptionPiece, StepKernel
 from kernel_repair.rational import as_fraction
@@ -258,6 +259,50 @@ def test_multiset_pool_and_core_sizes_reported():
         repair(
             kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0", pool_size=2)
         )
+
+
+def extraction_failing_on(monkeypatch, attempts):
+    """Make core extraction fail on the given attempt numbers, else delegate."""
+    real = corrector.multi_type_extract
+
+    def flaky(*args, **kwargs):
+        if int(kwargs["seed"].rsplit(":", 1)[1]) in attempts:
+            raise ExtractionFailed("no core this time")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corrector, "multi_type_extract", flaky)
+
+
+def test_extraction_failure_doubles_the_pool_and_keeps_m(monkeypatch):
+    kernel = loopy_bipartite_kernel()
+    system = triangle_free_system(mode="multiset")
+    points = (F(1, 10), F(3, 10), F(7, 10))
+    config = RepairConfig(epsilon=F(1, 10), seed="0", pool_size=5)
+    plain = repair(kernel, system, points, config)
+    extraction_failing_on(monkeypatch, {0})
+    outcome = repair(kernel, system, points, config)
+    assert outcome.status == "ok"
+    rep = outcome.report
+    assert rep["escalations"] == [{"reason": "extraction", "pool": 10}]
+    assert rep["final_m"] == plain.report["final_m"] == rep["initial_m"]
+    assert rep["pool_size"] == 10
+    assert all(len(p) == 10 for p in rep["pools"].values())
+
+
+def test_extraction_failing_every_time_ends_as_failed(monkeypatch):
+    kernel = loopy_bipartite_kernel()
+    system = triangle_free_system(mode="multiset")
+    points = (F(1, 10), F(3, 10), F(7, 10))
+    extraction_failing_on(monkeypatch, {0, 1, 2, 3})
+    outcome = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
+    assert outcome.status == "failed"
+    assert outcome.corrected is None
+    assert outcome.report["escalations"] == [
+        {"reason": "extraction", "pool": 12},
+        {"reason": "extraction", "pool": 24},
+        {"reason": "extraction", "pool": 48},
+    ]
+    assert outcome.report["probe"] == {"ran": False, "proven_infeasible": False}
 
 
 # --- determinism ---

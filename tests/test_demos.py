@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -136,3 +139,17 @@ def test_demos_are_pure_functions_of_the_seed():
     a = triangle_demo(seed="x", audit_samples=200).summary
     b = triangle_demo(seed="x", audit_samples=200).summary
     assert a == b
+
+
+def test_run_demos_script_writes_the_demo_doc(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_demos.py"
+    spec = importlib.util.spec_from_file_location("run_demos", script)
+    run_demos = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_demos)
+    argv = ["--seed", "0", "--only", "remark", "--out-dir", str(tmp_path), "--strip-timing"]
+    assert run_demos.main(argv) == 0
+    doc = json.loads((tmp_path / "remark.json").read_text())
+    assert set(doc) == {"summary", "reports"}
+    assert set(doc["reports"]) == {"main", "symmetrized", "antisymmetry", "diagonal"}
+    assert doc["summary"] == remark_demo(seed="0").summary
+    assert "timing" not in doc["reports"]["main"]
