@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
@@ -317,6 +318,61 @@ class Violation:
     detail: str
 
 
+class _AtomChecker:
+    """Verdicts of a system's atoms for one space and eps, memoised on values.
+
+    Every atom reads values only through ``val(slot)`` and decides only from
+    ``==``, ``space.dist``, arithmetic and ``in``, so with the space and eps
+    fixed its verdict is a function of the values at its slots.  Values are
+    interned to small ints, and each atom keeps its verdicts keyed on the
+    ids at its slots, so ``satisfied`` runs once per value pattern.  A
+    checker lives for one call; its memo for an atom holds at most
+    (distinct values) ** (slots of the atom) entries.
+    """
+
+    def __init__(self, system: ConstraintSystem, space: ValueSpace, eps: Fraction):
+        self.space = space
+        self.eps = eps
+        self.slots = system.all_slots()
+        where = {s: k for k, s in enumerate(self.slots)}
+        self.details = tuple(atom.describe() for atom in system.atoms)
+        # per atom: its slot positions, the getter of its memo key, its memo
+        self._compiled = []
+        for atom in system.atoms:
+            positions = tuple(where[s] for s in atom.slots())
+            self._compiled.append((atom, positions, operator.itemgetter(*positions), {}))
+        self._ids: dict = {}
+        self._values: list = []
+
+    def intern(self, value) -> int:
+        vid = self._ids.get(value)
+        if vid is None:
+            vid = self._ids[value] = len(self._values)
+            self._values.append(value)
+        return vid
+
+    def failing(self, fill: Callable[[int], int]) -> Iterator[int]:
+        """Indices of the failing atoms, in order, for one tuple of points.
+
+        ``fill(k)`` returns the interned id of the value at ``self.slots[k]``
+        and is called at most once per slot, only for the slots of the atoms
+        reached, so a caller that stops early reads no more.
+        """
+        ids: list = [None] * len(self.slots)
+        values = self._values
+        for n, (atom, positions, key_of, memo) in enumerate(self._compiled):
+            for k in positions:
+                if ids[k] is None:
+                    ids[k] = fill(k)
+            key = key_of(ids)
+            verdict = memo.get(key)
+            if verdict is None:
+                at = {self.slots[k]: values[ids[k]] for k in positions}
+                verdict = memo[key] = atom.satisfied(at.__getitem__, self.space, self.eps)
+            if not verdict:
+                yield n
+
+
 def violations(
     system: ConstraintSystem,
     evaluate: Callable[[tuple], object],
@@ -327,24 +383,32 @@ def violations(
 ) -> list[Violation]:
     """All (assignment, atom) pairs on which the system fails.
 
-    ``evaluate`` maps a point tuple of length ``arity`` to a value.  Stops
-    after ``limit`` violations when given.
+    ``evaluate`` maps a point tuple of length ``arity`` to a value.  It
+    must be pure: the sweep calls it lazily, at most once per point tuple,
+    and memoises each atom's verdict on the values at its slots within this
+    call.  Violations come in assignment order, atoms in system order, and
+    the sweep stops after ``limit`` violations when given.
     """
     eps = as_fraction(eps)
+    pts = tuple(points)
+    checker = _AtomChecker(system, space, eps)
+    picks = tuple(tuple(v - 1 for v in slot) for slot in checker.slots)
+    evaluated: dict[tuple[int, ...], int] = {}
     found: list[Violation] = []
-    for assignment in system.assignments(points):
-        cache: dict[VarTuple, object] = {}
+    for idx in system.assignments(range(len(pts))):
 
-        def val(slot: VarTuple):
-            if slot not in cache:
-                cache[slot] = evaluate(tuple(assignment[v - 1] for v in slot))
-            return cache[slot]
+        def fill(k: int) -> int:
+            key = tuple([idx[j] for j in picks[k]])
+            vid = evaluated.get(key)
+            if vid is None:
+                vid = evaluated[key] = checker.intern(evaluate(tuple([pts[i] for i in key])))
+            return vid
 
-        for atom in system.atoms:
-            if not atom.satisfied(val, space, eps):
-                found.append(Violation(assignment, atom, atom.describe()))
-                if limit is not None and len(found) >= limit:
-                    return found
+        for n in checker.failing(fill):
+            assignment = tuple([pts[i] for i in idx])
+            found.append(Violation(assignment, system.atoms[n], checker.details[n]))
+            if limit is not None and len(found) >= limit:
+                return found
     return found
 
 

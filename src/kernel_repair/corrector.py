@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constraint import ConstraintSystem, proven_infeasible, violations
+from .constraint import ConstraintSystem, _AtomChecker, proven_infeasible, violations
 from .density import is_density_tuple
 from .errors import ContractError, ExtractionFailed
 from .kernel import StepKernel, block_of, sample_in_cell
@@ -429,28 +429,28 @@ def audit_ae_hypothesis(
     """Estimate how often the kernel violates the system at random tuples.
 
     Each trial draws pairwise distinct uniform points (repeats in atom
-    slots still reach the kernel's diagonal behavior) and checks every atom
-    exactly.  Reports the violating trial count with a 95% Wilson interval.
-    A kernel whose defects are confined to null sets audits at zero.
+    slots still reach the kernel's diagonal behavior) and checks the atoms
+    exactly up to the first failure, reading only the slots it reaches;
+    verdicts are memoised across trials on the values read.  Reports the
+    violating trial count with a 95% Wilson interval.  A kernel whose
+    defects are confined to null sets audits at zero.
     """
     if samples < 1:
         raise ContractError("at least one audit sample is required")
     rng = random.Random(f"{seed}:audit")
+    checker = _AtomChecker(system, kernel.space, Fraction(0))
     bad = 0
-    zero = Fraction(0)
     for _ in range(samples):
         while True:
             tup = tuple(Fraction(rng.random()) for _ in range(system.variables))
             if len(set(tup)) == system.variables:
                 break
-        cache = {}
 
-        def val(slot):
-            if slot not in cache:
-                cache[slot] = kernel.value_at(tuple(tup[v - 1] for v in slot))
-            return cache[slot]
+        def fill(k):
+            slot = checker.slots[k]
+            return checker.intern(kernel.value_at(tuple(tup[v - 1] for v in slot)))
 
-        if not all(atom.satisfied(val, kernel.space, zero) for atom in system.atoms):
+        if next(checker.failing(fill), None) is not None:
             bad += 1
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)

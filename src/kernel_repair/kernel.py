@@ -191,6 +191,12 @@ class StepKernel:
     def from_flat(cls, arity, resolution, space, flat_values, exceptions=(), symmetric_base=False):
         """Build from a row-major flat list of ``resolution**arity`` values."""
         flat = list(flat_values)
+        # resolution**arity exceeds len(flat) once arity passes its bit length;
+        # say so without computing a power that may have millions of digits
+        if resolution >= 2 and arity > len(flat).bit_length():
+            raise ContractError(
+                f"expected {resolution}^{arity} base values, got {len(flat)}"
+            )
         if len(flat) != resolution**arity:
             raise ContractError(
                 f"expected {resolution**arity} base values, got {len(flat)}"

@@ -3,7 +3,9 @@
 The suite_problem generator is the common source of repair problems for
 the distinct-mode and multiset-mode acceptance runs; midpoint_mass is a
 brute-force density oracle that shares no code with the implementation
-beyond kernel lookup.
+beyond kernel lookup.  reference_violations and reference_audit are the
+plain sweeps the memoised ones replaced: every assignment evaluated anew,
+every atom checked at every assignment.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from kernel_repair.constraint import (
     ConstraintSystem,
     EqualityAtom,
     FiniteValuesAtom,
+    Violation,
     metric_system,
     symmetry_atoms,
     triangle_free_system,
 )
+from kernel_repair.corrector import AuditResult, wilson_interval
 from kernel_repair.kernel import CoordIs, CoordsEqual, ExceptionPiece, StepKernel, block_of
 from kernel_repair.rational import as_fraction
 from kernel_repair.values import BoundedInterval
@@ -171,3 +175,46 @@ def midpoint_mass(kernel, partition, point, m, cell_index=None):
         if partition.cell_of(kernel.base_value_at(mids)) == cell_index:
             total += F(1, level) ** len(pt)
     return total * F(m) ** len(pt)
+
+
+def reference_violations(system, evaluate, space, points, eps=F(0), limit=None):
+    """Oracle sweep: every assignment, every atom, values cached per assignment."""
+    eps = as_fraction(eps)
+    found = []
+    for assignment in system.assignments(points):
+        cache = {}
+
+        def val(slot):
+            if slot not in cache:
+                cache[slot] = evaluate(tuple(assignment[v - 1] for v in slot))
+            return cache[slot]
+
+        for atom in system.atoms:
+            if not atom.satisfied(val, space, eps):
+                found.append(Violation(assignment, atom, atom.describe()))
+                if limit is not None and len(found) >= limit:
+                    return found
+    return found
+
+
+def reference_audit(kernel, system, samples=1000, seed="0"):
+    """Oracle audit: the same draws, every atom checked until the first failure."""
+    rng = random.Random(f"{seed}:audit")
+    bad = 0
+    zero = F(0)
+    for _ in range(samples):
+        while True:
+            tup = tuple(F(rng.random()) for _ in range(system.variables))
+            if len(set(tup)) == system.variables:
+                break
+        cache = {}
+
+        def val(slot):
+            if slot not in cache:
+                cache[slot] = kernel.value_at(tuple(tup[v - 1] for v in slot))
+            return cache[slot]
+
+        if not all(atom.satisfied(val, kernel.space, zero) for atom in system.atoms):
+            bad += 1
+    low, high = wilson_interval(bad, samples)
+    return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)

@@ -77,6 +77,19 @@ def test_eval_wrong_arity_exits_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_eval_rejects_an_oversized_kernel_quickly(tmp_path, capsys):
+    # 3**100000000 base values would have to be computed before the size
+    # check could fail; the length is refused without that power
+    path = tmp_path / "huge.json"
+    doc = load_json(kernel_file(tmp_path, step_1d()), "kernel")
+    doc.update(arity=100_000_000, resolution=3, base=["0"])
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "eval", "--kernel", str(path), "--point", "1/2")
+    assert code == 1
+    assert out == ""
+    assert "expected 3^100000000 base values, got 1" in err
+
+
 # --- density ---
 
 # one-dimensional step kernel, value 0 below 1/2 and 1 above: the box about

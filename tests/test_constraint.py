@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_violations
 from kernel_repair.constraint import (
     AffineAtom,
     ConstraintSystem,
@@ -277,6 +279,101 @@ def test_violations_respects_limit():
         system, lambda t: F(1), UNIT, (F(1, 4), F(1, 2), F(3, 4)), limit=5
     )
     assert len(found) == 5
+
+
+# --- memoised sweep against the plain one ---
+
+LABELS = FiniteMetric(
+    labels=("0", "a", "b"),
+    distances=((F(0), F(1), F(2)), (F(1), F(0), F(1)), (F(2), F(1), F(0))),
+)
+
+#: (space, value menu): values a table may take on each space
+SPACE_MENUS = (
+    (UNIT, (F(0), F(1, 4), F(1, 2), F(1))),
+    (RAY, (F(0), F(1, 3), F(2), INFINITY)),
+    (LABELS, ("0", "a", "b")),
+)
+
+
+@st.composite
+def sweep_case(draw):
+    space, menu = draw(st.sampled_from(SPACE_MENUS))
+    arity = draw(st.integers(1, 2))
+    variables = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(("distinct", "multiset")))
+    slot = st.tuples(*[st.integers(1, variables)] * arity)
+    value = st.sampled_from(menu)
+    kinds = ("eq", "zero", "values", "table")
+    if not isinstance(space, FiniteMetric):
+        kinds += ("affine",)
+    atoms = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5)):
+        if kind == "eq":
+            atoms.append(EqualityAtom(draw(slot), draw(slot)))
+        elif kind == "zero":
+            factors = draw(st.lists(slot, min_size=1, max_size=3))
+            atoms.append(ZeroProductAtom(tuple(factors)))
+        elif kind == "values":
+            allowed = draw(st.lists(value, min_size=1))
+            atoms.append(FiniteValuesAtom(draw(slot), frozenset(allowed)))
+        elif kind == "table":
+            columns = tuple(draw(st.lists(slot, min_size=1, max_size=2)))
+            row = st.tuples(*[value] * len(columns))
+            rows = draw(st.lists(row, min_size=1, max_size=4))
+            atoms.append(TableAtom(columns, frozenset(rows)))
+        else:
+            coeff = st.sampled_from((F(1), F(-1), F(2), F(-1, 2)))
+            terms = draw(st.lists(st.tuples(coeff, slot), min_size=1, max_size=3))
+            bound = draw(st.sampled_from((F(0), F(1, 2), F(-1))))
+            atoms.append(AffineAtom(tuple(terms), bound))
+    system = ConstraintSystem(arity=arity, variables=variables, mode=mode, atoms=tuple(atoms))
+    grid = st.sampled_from([F(j, 8) for j in range(8)])
+    points = draw(st.lists(grid, min_size=1, max_size=4, unique=True))
+    table = {t: draw(value) for t in itertools.product(points, repeat=arity)}
+    eps = draw(st.sampled_from((F(0), F(1, 10), F(1, 3))))
+    limit = draw(st.sampled_from((None, 1, 3)))
+    return system, table, space, points, eps, limit
+
+
+@given(sweep_case())
+def test_memoised_sweep_matches_the_plain_sweep(case):
+    system, table, space, points, eps, limit = case
+    evaluate = table.__getitem__
+    got = violations(system, evaluate, space, points, eps, limit=limit)
+    want = reference_violations(system, evaluate, space, points, eps, limit=limit)
+    as_rows = lambda vs: [(v.assignment, v.atom, v.detail) for v in vs]
+    assert as_rows(got) == as_rows(want)
+
+
+def test_sweep_evaluates_each_tuple_once_and_each_pattern_once(monkeypatch):
+    system = metric_system()
+    pts = tuple(F(2 * i + 1, 12) for i in range(6))
+    menu = (F(1, 5), F(2, 5), F(3, 5))
+    table = {
+        (a, b): menu[(i + j) % 3]
+        for (i, a), (j, b) in itertools.product(enumerate(pts), repeat=2)
+    }
+    calls = {"evaluate": 0, "satisfied": 0}
+
+    def evaluate(t):
+        calls["evaluate"] += 1
+        return table[t]
+
+    for cls in {type(atom) for atom in system.atoms}:
+        original = cls.satisfied
+
+        def counted(self, val, space, eps, original=original):
+            calls["satisfied"] += 1
+            return original(self, val, space, eps)
+
+        monkeypatch.setattr(cls, "satisfied", counted)
+    found = violations(system, evaluate, RAY, pts, F(1, 50))
+    assert found  # the table is no metric, so the sweep does real work
+    assert calls["evaluate"] <= 6**2
+    # 3 equalities over 2 slots and 6 triangles over 3 slots, 3 values each;
+    # the plain sweep checks all 9 atoms at all 6^3 assignments (1944)
+    assert calls["satisfied"] <= 3 * 3**2 + 6 * 3**3
 
 
 # --- infeasibility probe ---

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import reference_audit
 from kernel_repair.constraint import (
     ConstraintSystem,
     FiniteValuesAtom,
+    metric_system,
     triangle_free_system,
     violations,
 )
@@ -22,7 +24,12 @@ from kernel_repair.corrector import (
     wilson_interval,
     _count_vectors,
 )
-from kernel_repair.demos import loopy_bipartite_kernel
+from kernel_repair.demos import (
+    almost_metric_kernel,
+    antisymmetry_system,
+    loopy_bipartite_kernel,
+    oriented_kernel,
+)
 from kernel_repair import corrector
 from kernel_repair.errors import ContractError, ExtractionFailed
 from kernel_repair.fileio import strip_timing
@@ -378,3 +385,60 @@ def test_audit_is_deterministic():
         b.interval_low,
         b.interval_high,
     )
+
+
+def all_ones_kernel():
+    return StepKernel.from_flat(
+        arity=2,
+        resolution=2,
+        space=BoundedInterval(F(1)),
+        flat_values=[F(1)] * 4,
+        symmetric_base=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "kernel, system",
+    [
+        pytest.param(
+            loopy_bipartite_kernel(), triangle_free_system(mode="multiset"), id="triangle-free"
+        ),
+        pytest.param(all_ones_kernel(), triangle_free_system(mode="distinct"), id="all-ones"),
+        pytest.param(almost_metric_kernel(), metric_system(), id="metric"),
+        pytest.param(oriented_kernel(), antisymmetry_system(symmetrized=False), id="antisymmetry"),
+        pytest.param(
+            oriented_kernel(), antisymmetry_system(symmetrized=True), id="antisymmetry-symmetrized"
+        ),
+        # about half the draws fail the first atom and never read f(2,3)
+        pytest.param(
+            loopy_bipartite_kernel(),
+            ConstraintSystem(
+                arity=2,
+                variables=3,
+                mode="distinct",
+                atoms=(
+                    FiniteValuesAtom((1, 2), frozenset({F(0)})),
+                    FiniteValuesAtom((2, 3), frozenset({F(0), F(1)})),
+                ),
+            ),
+            id="short-circuit",
+        ),
+    ],
+)
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, seed):
+    calls = []
+    original = StepKernel.value_at
+
+    def counted(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(StepKernel, "value_at", counted)
+    got = audit_ae_hypothesis(kernel, system, 300, seed=seed)
+    got_reads = list(calls)
+    calls.clear()
+    want = reference_audit(kernel, system, 300, seed=seed)
+    assert got == want
+    # the memo reads slots as lazily as the plain audit: no more kernel calls
+    assert got_reads == calls
