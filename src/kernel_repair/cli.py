@@ -11,6 +11,7 @@ byte-identical reports except for timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -71,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a kernel at one point")
     p.add_argument("--kernel", required=True)
     p.add_argument("--point", required=True, type=_points_arg)
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("density", help="exact cell mass around a point")
     p.add_argument("--kernel", required=True)
@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, type=int, help="refinement level")
     p.add_argument("--epsilon", required=True, type=_fraction_arg)
     p.add_argument("--target-value", help="value whose cell is measured (default: the kernel value at the point)")
-    p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("correct", help="repair a kernel over a finite point set")
     p.add_argument("--kernel", required=True)
@@ -90,10 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-escalations", type=int, default=3)
     p.add_argument("--m", type=int, help="cap on the refinement level")
     p.add_argument("--R", type=int, help="samples per point in multiset mode")
-    p.add_argument("--method", choices=("greedy", "exhaustive"), default="greedy")
-    p.add_argument("--budget", type=int, default=32, help="attempts per core extraction")
+    p.add_argument("--method", choices=("greedy", "exhaustive"), default="greedy",
+                   help="former extraction strategy; accepted, no effect")
+    p.add_argument("--budget", type=int, default=32,
+                   help="former restarts per core extraction, at least 1; accepted, no effect")
     p.add_argument("--out", help="write the full report here")
-    p.set_defaults(func=cmd_correct)
 
     p = sub.add_parser("ramsey", help="extract a monochromatic core from a seeded random coloring")
     p.add_argument("--parts", type=int, default=1)
@@ -102,29 +102,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, type=int, help="core size")
     p.add_argument("--colors", required=True, type=int)
     p.add_argument("--seed", required=True)
-    p.add_argument("--method", choices=("greedy", "exhaustive"), default="greedy")
-    p.add_argument("--budget", type=int, default=32)
-    p.set_defaults(func=cmd_ramsey)
+    p.add_argument("--method", choices=("greedy", "exhaustive"), default="greedy",
+                   help="former extraction strategy; accepted, no effect")
+    p.add_argument("--budget", type=int, default=32,
+                   help="former restarts per core extraction, at least 1; accepted, no effect")
 
     p = sub.add_parser("demo", help="run a packaged scenario")
     p.add_argument("name", choices=sorted(DEMOS))
     p.add_argument("--seed", required=True)
     p.add_argument("--out", help="write the demo report here")
-    p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("audit", help="sample the almost-everywhere hypothesis")
     p.add_argument("--kernel", required=True)
     p.add_argument("--constraint", required=True)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", required=True)
-    p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("verify", help="recheck a report's value table against its constraint")
     p.add_argument("--kernel", required=True)
     p.add_argument("--constraint", required=True)
     p.add_argument("--report", required=True)
     p.add_argument("--epsilon", type=_fraction_arg, help="override the report's epsilon")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -273,14 +271,21 @@ def cmd_verify(args) -> int:
     return 0 if not viols else 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    # looked up at call time, so a replaced cmd_* function takes effect
+    # although the parser is built once per process
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -59,8 +59,10 @@ class RepairConfig:
     max_escalations: additional rounds allowed after the first attempt.
     pool_size: samples per point in multiset mode (default twice the core
         size).
-    method: core extraction strategy, "greedy" or "exhaustive".
-    restarts: attempts per greedy extraction.
+    method: former core extraction strategy, "greedy" or "exhaustive";
+        accepted, no effect (extraction is one complete search).
+    restarts: former attempts per greedy extraction, at least 1; accepted,
+        no effect.
     max_refinement: optional cap on the refinement level; values below the
         kernel resolution are raised to it.
     """

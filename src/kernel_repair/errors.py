@@ -16,9 +16,10 @@ class FormatError(ValueError):
 class ExtractionFailed(RuntimeError):
     """No monochromatic core was found.
 
-    ``proven_absent`` is True only when the search was exhaustive, in which
-    case no such core exists at all; a randomized search that gives up sets
-    it to False.
+    ``proven_absent`` is True when the search that failed was complete, in
+    which case no such core exists at all.  Core extraction runs one
+    complete search, so its failures always set it; False is left for a
+    search that gives up early.
     """
 
     def __init__(self, message: str, proven_absent: bool = False):

@@ -3,9 +3,9 @@
 A selection over parts P_1..P_p with size vector (t_1..t_p) picks a
 t_i-subset from each part.  Given a coloring of all selections, a core
 assigns each part a subset of a common size on which the coloring is
-constant.  Two search strategies are provided: an exhaustive one whose
-failure proves that no core exists, and a randomized greedy search with
-backtracking and seeded restarts for sizes where exhaustion is hopeless.
+constant.  One complete search finds it: a pruned depth-first search over
+element positions in natural order, which returns the lexicographically
+first core, and whose failure proves that no core of that size exists.
 
 The multi-pass driver handles several size vectors over the same parts by
 shrinking the cores a little per vector, in lexicographic vector order, so
@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from typing import Callable, Iterator, Sequence
 
 from .errors import ContractError, ExtractionFailed
 
 Selection = tuple[tuple, ...]
 Coloring = Callable[[Selection], object]
+
+_UNSET = object()
 
 
 def all_selections(parts: Sequence[Sequence], sizes: Sequence[int]) -> Iterator[Selection]:
@@ -40,10 +41,10 @@ def all_selections(parts: Sequence[Sequence], sizes: Sequence[int]) -> Iterator[
 
 def is_monochromatic(parts, sizes, coloring: Coloring) -> bool:
     """Whether the coloring takes one value over all selections from parts."""
-    seen = None
+    seen = _UNSET
     for sel in all_selections(parts, sizes):
         c = coloring(sel)
-        if seen is None:
+        if seen is _UNSET:
             seen = c
         elif c != seen:
             return False
@@ -64,120 +65,102 @@ def _validate(parts, sizes, goal: int):
             raise ContractError(f"core size {goal} exceeds a part of {len(p)} elements")
 
 
-def exhaustive_core(parts, sizes, coloring: Coloring, goal: int):
-    """First monochromatic core of the given size, scanning all candidates.
+def _search(parts, sizes, coloring: Coloring, goal: int):
+    """Lexicographically first core of the given size, or None if none exists.
 
-    Candidate cores are enumerated in lexicographic order of element
-    positions, so the result is deterministic.  Raises ExtractionFailed
-    with ``proven_absent=True`` when the scan finishes empty, which is a
-    proof that no core of this size exists.
+    Parts fill one after another, each by a backtracking scan over its
+    positions in natural order.  An element joins its core only if every
+    selection it completes has the color fixed by the first selection
+    colored; every extension of the partial cores keeps a selection that
+    disagrees, so dropping the element loses no core and the search is
+    complete.  A selection is complete only once the parts after the
+    current one, which are still empty, ask for no elements, and the
+    subsets of the finished parts stay fixed while later parts fill.
     """
-    parts = [tuple(p) for p in parts]
-    _validate(parts, sizes, goal)
-    for combo in itertools.product(*(itertools.combinations(p, goal) for p in parts)):
-        if is_monochromatic(combo, sizes, coloring):
-            return tuple(list(c) for c in combo)
-    raise ExtractionFailed(
-        f"no monochromatic core of size {goal} exists", proven_absent=True
-    )
-
-
-def greedy_core(parts, sizes, coloring: Coloring, goal: int, seed="0", restarts: int = 32):
-    """Randomized greedy search with backtracking for a monochromatic core.
-
-    Attempt 0 scans candidates in their natural part order, so a constant
-    coloring always yields the first ``goal`` elements of each part.  Later
-    attempts reshuffle each part with a generator seeded from
-    ``"{seed}:{attempt}"``, making the whole search a pure function of the
-    seed.  Raises ExtractionFailed (not a proof of absence) when all
-    attempts are spent.
-    """
-    parts = [tuple(p) for p in parts]
-    _validate(parts, sizes, goal)
-    base_orders = [list(range(len(p))) for p in parts]
-    for attempt in range(restarts):
-        orders = [list(o) for o in base_orders]
-        if attempt > 0:
-            rng = random.Random(f"{seed}:{attempt}")
-            for o in orders:
-                rng.shuffle(o)
-        found = _attempt(parts, sizes, coloring, goal, orders)
-        if found is not None:
-            return found
-    raise ExtractionFailed(
-        f"no monochromatic core of size {goal} found in {restarts} attempts",
-        proven_absent=False,
-    )
-
-
-def _attempt(parts, sizes, coloring, goal, orders):
-    """One backtracking pass over fixed candidate orders; None on failure."""
     p = len(parts)
-    cores: list[list[int]] = [[] for _ in range(p)]
-    ref: list = [None]
+    checked = [t > 0 and not any(sizes[i + 1:]) for i, t in enumerate(sizes)]
+    cores: list[list] = [[] for _ in range(p)]
+    prefixes: list[Selection] = [()]  # selections restricted to the finished parts
+    ref = _UNSET
 
-    def new_selections(part_idx: int, elem: int) -> Iterator[Selection]:
-        # selections among the current partial cores that use elem, which
-        # was just appended to cores[part_idx]
-        if any(len(c) < t for c, t in zip(cores, sizes)):
-            return
-        t_here = sizes[part_idx]
-        if t_here == 0:
-            return
-        rest = sorted(e for e in cores[part_idx] if e != elem)
-        other_pools = [
-            list(itertools.combinations(sorted(cores[j]), sizes[j]))
-            for j in range(p)
-            if j != part_idx
-        ]
-        for mine in itertools.combinations(rest, t_here - 1):
-            here = tuple(sorted(mine + (elem,)))
-            for combo in itertools.product(*other_pools):
-                sel = []
-                ci = 0
-                for j in range(p):
-                    if j == part_idx:
-                        sel.append(tuple(parts[j][i] for i in here))
-                    else:
-                        sel.append(tuple(parts[j][i] for i in combo[ci]))
-                        ci += 1
-                yield tuple(sel)
+    def new_selections(i: int, elem) -> Iterator[Selection]:
+        # selections that use elem, about to join cores[i] after its last element
+        tail = ((),) * (p - 1 - i)
+        for mine in itertools.combinations(cores[i], sizes[i] - 1):
+            here = mine + (elem,)
+            for pre in prefixes:
+                yield pre + (here,) + tail
 
-    def place(i: int, pos: int) -> bool:
-        if len(cores[i]) == goal:
-            return True if i + 1 == p else place(i + 1, 0)
-        if len(orders[i]) - pos < goal - len(cores[i]):
-            return False
-        e = orders[i][pos]
-        cores[i].append(e)
-        ref_was_unset = ref[0] is None
-        ok = True
-        for sel in new_selections(i, e):
-            c = coloring(sel)
-            if ref[0] is None:
-                ref[0] = c
-            elif c != ref[0]:
-                ok = False
-                break
-        if ok and place(i, pos + 1):
+    def fill(i: int, start: int) -> bool:
+        nonlocal prefixes, ref
+        if i == p:
             return True
-        cores[i].pop()
-        if ref_was_unset:
-            ref[0] = None
-        return place(i, pos + 1)
+        core, part = cores[i], parts[i]
+        if len(core) == goal:
+            outer = prefixes
+            if i + 1 < p:
+                pool = list(itertools.combinations(core, sizes[i]))
+                prefixes = [pre + (s,) for pre in outer for s in pool]
+            if fill(i + 1, 0):
+                return True
+            prefixes = outer
+            return False
+        for pos in range(start, len(part) - (goal - len(core)) + 1):
+            elem = part[pos]
+            ref_was_unset = ref is _UNSET
+            ok = True
+            if checked[i]:
+                for sel in new_selections(i, elem):
+                    c = coloring(sel)
+                    if ref is _UNSET:
+                        ref = c
+                    elif c != ref:
+                        ok = False
+                        break
+            if ok:
+                core.append(elem)
+                if fill(i, pos + 1):
+                    return True
+                core.pop()
+            if ref_was_unset:
+                ref = _UNSET
+        return False
 
-    if place(0, 0):
-        return tuple([parts[i][j] for j in sorted(core)] for i, core in enumerate(cores))
-    return None
+    return tuple(cores) if fill(0, 0) else None
 
 
 def extract_core(parts, sizes, coloring: Coloring, goal: int, method: str = "greedy", seed="0", restarts: int = 32):
-    """Dispatch to the exhaustive or greedy strategy."""
-    if method == "exhaustive":
-        return exhaustive_core(parts, sizes, coloring, goal)
-    if method == "greedy":
-        return greedy_core(parts, sizes, coloring, goal, seed=seed, restarts=restarts)
-    raise ContractError(f"unknown extraction method {method!r}")
+    """First monochromatic core of the given size, in lexicographic order of positions.
+
+    Each core lists its elements in part order, so the result is
+    deterministic.  Raises ExtractionFailed with ``proven_absent=True``
+    when the search finishes empty, which proves that no core of this size
+    exists.  ``method`` ("greedy" or "exhaustive"), ``seed`` and
+    ``restarts`` (at least 1) are accepted and checked but have no effect:
+    both former strategies are this one search.
+    """
+    if method not in ("greedy", "exhaustive"):
+        raise ContractError(f"unknown extraction method {method!r}")
+    if restarts < 1:
+        raise ContractError("restarts must be at least 1")
+    parts = [tuple(p) for p in parts]
+    _validate(parts, sizes, goal)
+    cores = _search(parts, sizes, coloring, goal)
+    if cores is None:
+        raise ExtractionFailed(
+            f"no monochromatic core of size {goal} exists", proven_absent=True
+        )
+    return cores
+
+
+def exhaustive_core(parts, sizes, coloring: Coloring, goal: int):
+    """``extract_core`` under its former exhaustive name."""
+    return extract_core(parts, sizes, coloring, goal)
+
+
+def greedy_core(parts, sizes, coloring: Coloring, goal: int, seed="0", restarts: int = 32):
+    """``extract_core`` under its former greedy name; ``seed`` and ``restarts`` have no effect."""
+    return extract_core(parts, sizes, coloring, goal, seed=seed, restarts=restarts)
 
 
 def pass_goal(start: int, target: int, step: int, steps: int) -> int:
@@ -207,6 +190,8 @@ def multi_type_extract(
     interpolation of ``pass_goal``.  Because constancy passes to subsets,
     the final cores are simultaneously monochromatic for every vector.
     All parts must start at a common size no smaller than the target.
+    ``method``, ``seed`` and ``restarts`` are passed on to ``extract_core``,
+    which checks them but is not steered by them.
     """
     parts = [tuple(p) for p in parts]
     if not parts:

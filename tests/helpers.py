@@ -5,7 +5,8 @@ the distinct-mode and multiset-mode acceptance runs; midpoint_mass is a
 brute-force density oracle that shares no code with the implementation
 beyond kernel lookup.  reference_violations and reference_audit are the
 plain sweeps the memoised ones replaced: every assignment evaluated anew,
-every atom checked at every assignment.
+every atom checked at every assignment.  reference_core is the candidate
+scan that core extraction's pruned search replaced.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from kernel_repair.constraint import (
 )
 from kernel_repair.corrector import AuditResult, wilson_interval
 from kernel_repair.kernel import CoordIs, CoordsEqual, ExceptionPiece, StepKernel, block_of
+from kernel_repair.ramsey import is_monochromatic
 from kernel_repair.rational import as_fraction
 from kernel_repair.values import BoundedInterval
 
@@ -218,3 +220,15 @@ def reference_audit(kernel, system, samples=1000, seed="0"):
             bad += 1
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)
+
+
+def reference_core(parts, sizes, coloring, goal):
+    """First monochromatic core of size goal by scanning every candidate, or None.
+
+    Candidates come in lexicographic order of element positions and each is
+    checked in full, so None means that no core of this size exists.
+    """
+    for combo in itertools.product(*(itertools.combinations(tuple(p), goal) for p in parts)):
+        if is_monochromatic(combo, sizes, coloring):
+            return tuple(list(c) for c in combo)
+    return None

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from helpers import suite_problem
+from kernel_repair import cli
 from kernel_repair.cli import main
 from kernel_repair.constraint import triangle_free_system
 from kernel_repair.fileio import (
@@ -88,6 +90,31 @@ def test_eval_rejects_an_oversized_kernel_quickly(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "expected 3^100000000 base values, got 1" in err
+
+
+def test_eval_checks_a_high_arity_symmetric_base_quickly(tmp_path, capsys):
+    # comparing the block with all 12! permutations of it would take hours
+    path = tmp_path / "wide.json"
+    doc = load_json(kernel_file(tmp_path, constant_kernel(F(1, 2))), "kernel")
+    doc.update(arity=12, symmetric_base=True)
+    path.write_text(json.dumps(doc))
+    point = ",".join(["1/3"] * 12)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", "--kernel", str(path), "--point", point)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "1/2\n")
+
+
+def test_main_dispatches_to_the_current_command_function(tmp_path, capsys, monkeypatch):
+    # the parser is built once, but a replaced cmd_* function still runs
+    path = kernel_file(tmp_path, step_1d())
+    assert run(capsys, "eval", "--kernel", path, "--point", "3/4")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.report) or 7)
+    code, _, _ = run(
+        capsys, "verify", "--kernel", path, "--constraint", "c.json", "--report", "r.json"
+    )
+    assert (code, seen) == (7, ["r.json"])
 
 
 # --- density ---
@@ -203,6 +230,17 @@ def test_ramsey_proven_absence_exits_2(capsys):
         capsys,
         "ramsey", "--size", "2", "--profile", "1", "--target", "2",
         "--colors", "2", "--seed", "0", "--method", "exhaustive",
+    )
+    assert code == 2
+    assert out == "no monochromatic core: proven absent\n"
+
+
+def test_ramsey_default_search_proves_absence(capsys):
+    # seed 9 colors the pairs of five elements without a one-colored triple
+    code, out, _ = run(
+        capsys,
+        "ramsey", "--size", "5", "--profile", "2", "--target", "3",
+        "--colors", "2", "--seed", "9",
     )
     assert code == 2
     assert out == "no monochromatic core: proven absent\n"

@@ -161,6 +161,21 @@ def test_symmetric_base_flag_rejects_asymmetric_grid():
         )
 
 
+def test_symmetric_base_flag_rejects_a_grid_broken_only_by_a_three_cycle():
+    # at block (0, 1, 2) both adjacent swaps agree and only the 3-cycle to
+    # (1, 2, 0) differs; the swap check still finds it at a later block
+    flat = [F(0)] * 27
+    flat[1 * 9 + 2 * 3 + 0] = F(1)
+    with pytest.raises(ContractError, match="not permutation symmetric"):
+        StepKernel.from_flat(
+            arity=3,
+            resolution=3,
+            space=BoundedInterval(F(1)),
+            flat_values=flat,
+            symmetric_base=True,
+        )
+
+
 # --- validation ---
 
 

@@ -1,4 +1,4 @@
-"""Monochromatic core extraction: exhaustive scan, greedy search, type passes."""
+"""Monochromatic core extraction: the complete search, its aliases, type passes."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_core
 from kernel_repair.errors import ContractError, ExtractionFailed
 from kernel_repair.ramsey import (
     all_selections,
@@ -49,6 +51,13 @@ def test_is_monochromatic():
     assert not is_monochromatic(parts, [2], lambda sel: sel[0][0])
 
 
+def test_none_is_a_color_like_any_other():
+    # a selection colored None must not leave the reference color unset
+    coloring = lambda sel: None if sel[0][0] == 0 else 1
+    assert not is_monochromatic([[0, 1, 2]], [1], coloring)
+    assert extract_core([[0, 1, 2]], [1], coloring, 2) == ([1, 2],)
+
+
 # --- pigeonhole and frozen instances ---
 
 
@@ -74,10 +83,25 @@ def test_pentagon_has_no_triangle_and_that_is_proven():
     assert exc.value.proven_absent
 
 
-def test_greedy_on_pentagon_fails_without_proof():
+def test_greedy_on_pentagon_fails_with_proof():
     with pytest.raises(ExtractionFailed) as exc:
         greedy_core([list(range(5))], [2], pentagon_coloring, 3, seed="s", restarts=4)
-    assert not exc.value.proven_absent
+    assert exc.value.proven_absent
+
+
+def test_pentagon_proof_colors_few_selections():
+    # the pruned search drops an element at its first conflicting pair, so
+    # the proof needs fewer calls than the 23 of scanning every triple
+    calls = []
+
+    def counted(selection):
+        calls.append(selection)
+        return pentagon_coloring(selection)
+
+    with pytest.raises(ExtractionFailed) as exc:
+        extract_core([list(range(5))], [2], counted, 3)
+    assert exc.value.proven_absent
+    assert len(calls) <= 19
 
 
 def test_constant_coloring_greedy_takes_first_elements():
@@ -156,6 +180,40 @@ def test_extract_core_dispatch():
     assert [list(c) for c in greedy] == [[0, 1]]
     with pytest.raises(ContractError):
         extract_core(parts, [1], constant, 2, method="magic")
+
+
+def test_extract_core_checks_the_ignored_arguments():
+    parts = [list(range(4))]
+    constant = lambda sel: 0
+    assert extract_core(parts, [1], constant, 2, seed="other", restarts=1) == ([0, 1],)
+    with pytest.raises(ContractError):
+        extract_core(parts, [1], constant, 2, restarts=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_search_matches_the_candidate_scan(data):
+    """Equal cores, or both fail and the search calls its failure a proof."""
+    count = data.draw(st.integers(1, 2), label="parts")
+    lengths = data.draw(st.lists(st.integers(1, 5), min_size=count, max_size=count), label="lengths")
+    sizes = data.draw(st.lists(st.integers(0, 2), min_size=count, max_size=count), label="sizes")
+    colors = data.draw(st.integers(1, 3), label="colors")
+    parts = [[f"{i}.{j}" for j in range(n)] for i, n in enumerate(lengths)]
+    selections = list(all_selections(parts, sizes))
+    drawn = data.draw(
+        st.lists(st.integers(0, colors - 1), min_size=len(selections), max_size=len(selections)),
+        label="coloring",
+    )
+    coloring = dict(zip(selections, drawn)).__getitem__
+    for goal in range(max(1, *sizes), min(lengths) + 1):
+        expected = reference_core(parts, sizes, coloring, goal)
+        try:
+            found = extract_core(parts, sizes, coloring, goal)
+        except ExtractionFailed as exc:
+            assert expected is None
+            assert exc.proven_absent
+        else:
+            assert found == expected
 
 
 # --- shrink schedule ---
