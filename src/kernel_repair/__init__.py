@@ -48,6 +48,7 @@ from .kernel import (
     ExceptionPiece,
     StepKernel,
     block_of,
+    repeat_pattern,
     sample_in_cell,
 )
 from .ramsey import (
@@ -120,6 +121,7 @@ __all__ = [
     "multi_type_extract",
     "proven_infeasible",
     "repair",
+    "repeat_pattern",
     "run_demo",
     "sample_in_cell",
     "separating_refinement",

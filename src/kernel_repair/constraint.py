@@ -130,11 +130,15 @@ class AffineAtom:
     def satisfied(self, val, space: ValueSpace, eps: Fraction) -> bool:
         if isinstance(space, FiniteMetric):
             raise ContractError("affine atoms need a numeric value space")
+        # a reader from _AtomChecker brings its memo of _shift_toward
+        shift = getattr(val, "shift", None) or (
+            lambda v, favor_small: _shift_toward(space, v, eps, favor_small)
+        )
         shifted = []
         for c, s in self.terms:
             v = val(s)
             if eps:
-                v = _shift_toward(space, v, eps, favor_small=c > 0)
+                v = shift(v, c > 0)
             shifted.append((c, v))
         lhs = Fraction(0)
         rhs = self.bound
@@ -318,6 +322,17 @@ class Violation:
     detail: str
 
 
+class _SlotValues(dict):
+    """An atom's ``val``: the values at its slots, read by calling.
+
+    ``shift(v, favor_small)`` is the checker's memo of ``_shift_toward``
+    for its space and eps, which ``AffineAtom.satisfied`` uses.
+    """
+
+    __slots__ = ("shift",)
+    __call__ = dict.__getitem__
+
+
 class _AtomChecker:
     """Verdicts of a system's atoms for one space and eps, memoised on values.
 
@@ -325,8 +340,9 @@ class _AtomChecker:
     ``==``, ``space.dist``, arithmetic and ``in``, so with the space and eps
     fixed its verdict is a function of the values at its slots.  Values are
     interned to small ints, and each atom keeps its verdicts keyed on the
-    ids at its slots, so ``satisfied`` runs once per value pattern.  A
-    checker lives for one call; its memo for an atom holds at most
+    ids at its slots, so ``satisfied`` runs once per value pattern.  Affine
+    atoms also share one memo of ``_shift_toward`` per (value, direction).
+    A checker lives for one call; its memo for an atom holds at most
     (distinct values) ** (slots of the atom) entries.
     """
 
@@ -343,6 +359,13 @@ class _AtomChecker:
             self._compiled.append((atom, positions, operator.itemgetter(*positions), {}))
         self._ids: dict = {}
         self._values: list = []
+        self._shifted: dict = {}
+
+    def _shift(self, value, favor_small: bool):
+        key = (value, favor_small)
+        if key not in self._shifted:
+            self._shifted[key] = _shift_toward(self.space, value, self.eps, favor_small)
+        return self._shifted[key]
 
     def intern(self, value) -> int:
         vid = self._ids.get(value)
@@ -367,8 +390,9 @@ class _AtomChecker:
             key = key_of(ids)
             verdict = memo.get(key)
             if verdict is None:
-                at = {self.slots[k]: values[ids[k]] for k in positions}
-                verdict = memo[key] = atom.satisfied(at.__getitem__, self.space, self.eps)
+                at = _SlotValues({self.slots[k]: values[ids[k]] for k in positions})
+                at.shift = self._shift
+                verdict = memo[key] = atom.satisfied(at, self.space, self.eps)
             if not verdict:
                 yield n
 
@@ -460,6 +484,8 @@ def symmetry_atoms(arity: int, variables: int) -> tuple[ConstraintAtom, ...]:
     One equality per unordered pair {slot, permuted slot} over each choice
     of ``arity`` distinct variables.
     """
+    if arity > variables:
+        raise ContractError("schema uses more variables than the target system")
     base = tuple(range(1, arity + 1))
     atoms = [
         EqualityAtom(base, perm)

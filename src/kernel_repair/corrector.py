@@ -9,13 +9,18 @@ Two regimes, selected by the constraint mode:
 
 * distinct mode draws one fresh sample per point inside its refinement
   cell and reads the kernel off the sampled tuples;
-* multiset mode draws a pool of samples per point, colors selections by
-  the value cell of the kernel at the sorted sample tuple, extracts
-  simultaneously monochromatic cores, and reads representative values off
-  the cores, which yields an exactly symmetric result.
+* multiset mode draws a pool of samples per point, takes simultaneously
+  monochromatic cores of the pools, and reads representative values off
+  the cores at sorted sample tuples, which yields an exactly symmetric
+  result.  The cores are the pool prefixes, by proof: the kernel reads its
+  base grid at every sorted sample tuple, so every coloring of the core
+  extraction is constant and the extraction returns the first elements of
+  each pool (see ``_read_cores``).
 
-On verification failure the refinement doubles; on extraction failure the
-pool doubles.  A bounded-budget satisfiability probe runs after the first
+Both regimes read the kernel in closed form through
+``StepKernel.generic_value``: the samples are pairwise distinct and avoid
+every override constant.  On verification failure the refinement doubles.
+A bounded-budget satisfiability probe runs after the first
 verification failure so genuinely infeasible systems surface as such
 instead of burning the escalation budget.  Every run is a pure function of
 the configuration seed.
@@ -34,11 +39,10 @@ from typing import Optional
 
 from .constraint import ConstraintSystem, _AtomChecker, proven_infeasible, violations
 from .density import is_density_tuple
-from .errors import ContractError, ExtractionFailed
-from .kernel import StepKernel, block_of, sample_in_cell
-from .ramsey import multi_type_extract
+from .errors import ContractError
+from .kernel import StepKernel, block_of, repeat_pattern, sample_in_cell
 from .rational import as_fraction, frac_str
-from .values import CellPartition, epsilon_partition, value_to_text
+from .values import epsilon_partition, value_to_text
 
 #: How many guarded redraws to attempt before giving up on a sample.  The
 #: guard only rejects exact rational coincidences, which a float-backed
@@ -58,9 +62,11 @@ class RepairConfig:
     seed: any string; every random choice derives from it.
     max_escalations: additional rounds allowed after the first attempt.
     pool_size: samples per point in multiset mode (default twice the core
-        size).
+        size); the cores are the first core-size samples of each pool, by
+        proof, so the rest are reported as witnesses only.
     method: former core extraction strategy, "greedy" or "exhaustive";
-        accepted, no effect (extraction is one complete search).
+        accepted, no effect (the cores are pool prefixes, found without a
+        search).
     restarts: former attempts per greedy extraction, at least 1; accepted,
         no effect.
     max_refinement: optional cap on the refinement level; values below the
@@ -180,7 +186,7 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     """Repair the kernel's values over the given points for the system.
 
     Distinct-mode systems use the one-sample construction, multiset-mode
-    systems the pool-and-extraction construction; both share one
+    systems the pool-and-core construction; both share one
     verify/probe/escalate loop.  The outcome's report is identical across
     runs with the same inputs except for its timing entry.
     """
@@ -225,10 +231,8 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         report["core_size"] = core_size
         read_values = functools.partial(
             _read_cores,
-            partition=partition,
             core_size=core_size,
             vectors=_count_vectors(len(pts), kernel.arity),
-            cfg=cfg,
         )
     else:
         read_values = _read_samples
@@ -237,14 +241,7 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         report["final_m"] = m
         rng = random.Random(f"{cfg.seed}:p{part}:{attempt}")
         pools = _draw_pools(rng, kernel, pts, pool, m)
-        try:
-            values = read_values(kernel, pts, pools, report, attempt)
-        except ExtractionFailed:
-            if attempt == cfg.max_escalations:
-                break
-            pool *= 2
-            report["escalations"].append({"reason": "extraction", "pool": pool})
-            continue
+        values = read_values(kernel, pts, pools, report)
         viols = violations(
             system, lambda t: values[tuple(sorted(t)) if symmetric else t], space, pts, eps
         )
@@ -309,43 +306,43 @@ def _report_pools(pts, pools) -> dict:
     return {frac_str(z): [frac_str(y) for y in p] for z, p in zip(pts, pools)}
 
 
-def _read_samples(kernel, pts, pools, report, attempt) -> dict:
-    """Distinct mode: read the kernel off the one sample drawn per point."""
+def _read_samples(kernel, pts, pools, report) -> dict:
+    """Distinct mode: read the kernel off the one sample drawn per point.
+
+    The samples are pairwise distinct and avoid every override constant, so
+    a sample tuple repeats exactly where its point tuple does and
+    ``generic_value`` gives ``value_at`` at it.
+    """
     samples = {z: p[0] for z, p in zip(pts, pools)}
     report["samples"] = {frac_str(z): frac_str(y) for z, y in samples.items()}
+    blocks = {z: block_of(y, kernel.resolution) for z, y in samples.items()}
     return {
-        t: kernel.value_at(tuple(samples[p] for p in t))
+        t: kernel.generic_value(tuple([blocks[p] for p in t]), repeat_pattern(t))
         for t in itertools.product(pts, repeat=kernel.arity)
     }
 
 
-def _read_cores(kernel, pts, pools, report, attempt, *, partition, core_size, vectors, cfg) -> dict:
-    """Multiset mode: extract cores and read the kernel at sorted representatives.
+def _read_cores(kernel, pts, pools, report, *, core_size, vectors) -> dict:
+    """Multiset mode: take the cores and read the kernel at sorted representatives.
 
-    Raises ExtractionFailed when the pools hold no simultaneously
-    monochromatic cores.
+    The cores are the first ``core_size`` samples of each pool, which is
+    what ``multi_type_extract`` returns for the coloring of a size vector
+    by the value cell of ``value_at`` at the sorted selected samples.
+    Proof: the level m is the kernel resolution times a power of two, so
+    every sample lies in its point's base block, and it separates the
+    points, so sorting a selection keeps the samples of each point together
+    in point order.  The samples are pairwise distinct and avoid every
+    override constant, so no override condition holds at a sorted selection
+    (``generic_value``) and the kernel reads its base grid there, at the
+    blocks of the points repeated as the vector says.  Each coloring is
+    therefore constant, and the search of ``extract_core`` accepts every
+    element it tries: each pass keeps the first elements of each part.
     """
     report["pool_size"] = len(pools[0])
     report["pools"] = _report_pools(pts, pools)
-
-    def coloring_for(vec):
-        def color(selection):
-            sample = tuple(sorted(itertools.chain.from_iterable(selection)))
-            return partition.cell_of(kernel.value_at(sample))
-
-        return color
-
-    cores = multi_type_extract(
-        pools,
-        vectors,
-        coloring_for,
-        core_size,
-        method=cfg.method,
-        seed=f"{cfg.seed}:x:{attempt}",
-        restarts=cfg.restarts,
-    )
-    cores = [sorted(c) for c in cores]
+    cores = [sorted(p[:core_size]) for p in pools]
     report["cores"] = _report_pools(pts, cores)
+    distinct = tuple(range(kernel.arity))
     values = {}
     for vec in vectors:
         key = tuple(
@@ -353,10 +350,10 @@ def _read_cores(kernel, pts, pools, report, attempt, *, partition, core_size, ve
                 itertools.repeat(z, n) for z, n in zip(pts, vec)
             )
         )
-        reps = tuple(
-            sorted(itertools.chain.from_iterable(c[:n] for c, n in zip(cores, vec)))
+        reps = sorted(itertools.chain.from_iterable(c[:n] for c, n in zip(cores, vec)))
+        values[key] = kernel.generic_value(
+            tuple([block_of(y, kernel.resolution) for y in reps]), distinct
         )
-        values[key] = kernel.value_at(reps)
     return values
 
 
@@ -433,24 +430,42 @@ def audit_ae_hypothesis(
     Each trial draws pairwise distinct uniform points (repeats in atom
     slots still reach the kernel's diagonal behavior) and checks the atoms
     exactly up to the first failure, reading only the slots it reaches;
-    verdicts are memoised across trials on the values read.  Reports the
-    violating trial count with a 95% Wilson interval.  A kernel whose
-    defects are confined to null sets audits at zero.
+    verdicts are memoised across trials on the values read.  A slot is read
+    through ``StepKernel.generic_value`` at its blocks and repeat pattern,
+    or through ``value_at`` in a trial where a coordinate equals an
+    override constant.  Reports the violating trial count with a 95%
+    Wilson interval.  A kernel whose defects are confined to null sets
+    audits at zero.
     """
     if samples < 1:
         raise ContractError("at least one audit sample is required")
     rng = random.Random(f"{seed}:audit")
     checker = _AtomChecker(system, kernel.space, Fraction(0))
+    constants = kernel.exception_constants()
+    r = kernel.resolution
+    picks = tuple(tuple(v - 1 for v in slot) for slot in checker.slots)
+    # the trial points are pairwise distinct, so a slot repeats a point
+    # exactly where it repeats a variable
+    patterns = tuple(repeat_pattern(slot) for slot in checker.slots)
     bad = 0
     for _ in range(samples):
+        # floats compare and hash exactly like the Fractions they denote
         while True:
-            tup = tuple(Fraction(rng.random()) for _ in range(system.variables))
+            tup = [rng.random() for _ in range(system.variables)]
             if len(set(tup)) == system.variables:
                 break
+        if constants.isdisjoint(tup):
+            blocks = [(n * r) // d for n, d in map(float.as_integer_ratio, tup)]
 
-        def fill(k):
-            slot = checker.slots[k]
-            return checker.intern(kernel.value_at(tuple(tup[v - 1] for v in slot)))
+            def fill(k):
+                key = tuple([blocks[j] for j in picks[k]])
+                return checker.intern(kernel.generic_value(key, patterns[k]))
+
+        else:
+            tup = [Fraction(x) for x in tup]
+
+            def fill(k):
+                return checker.intern(kernel.value_at(tuple([tup[j] for j in picks[k]])))
 
         if next(checker.failing(fill), None) is not None:
             bad += 1

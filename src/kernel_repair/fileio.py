@@ -34,6 +34,31 @@ from .values import (
     value_to_text,
 )
 
+#: Most equalities a "symmetry" entry may expand to, counted before
+#: duplicates drop: arity 6 over 6 variables would be 517,680 and take
+#: seconds, arity 7 over 7 would exhaust memory.
+MAX_SYMMETRY_EQUALITIES = 50_000
+
+
+def _symmetry_equalities(arity: int, variables: int) -> int:
+    """(arity! - 1) * variables! / (variables - arity)!, or a number past the cap.
+
+    That is how many equalities ``symmetry_atoms`` renames before it drops
+    duplicates.  The product stops once it passes
+    ``MAX_SYMMETRY_EQUALITIES``, so a huge arity costs nothing.
+    """
+    count = 1
+    for k in range(2, arity + 1):
+        count *= k
+        if count > MAX_SYMMETRY_EQUALITIES:
+            return count
+    count -= 1
+    for k in range(max(variables - arity + 1, 0), variables + 1):
+        if count == 0 or count > MAX_SYMMETRY_EQUALITIES:
+            break
+        count *= k
+    return count
+
 
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
@@ -253,6 +278,11 @@ def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
         kind = _require(entry, "kind", loc)
         try:
             if kind == "symmetry":
+                if _symmetry_equalities(arity, variables) > MAX_SYMMETRY_EQUALITIES:
+                    raise FormatError(
+                        f"{loc}: symmetry over arity {arity} and {variables} variables"
+                        f" expands to more than {MAX_SYMMETRY_EQUALITIES} equalities"
+                    )
                 atoms.extend(symmetry_atoms(arity, variables))
             elif kind == "equality":
                 atoms.append(

@@ -11,7 +11,6 @@ rationals and box membership is decided with integer arithmetic.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -23,7 +22,18 @@ from .values import ValueSpace
 
 def block_of(x, m: int) -> int:
     """Index s of the half-open cell [s/m, (s+1)/m) containing x."""
-    return math.floor(as_fraction(x) * m)
+    x = as_fraction(x)
+    return (x.numerator * m) // x.denominator
+
+
+def repeat_pattern(coords) -> tuple[int, ...]:
+    """Which coordinates repeat.
+
+    Entry i is the position of the first coordinate equal to coordinate i,
+    so two tuples have the same pattern when they repeat in the same places.
+    """
+    coords = tuple(coords)
+    return tuple(map(coords.index, coords))
 
 
 def sample_in_cell(x, m: int, rng) -> Fraction:
@@ -135,6 +145,8 @@ class StepKernel:
                 raise ContractError(f"override value {piece.value!r} is outside the space")
         if self.symmetric_base:
             self._check_symmetric_base()
+        # repeat pattern -> value of its first matching piece, see generic_value
+        object.__setattr__(self, "_pattern_overrides", {})
 
     def _check_symmetric_base(self):
         # adjacent transpositions generate every permutation, so invariance
@@ -169,6 +181,40 @@ class StepKernel:
             if piece.matches(pt):
                 return piece.value
         return self.base[tuple(block_of(x, self.resolution) for x in pt)]
+
+    def generic_value(self, blocks: tuple[int, ...], pattern: tuple[int, ...]):
+        """``value_at`` at every point with these base blocks and repeat pattern.
+
+        It holds at the points whose coordinates avoid every ``CoordIs``
+        constant; ``blocks`` are their base block indices and ``pattern``
+        their ``repeat_pattern``.  Proof: no coordinate equals a constant, so no
+        ``CoordIs`` condition holds and no piece containing one matches.
+        ``CoordsEqual(i, j)`` holds exactly where coordinates i and j are
+        equal, that is where ``pattern[i-1] == pattern[j-1]``.  So a piece
+        matches at every such point or at none: exactly when it is made only
+        of ``CoordsEqual`` conditions that the pattern satisfies.
+        ``value_at`` returns the first matching piece's value, else
+        ``base[blocks]``, and this method returns the same.  The matching
+        piece depends on the pattern alone and is cached per pattern.
+
+        Trusted: the arguments are not checked.
+        """
+        overrides = self._pattern_overrides
+        if pattern not in overrides:
+            overrides[pattern] = next(
+                (
+                    (piece.value,)
+                    for piece in self.exceptions
+                    if all(
+                        isinstance(c, CoordsEqual)
+                        and pattern[c.first - 1] == pattern[c.second - 1]
+                        for c in piece.conditions
+                    )
+                ),
+                None,
+            )
+        override = overrides[pattern]
+        return self.base[blocks] if override is None else override[0]
 
     def exception_constants(self) -> frozenset:
         """All constants pinned by single-coordinate override conditions."""

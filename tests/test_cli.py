@@ -105,6 +105,20 @@ def test_eval_checks_a_high_arity_symmetric_base_quickly(tmp_path, capsys):
     assert (code, out) == (0, "1/2\n")
 
 
+def test_audit_refuses_a_huge_symmetry_shorthand_quickly(tmp_path, capsys):
+    # arity 7 over 7 variables would rename 5039 equalities under 5040 maps
+    path = tmp_path / "sym7.json"
+    path.write_text('{"mode":"multiset","arity":7,"variables":7,"atoms":[{"kind":"symmetry"}]}')
+    kernel = kernel_file(tmp_path, constant_kernel(F(1, 2), arity=7))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "audit", "--kernel", kernel, "--constraint", str(path), "--seed", "0"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "expands to more than 50000 equalities" in err
+
+
 def test_main_dispatches_to_the_current_command_function(tmp_path, capsys, monkeypatch):
     # the parser is built once, but a replaced cmd_* function still runs
     path = kernel_file(tmp_path, step_1d())

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import reference_audit
+from helpers import reference_audit, suite_problem
 from kernel_repair.constraint import (
     ConstraintSystem,
     FiniteValuesAtom,
@@ -30,12 +31,12 @@ from kernel_repair.demos import (
     loopy_bipartite_kernel,
     oriented_kernel,
 )
-from kernel_repair import corrector
-from kernel_repair.errors import ContractError, ExtractionFailed
+from kernel_repair.errors import ContractError
 from kernel_repair.fileio import strip_timing
-from kernel_repair.kernel import CoordIs, ExceptionPiece, StepKernel
-from kernel_repair.rational import as_fraction
-from kernel_repair.values import BoundedInterval, epsilon_partition
+from kernel_repair.kernel import CoordIs, ExceptionPiece, StepKernel, block_of, repeat_pattern
+from kernel_repair.ramsey import multi_type_extract
+from kernel_repair.rational import as_fraction, frac_str
+from kernel_repair.values import BoundedInterval, epsilon_partition, value_to_text
 
 F = Fraction
 
@@ -268,50 +269,6 @@ def test_multiset_pool_and_core_sizes_reported():
         )
 
 
-def extraction_failing_on(monkeypatch, attempts):
-    """Make core extraction fail on the given attempt numbers, else delegate."""
-    real = corrector.multi_type_extract
-
-    def flaky(*args, **kwargs):
-        if int(kwargs["seed"].rsplit(":", 1)[1]) in attempts:
-            raise ExtractionFailed("no core this time")
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(corrector, "multi_type_extract", flaky)
-
-
-def test_extraction_failure_doubles_the_pool_and_keeps_m(monkeypatch):
-    kernel = loopy_bipartite_kernel()
-    system = triangle_free_system(mode="multiset")
-    points = (F(1, 10), F(3, 10), F(7, 10))
-    config = RepairConfig(epsilon=F(1, 10), seed="0", pool_size=5)
-    plain = repair(kernel, system, points, config)
-    extraction_failing_on(monkeypatch, {0})
-    outcome = repair(kernel, system, points, config)
-    assert outcome.status == "ok"
-    rep = outcome.report
-    assert rep["escalations"] == [{"reason": "extraction", "pool": 10}]
-    assert rep["final_m"] == plain.report["final_m"] == rep["initial_m"]
-    assert rep["pool_size"] == 10
-    assert all(len(p) == 10 for p in rep["pools"].values())
-
-
-def test_extraction_failing_every_time_ends_as_failed(monkeypatch):
-    kernel = loopy_bipartite_kernel()
-    system = triangle_free_system(mode="multiset")
-    points = (F(1, 10), F(3, 10), F(7, 10))
-    extraction_failing_on(monkeypatch, {0, 1, 2, 3})
-    outcome = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
-    assert outcome.status == "failed"
-    assert outcome.corrected is None
-    assert outcome.report["escalations"] == [
-        {"reason": "extraction", "pool": 12},
-        {"reason": "extraction", "pool": 24},
-        {"reason": "extraction", "pool": 48},
-    ]
-    assert outcome.report["probe"] == {"ran": False, "proven_infeasible": False}
-
-
 # --- determinism ---
 
 
@@ -423,22 +380,122 @@ def all_ones_kernel():
             ),
             id="short-circuit",
         ),
+        # slots that repeat a variable read the diagonal piece
+        pytest.param(
+            loopy_bipartite_kernel(),
+            ConstraintSystem(
+                arity=2,
+                variables=2,
+                mode="distinct",
+                atoms=(
+                    FiniteValuesAtom((1, 1), frozenset({F(0)})),
+                    FiniteValuesAtom((1, 2), frozenset({F(0)})),
+                ),
+            ),
+            id="diagonal",
+        ),
     ],
 )
 @pytest.mark.parametrize("seed", ["0", "7"])
 def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, seed):
-    calls = []
-    original = StepKernel.value_at
+    # a read is recorded as (blocks, repeat pattern), whether it went
+    # through value_at or generic_value
+    reads = []
+    value_at, generic_value = StepKernel.value_at, StepKernel.generic_value
 
-    def counted(self, point):
-        calls.append(point)
-        return original(self, point)
+    def read_point(self, point):
+        blocks = tuple(block_of(x, self.resolution) for x in point)
+        reads.append((blocks, repeat_pattern(point)))
+        return value_at(self, point)
 
-    monkeypatch.setattr(StepKernel, "value_at", counted)
+    def read_class(self, blocks, pattern):
+        reads.append((blocks, pattern))
+        return generic_value(self, blocks, pattern)
+
+    monkeypatch.setattr(StepKernel, "value_at", read_point)
+    monkeypatch.setattr(StepKernel, "generic_value", read_class)
     got = audit_ae_hypothesis(kernel, system, 300, seed=seed)
-    got_reads = list(calls)
-    calls.clear()
+    got_reads = list(reads)
+    reads.clear()
     want = reference_audit(kernel, system, 300, seed=seed)
     assert got == want
-    # the memo reads slots as lazily as the plain audit: no more kernel calls
-    assert got_reads == calls
+    # the memo reads slots as lazily as the plain audit: no more kernel reads
+    assert got_reads == reads
+
+
+def test_audit_reads_value_at_where_a_trial_hits_a_constant(monkeypatch):
+    # the first coordinate the audit draws for seed "0" is an override
+    # constant; there the kernel is 0, so the first trial holds, while the
+    # base grid alone (all ones) fails every trial
+    hit = F(random.Random("0:audit").random())
+    kernel = all_ones_kernel().with_exceptions(
+        (
+            ExceptionPiece((CoordIs(1, hit),), F(0)),
+            ExceptionPiece((CoordIs(2, hit),), F(0)),
+        )
+    )
+    system = triangle_free_system(mode="distinct")
+    calls = []
+    value_at = StepKernel.value_at
+    monkeypatch.setattr(
+        StepKernel, "value_at", lambda self, point: calls.append(point) or value_at(self, point)
+    )
+    got = audit_ae_hypothesis(kernel, system, 50, seed="0")
+    # value_at only in the first trial, once per slot it reached
+    assert any(hit in point for point in calls)
+    assert len(calls) <= len(system.all_slots())
+    assert got.violations == 49
+    assert got == reference_audit(kernel, system, 50, seed="0")
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_distinct_values_are_value_at_at_the_samples(index):
+    # the suite's kernels carry diagonal pieces and sevenths-valued constants
+    kernel, system, points, eps = suite_problem(index, "distinct")
+    report = repair(kernel, system, points, RepairConfig(epsilon=eps, seed="s")).report
+    samples = {as_fraction(z): as_fraction(y) for z, y in report["samples"].items()}
+    for key, text in report["values"].items():
+        t = tuple(as_fraction(tok) for tok in key.split(","))
+        want = kernel.value_at(tuple(samples[z] for z in t))
+        assert text == value_to_text(kernel.space, want)
+
+
+def old_coloring_cores(kernel, report, eps):
+    """Cores that multi_type_extract finds in the report's pools under the
+    coloring repair used before its cores became pool prefixes."""
+    pts = [as_fraction(z) for z in report["points"]]
+    pools = [[as_fraction(y) for y in report["pools"][z]] for z in report["points"]]
+    partition = epsilon_partition(kernel.space, eps)
+
+    def coloring_for(vec):
+        def color(selection):
+            sample = tuple(sorted(itertools.chain.from_iterable(selection)))
+            return partition.cell_of(kernel.value_at(sample))
+
+        return color
+
+    vectors = _count_vectors(len(pts), kernel.arity)
+    cores = multi_type_extract(pools, vectors, coloring_for, report["core_size"])
+    return {frac_str(z): [frac_str(y) for y in sorted(c)] for z, c in zip(pts, cores)}
+
+
+@pytest.mark.parametrize("index", range(8))
+@pytest.mark.parametrize("seed", ["0", "q"])
+def test_cores_are_what_extraction_returns(index, seed):
+    # the suite's four kinds, with sevenths-valued override constants and
+    # diagonal pieces
+    kernel, system, points, eps = suite_problem(index, "multiset")
+    outcome = repair(kernel, system, points, RepairConfig(epsilon=eps, seed=seed))
+    assert outcome.report["cores"] == old_coloring_cores(kernel, outcome.report, eps)
+
+
+def test_escalated_cores_are_what_extraction_returns():
+    # the all-ones kernel fails every attempt; the last pools sit at 8x m
+    system = triangle_free_system(mode="multiset")
+    points = (F(1, 10), F(3, 10), F(7, 10))
+    config = RepairConfig(epsilon=F(1, 10), seed="0", pool_size=7)
+    outcome = repair(all_ones_kernel(), system, points, config)
+    report = outcome.report
+    assert outcome.status == "failed"
+    assert report["final_m"] == 8 * report["initial_m"]
+    assert report["cores"] == old_coloring_cores(all_ones_kernel(), report, F(1, 10))

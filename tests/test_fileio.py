@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -273,6 +274,33 @@ def test_symmetry_shorthand_expands():
     system = constraint_from_doc(doc, BoundedInterval(F(1)))
     assert len(system.atoms) == len(symmetry_atoms(2, 3))
     assert all(isinstance(atom, EqualityAtom) for atom in system.atoms)
+
+
+@pytest.mark.parametrize(
+    "arity, variables",
+    [(6, 6), (7, 7), (4, 9), (100_000_000, 100_000_000)],
+)
+def test_symmetry_shorthand_refuses_a_huge_expansion(arity, variables):
+    doc = {"mode": "multiset", "arity": arity, "variables": variables, "atoms": [{"kind": "symmetry"}]}
+    with pytest.raises(FormatError, match="expands to more than 50000 equalities"):
+        constraint_from_doc(doc, BoundedInterval(F(1)))
+
+
+@pytest.mark.parametrize("arity, variables", [(5, 5), (4, 8), (3, 20)])
+def test_symmetry_shorthand_loads_below_the_cap(arity, variables):
+    # (arity! - 1) * variables! / (variables - arity)! is at most 50000 here;
+    # one equality per unordered pair of orderings survives per variable subset
+    doc = {"mode": "multiset", "arity": arity, "variables": variables, "atoms": [{"kind": "symmetry"}]}
+    system = constraint_from_doc(doc, BoundedInterval(F(1)))
+    pairs = math.comb(math.factorial(arity), 2)
+    assert len(system.atoms) == pairs * math.comb(variables, arity)
+
+
+def test_symmetry_shorthand_with_too_few_variables_is_refused_at_once():
+    # 8! orderings would be built before the renaming found no variables
+    doc = {"mode": "multiset", "arity": 8, "variables": 2, "atoms": [{"kind": "symmetry"}]}
+    with pytest.raises(FormatError, match="more variables than the target system"):
+        constraint_from_doc(doc, BoundedInterval(F(1)))
 
 
 def test_constraint_shape_inferred_from_slots():

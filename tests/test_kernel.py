@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from kernel_repair.corrector import _draw_pools, separating_refinement
 from kernel_repair.errors import ContractError, DomainError
 from kernel_repair.kernel import (
     CoordIs,
@@ -16,6 +17,7 @@ from kernel_repair.kernel import (
     ExceptionPiece,
     StepKernel,
     block_of,
+    repeat_pattern,
     sample_in_cell,
 )
 from kernel_repair.values import BoundedInterval
@@ -57,6 +59,20 @@ def test_block_of_constant_on_cell(s, m):
         s = s % m
     for t in (F(0), F(1, 3), F(7, 8)):
         assert block_of((F(s) + t) / m, m) == s
+
+
+def test_block_of_takes_floats_and_strings():
+    assert block_of(0.5, 4) == 2
+    assert block_of("3/10", 10) == 3
+    assert block_of(0.1, 10) == 1  # the float just above 1/10
+
+
+def test_repeat_pattern_frozen():
+    a, b = F(1, 3), F(1, 2)
+    assert repeat_pattern((a, b, a)) == (0, 1, 0)
+    assert repeat_pattern((b, b, b)) == (0, 0, 0)
+    assert repeat_pattern((a, b)) == (0, 1)
+    assert repeat_pattern(((1, 2), (2, 1), (1, 2))) == (0, 1, 0)
 
 
 # --- sampling ---
@@ -233,6 +249,67 @@ def test_coords_equal_needs_two_distinct_coords():
 
 
 # --- accessors ---
+
+
+@st.composite
+def guarded_case(draw):
+    """Random step kernel with mixed override pieces, and guarded samples.
+
+    Pieces have one or two conditions, ``CoordIs`` on fractions of small
+    denominators or on the points themselves, ``CoordsEqual`` on any pair;
+    the samples come from the repair's own guarded draw at m = the
+    separating level times 2^level.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    resolution = draw(st.integers(min_value=1, max_value=3))
+    level = draw(st.integers(min_value=0, max_value=3))
+    menu = [F(0), F(1, 2), F(1)]
+    flat = [rng.choice(menu) for _ in range(resolution**arity)]
+    points = sorted({F(rng.randrange(1, 60), 60) for _ in range(rng.randint(1, 3))})
+    pieces = []
+    for _ in range(rng.randrange(6)):
+        conditions = []
+        for _ in range(rng.randint(1, 2)):
+            if arity >= 2 and rng.random() < 0.6:
+                first, second = rng.sample(range(1, arity + 1), 2)
+                conditions.append(CoordsEqual(first, second))
+            else:
+                q = rng.randint(2, 16)
+                const = rng.choice(points + [F(rng.randrange(q), q)])
+                conditions.append(CoordIs(rng.randint(1, arity), const))
+        pieces.append(ExceptionPiece(tuple(conditions), rng.choice(menu)))
+    kernel = StepKernel.from_flat(
+        arity=arity,
+        resolution=resolution,
+        space=BoundedInterval(F(1)),
+        flat_values=flat,
+        exceptions=pieces,
+    )
+    m = separating_refinement(points, resolution) * 2**level
+    pools = _draw_pools(rng, kernel, points, 2, m)
+    return kernel, [y for pool in pools for y in pool]
+
+
+@given(guarded_case())
+def test_generic_value_is_value_at_at_guarded_samples(case):
+    kernel, samples = case
+    for t in itertools.product(samples, repeat=kernel.arity):
+        blocks = tuple(block_of(y, kernel.resolution) for y in t)
+        assert kernel.generic_value(blocks, repeat_pattern(t)) == kernel.value_at(t)
+
+
+def test_generic_value_takes_the_first_piece_the_pattern_satisfies():
+    k = checker_kernel(
+        (
+            ExceptionPiece((CoordsEqual(1, 2), CoordIs(1, F(1, 7))), F(1, 4)),
+            ExceptionPiece((CoordsEqual(2, 1),), F(1, 2)),
+            ExceptionPiece((CoordsEqual(1, 2),), F(3, 4)),
+        )
+    )
+    assert k.generic_value((0, 0), (0, 0)) == F(1, 2)
+    assert k.generic_value((0, 1), (0, 1)) == F(1)
+    assert k.generic_value((1, 1), (0, 1)) == F(0)
 
 
 def test_exception_constants():
