@@ -20,10 +20,15 @@ Two regimes, selected by the constraint mode:
 Both regimes read the kernel in closed form through
 ``StepKernel.generic_value``: the samples are pairwise distinct and avoid
 every override constant.  On verification failure the refinement doubles.
-A bounded-budget satisfiability probe runs after the first
-verification failure so genuinely infeasible systems surface as such
-instead of burning the escalation budget.  Every run is a pure function of
-the configuration seed.
+The closed form does not depend on the refinement level, so an escalation
+redraws its samples and re-reads the table it already checked; a table
+equal to the last one checked keeps that check's violations, verdicts and
+density table instead of recomputing them.  A bounded-budget
+satisfiability probe runs after the first verification failure so
+genuinely infeasible systems surface as such instead of burning the
+escalation budget.  The almost-everywhere audit decides each trial once
+per block vector of its points (see ``audit_ae_hypothesis``).  Every run
+is a pure function of the configuration seed.
 """
 
 from __future__ import annotations
@@ -237,20 +242,25 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     else:
         read_values = _read_samples
     status, corrected = _STATUS_FAILED, None
+    checked = None
     for attempt in range(cfg.max_escalations + 1):
         report["final_m"] = m
         rng = random.Random(f"{cfg.seed}:p{part}:{attempt}")
         pools = _draw_pools(rng, kernel, pts, pool, m)
         values = read_values(kernel, pts, pools, report)
-        viols = violations(
-            system, lambda t: values[tuple(sorted(t)) if symmetric else t], space, pts, eps
-        )
-        closeness, agree = _closeness_table(kernel, partition, values, eps)
-        report["values"] = _report_values(space, values)
-        report["violations"] = _report_violations(space, viols)
-        report["verdicts"] = _verdicts(system, viols)
-        report["density_closeness"] = closeness
-        report["agreement_failures"] = [_point_key(t) for t in agree]
+        # an escalation re-reads the table it checked last (generic_value
+        # does not depend on m); its checks and report entries then stand
+        if values != checked:
+            checked = values
+            viols = violations(
+                system, lambda t: values[tuple(sorted(t)) if symmetric else t], space, pts, eps
+            )
+            closeness, agree = _closeness_table(kernel, partition, values, eps)
+            report["values"] = _report_values(space, values)
+            report["violations"] = _report_violations(space, viols)
+            report["verdicts"] = _verdicts(system, viols)
+            report["density_closeness"] = closeness
+            report["agreement_failures"] = [_point_key(t) for t in agree]
         if not viols and not agree:
             status = _STATUS_OK
             corrected = CorrectedKernel(
@@ -376,11 +386,12 @@ def _closeness_table(kernel, partition, values: dict, eps):
     table = {}
     bad = []
     for t in sorted(values):
-        d = kernel.space.dist(values[t], kernel.value_at(t))
+        at_t = kernel.value_at(t)
+        d = kernel.space.dist(values[t], at_t)
         if partition is None:
             dense = None
         else:
-            dense = is_density_tuple(kernel, partition, t)
+            dense = is_density_tuple(kernel, partition, t, value=at_t)
             if dense and d > eps:
                 bad.append(t)
         table[_point_key(t)] = {"density": dense, "dist": frac_str(d)}
@@ -430,12 +441,20 @@ def audit_ae_hypothesis(
     Each trial draws pairwise distinct uniform points (repeats in atom
     slots still reach the kernel's diagonal behavior) and checks the atoms
     exactly up to the first failure, reading only the slots it reaches;
-    verdicts are memoised across trials on the values read.  A slot is read
-    through ``StepKernel.generic_value`` at its blocks and repeat pattern,
-    or through ``value_at`` in a trial where a coordinate equals an
-    override constant.  Reports the violating trial count with a 95%
-    Wilson interval.  A kernel whose defects are confined to null sets
-    audits at zero.
+    atom verdicts are memoised across trials on the values read.  Reports
+    the violating trial count with a 95% Wilson interval.  A kernel whose
+    defects are confined to null sets audits at zero.
+
+    A trial is decided once per block vector.  Its points are pairwise
+    distinct, so a slot repeats a point exactly where it repeats a
+    variable, and each slot's repeat pattern is fixed by the system.  When
+    no coordinate equals an override constant, every slot value is
+    ``StepKernel.generic_value`` at the slot's blocks and pattern, so the
+    trial's verdict depends only on the tuple of its variables' base
+    blocks; it is computed at the first trial with that tuple (at most
+    ``resolution ** variables`` times) and reused after.  A trial where a
+    coordinate equals a constant reads ``value_at`` and is decided anew.
+    Every trial still draws its floats, so the counts match a plain audit.
     """
     if samples < 1:
         raise ContractError("at least one audit sample is required")
@@ -447,6 +466,8 @@ def audit_ae_hypothesis(
     # the trial points are pairwise distinct, so a slot repeats a point
     # exactly where it repeats a variable
     patterns = tuple(repeat_pattern(slot) for slot in checker.slots)
+    # blocks of the trial's variables -> whether some atom fails there
+    verdict_of: dict[tuple[int, ...], bool] = {}
     bad = 0
     for _ in range(samples):
         # floats compare and hash exactly like the Fractions they denote
@@ -455,19 +476,22 @@ def audit_ae_hypothesis(
             if len(set(tup)) == system.variables:
                 break
         if constants.isdisjoint(tup):
-            blocks = [(n * r) // d for n, d in map(float.as_integer_ratio, tup)]
+            blocks = tuple([(n * r) // d for n, d in map(float.as_integer_ratio, tup)])
+            failed = verdict_of.get(blocks)
+            if failed is None:
 
-            def fill(k):
-                key = tuple([blocks[j] for j in picks[k]])
-                return checker.intern(kernel.generic_value(key, patterns[k]))
+                def fill(k):
+                    key = tuple([blocks[j] for j in picks[k]])
+                    return checker.intern(kernel.generic_value(key, patterns[k]))
 
+                failed = verdict_of[blocks] = next(checker.failing(fill), None) is not None
         else:
             tup = [Fraction(x) for x in tup]
 
             def fill(k):
                 return checker.intern(kernel.value_at(tuple([tup[j] for j in picks[k]])))
 
-        if next(checker.failing(fill), None) is not None:
-            bad += 1
+            failed = next(checker.failing(fill), None) is not None
+        bad += failed
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)

@@ -86,7 +86,7 @@ def adjacent_blocks(x, resolution: int) -> tuple[int, ...]:
     return (t,)
 
 
-def is_density_tuple(kernel: StepKernel, partition: CellPartition, point) -> bool:
+def is_density_tuple(kernel: StepKernel, partition: CellPartition, point, value=None) -> bool:
     """Whether the level-m mass of the point's own cell tends to 1.
 
     Exact for step kernels: the limit is 1 precisely when every base block
@@ -94,10 +94,13 @@ def is_density_tuple(kernel: StepKernel, partition: CellPartition, point) -> boo
     there.  A coordinate sitting on an interior grid cut doubles the blocks
     to check on that axis; a point on an override piece compares the
     override value's cell against the surrounding base blocks and so almost
-    never passes.
+    never passes.  ``value``, when given, must be ``kernel.value_at(point)``;
+    a caller that has already read it passes it to spare the second read.
     """
     pt = tuple(as_fraction(x) for x in point)
-    target = partition.cell_of(kernel.value_at(pt))
+    if value is None:
+        value = kernel.value_at(pt)
+    target = partition.cell_of(value)
     per_axis = [adjacent_blocks(x, kernel.resolution) for x in pt]
     for blocks in itertools.product(*per_axis):
         if partition.cell_of(kernel.base[blocks]) != target:

@@ -39,6 +39,14 @@ from .values import (
 #: seconds, arity 7 over 7 would exhaust memory.
 MAX_SYMMETRY_EQUALITIES = 50_000
 
+#: Highest arity a kernel file may declare at a resolution below 2.
+#: Building the kernel makes base-block tuples of that length, and at
+#: resolution 1 one base value serves any arity: arity 2,000,000 took
+#: 0.49 s and 93 MB before the point check failed, and the cost grows
+#: linearly.  At resolution 2 or more the base length bounds the arity
+#: already (``StepKernel.from_flat``).
+MAX_KERNEL_ARITY = 1_000
+
 
 def _symmetry_equalities(arity: int, variables: int) -> int:
     """(arity! - 1) * variables! / (variables - arity)!, or a number past the cap.
@@ -140,6 +148,8 @@ def kernel_from_doc(doc: dict) -> StepKernel:
     resolution = _require(doc, "resolution", where)
     if not isinstance(arity, int) or not isinstance(resolution, int):
         raise FormatError(f"{where}: arity and resolution must be integers")
+    if resolution < 2 and arity > MAX_KERNEL_ARITY:
+        raise FormatError(f"{where}: arity {arity} exceeds the cap {MAX_KERNEL_ARITY}")
     space = space_from_doc(_require(doc, "value_space", where))
     flat_text = _require(doc, "base", where)
     try:

@@ -199,8 +199,12 @@ def reference_violations(system, evaluate, space, points, eps=F(0), limit=None):
     return found
 
 
-def reference_audit(kernel, system, samples=1000, seed="0"):
-    """Oracle audit: the same draws, every atom checked until the first failure."""
+def reference_audit(kernel, system, samples=1000, seed="0", on_trial=None):
+    """Oracle audit: the same draws, every atom checked until the first failure.
+
+    ``on_trial``, when given, is called with each trial's points before the
+    trial reads the kernel.
+    """
     rng = random.Random(f"{seed}:audit")
     bad = 0
     zero = F(0)
@@ -209,6 +213,8 @@ def reference_audit(kernel, system, samples=1000, seed="0"):
             tup = tuple(F(rng.random()) for _ in range(system.variables))
             if len(set(tup)) == system.variables:
                 break
+        if on_trial is not None:
+            on_trial(tup)
         cache = {}
 
         def val(slot):

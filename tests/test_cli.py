@@ -13,6 +13,7 @@ from kernel_repair import cli
 from kernel_repair.cli import main
 from kernel_repair.constraint import triangle_free_system
 from kernel_repair.fileio import (
+    MAX_KERNEL_ARITY,
     load_json,
     save_constraint,
     save_kernel,
@@ -90,6 +91,23 @@ def test_eval_rejects_an_oversized_kernel_quickly(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "expected 3^100000000 base values, got 1" in err
+
+
+@pytest.mark.parametrize("resolution, base", [(1, ["0"]), (0, []), (-1, ["0"])])
+def test_eval_refuses_a_huge_arity_below_resolution_two_quickly(
+    tmp_path, capsys, resolution, base
+):
+    # at resolution 1 one base value serves every arity, so only the cap
+    # stops a block tuple of 100,000,000 entries from being built
+    path = tmp_path / "flat.json"
+    doc = load_json(kernel_file(tmp_path, step_1d()), "kernel")
+    doc.update(arity=100_000_000, resolution=resolution, base=base, exceptions=[])
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", "--kernel", str(path), "--point", "1/2")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"arity 100000000 exceeds the cap {MAX_KERNEL_ARITY}" in err
 
 
 def test_eval_checks_a_high_arity_symmetric_base_quickly(tmp_path, capsys):

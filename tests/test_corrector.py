@@ -7,11 +7,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import reference_audit, suite_problem
+from helpers import reference_audit, reference_violations, suite_problem
+from kernel_repair import corrector
 from kernel_repair.constraint import (
+    AffineAtom,
     ConstraintSystem,
+    EqualityAtom,
     FiniteValuesAtom,
+    TableAtom,
+    ZeroProductAtom,
     metric_system,
     triangle_free_system,
     violations,
@@ -25,6 +31,7 @@ from kernel_repair.corrector import (
     wilson_interval,
     _count_vectors,
 )
+from kernel_repair.density import is_density_tuple
 from kernel_repair.demos import (
     almost_metric_kernel,
     antisymmetry_system,
@@ -33,10 +40,22 @@ from kernel_repair.demos import (
 )
 from kernel_repair.errors import ContractError
 from kernel_repair.fileio import strip_timing
-from kernel_repair.kernel import CoordIs, ExceptionPiece, StepKernel, block_of, repeat_pattern
+from kernel_repair.kernel import (
+    CoordIs,
+    CoordsEqual,
+    ExceptionPiece,
+    StepKernel,
+    block_of,
+    repeat_pattern,
+)
 from kernel_repair.ramsey import multi_type_extract
 from kernel_repair.rational import as_fraction, frac_str
-from kernel_repair.values import BoundedInterval, epsilon_partition, value_to_text
+from kernel_repair.values import (
+    BoundedInterval,
+    epsilon_partition,
+    value_from_text,
+    value_to_text,
+)
 
 F = Fraction
 
@@ -354,11 +373,26 @@ def all_ones_kernel():
     )
 
 
+def constant_hit_kernel():
+    """All ones, but 0 where a coordinate is the first float the audit
+    draws for seed "0"; the base grid alone fails every trial."""
+    hit = F(random.Random("0:audit").random())
+    return all_ones_kernel().with_exceptions(
+        (
+            ExceptionPiece((CoordIs(1, hit),), F(0)),
+            ExceptionPiece((CoordIs(2, hit),), F(0)),
+        )
+    )
+
+
 @pytest.mark.parametrize(
     "kernel, system",
     [
         pytest.param(
             loopy_bipartite_kernel(), triangle_free_system(mode="multiset"), id="triangle-free"
+        ),
+        pytest.param(
+            constant_hit_kernel(), triangle_free_system(mode="distinct"), id="constant-hit"
         ),
         pytest.param(all_ones_kernel(), triangle_free_system(mode="distinct"), id="all-ones"),
         pytest.param(almost_metric_kernel(), metric_system(), id="metric"),
@@ -417,10 +451,26 @@ def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, seed):
     got = audit_ae_hypothesis(kernel, system, 300, seed=seed)
     got_reads = list(reads)
     reads.clear()
-    want = reference_audit(kernel, system, 300, seed=seed)
+    # each trial's points and where its reads start
+    trials = []
+    want = reference_audit(
+        kernel, system, 300, seed=seed, on_trial=lambda tup: trials.append((tup, len(reads)))
+    )
     assert got == want
-    # the memo reads slots as lazily as the plain audit: no more kernel reads
-    assert got_reads == reads
+    # the memo reads slots as lazily as the plain audit, and only in a
+    # trial that hits a constant or is the first with its block vector
+    constants = kernel.exception_constants()
+    seen = set()
+    expected = []
+    ends = [start for _, start in trials[1:]] + [len(reads)]
+    for (tup, start), end in zip(trials, ends):
+        blocks = tuple(block_of(x, kernel.resolution) for x in tup)
+        hits = not constants.isdisjoint(tup)
+        if hits or blocks not in seen:
+            expected += reads[start:end]
+        if not hits:
+            seen.add(blocks)
+    assert got_reads == expected
 
 
 def test_audit_reads_value_at_where_a_trial_hits_a_constant(monkeypatch):
@@ -499,3 +549,174 @@ def test_escalated_cores_are_what_extraction_returns():
     assert outcome.status == "failed"
     assert report["final_m"] == 8 * report["initial_m"]
     assert report["cores"] == old_coloring_cores(all_ones_kernel(), report, F(1, 10))
+
+
+# --- the audit against the plain audit, on random kernels and systems ---
+
+
+@st.composite
+def audit_case(draw):
+    """Random step kernel, small system of mixed atom kinds, and audit seed.
+
+    Pieces mix ``CoordsEqual`` and ``CoordIs`` conditions; half the
+    constants are floats the audit itself draws early, so some trials hit
+    them and take the ``value_at`` path.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    seed = draw(st.sampled_from(["0", "7", "abc"]))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    resolution = draw(st.integers(min_value=1, max_value=4))
+    variables = draw(st.integers(min_value=1, max_value=3))
+    menu = [F(0), F(1, 2), F(1)]
+    stream = random.Random(f"{seed}:audit")
+    drawn = [F(stream.random()) for _ in range(4 * variables)]
+    pieces = []
+    for _ in range(rng.randrange(5)):
+        conditions = []
+        for _ in range(rng.randint(1, 2)):
+            if arity >= 2 and rng.random() < 0.5:
+                first, second = rng.sample(range(1, arity + 1), 2)
+                conditions.append(CoordsEqual(first, second))
+            else:
+                const = rng.choice(drawn) if rng.random() < 0.5 else F(rng.randrange(7), 7)
+                conditions.append(CoordIs(rng.randint(1, arity), const))
+        pieces.append(ExceptionPiece(tuple(conditions), rng.choice(menu)))
+    kernel = StepKernel.from_flat(
+        arity=arity,
+        resolution=resolution,
+        space=BoundedInterval(F(1)),
+        flat_values=[rng.choice(menu) for _ in range(resolution**arity)],
+        exceptions=pieces,
+    )
+
+    def slot():
+        return tuple(rng.randint(1, variables) for _ in range(arity))
+
+    pairs = list(itertools.product(menu, repeat=2))
+    kinds = [
+        lambda: FiniteValuesAtom(slot(), frozenset(rng.sample(menu, rng.randint(1, 2)))),
+        lambda: EqualityAtom(slot(), slot()),
+        lambda: ZeroProductAtom((slot(), slot())),
+        lambda: AffineAtom(((F(1), slot()), (F(1), slot()), (F(-1), slot())), F(1, 2)),
+        lambda: TableAtom((slot(), slot()), frozenset(rng.sample(pairs, rng.randint(1, 6)))),
+    ]
+    atoms = tuple(rng.choice(kinds)() for _ in range(rng.randint(1, 4)))
+    system = ConstraintSystem(arity=arity, variables=variables, mode="distinct", atoms=atoms)
+    return kernel, system, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(audit_case())
+def test_audit_equals_the_plain_audit_on_random_kernels(case):
+    kernel, system, seed = case
+    assert audit_ae_hypothesis(kernel, system, 60, seed=seed) == reference_audit(
+        kernel, system, 60, seed=seed
+    )
+
+
+# --- the escalation loop checks each table once ---
+
+
+def escalating_problem(mode):
+    """A repair that fails every attempt and escalates three times."""
+    if mode == "multiset":
+        system = triangle_free_system(mode="multiset")
+        return all_ones_kernel(), system, (F(1, 10), F(3, 10), F(7, 10)), F(1, 10)
+    kernel = StepKernel.from_flat(
+        arity=2,
+        resolution=2,
+        space=BoundedInterval(F(1)),
+        flat_values=[F(0)] * 4,
+    )
+    system = ConstraintSystem(
+        arity=2,
+        variables=2,
+        mode="distinct",
+        atoms=(FiniteValuesAtom((1, 2), frozenset({F(1)})),),
+    )
+    return kernel, system, (F(1, 4), F(3, 4)), F(1, 10)
+
+
+def rechecked(kernel, system, report, eps):
+    """Violations, verdicts and density table recomputed from the report's values."""
+    space = kernel.space
+    values = {
+        tuple(as_fraction(tok) for tok in key.split(",")): value_from_text(space, text)
+        for key, text in report["values"].items()
+    }
+    symmetric = system.mode == "multiset"
+    pts = [as_fraction(z) for z in report["points"]]
+    viols = reference_violations(
+        system, lambda t: values[tuple(sorted(t)) if symmetric else t], space, pts, eps
+    )
+    partition = epsilon_partition(space, eps)
+    closeness = {}
+    for t, v in sorted(values.items()):
+        closeness[",".join(frac_str(x) for x in t)] = {
+            "density": is_density_tuple(kernel, partition, t),
+            "dist": frac_str(space.dist(v, kernel.value_at(t))),
+        }
+    return {
+        "violations": [
+            {"tuple": ",".join(frac_str(x) for x in v.assignment), "atom": v.detail}
+            for v in viols[:10]
+        ],
+        "verdicts": [
+            {"atom": atom.describe(), "holds": all(v.atom is not atom for v in viols)}
+            for atom in system.atoms
+        ],
+        "density_closeness": closeness,
+    }
+
+
+def counting_sweeps(monkeypatch):
+    calls = []
+    sweep = corrector.violations
+    monkeypatch.setattr(
+        corrector, "violations", lambda *args, **kw: calls.append(args) or sweep(*args, **kw)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["distinct", "multiset"])
+def test_an_escalating_repair_sweeps_its_table_once(monkeypatch, mode):
+    kernel, system, points, eps = escalating_problem(mode)
+    calls = counting_sweeps(monkeypatch)
+    outcome = repair(kernel, system, points, RepairConfig(epsilon=eps, seed="0"))
+    report = outcome.report
+    assert outcome.status == "failed"
+    assert len(report["escalations"]) == 3
+    assert len(calls) == 1
+    want = rechecked(kernel, system, report, eps)
+    assert {key: report[key] for key in want} == want
+
+
+def test_an_escalation_that_reads_a_new_table_checks_it(monkeypatch):
+    # the closed-form table never changes between attempts; a reader whose
+    # table does shows that the loop checks the table it read
+    kernel, system, points, eps = escalating_problem("distinct")
+    read = corrector._read_samples
+    attempts = []
+
+    def read_ones_after_the_first(kernel, pts, pools, report):
+        values = read(kernel, pts, pools, report)
+        if attempts:
+            values = {t: F(1) for t in values}
+        attempts.append(values)
+        return values
+
+    monkeypatch.setattr(corrector, "_read_samples", read_ones_after_the_first)
+    calls = counting_sweeps(monkeypatch)
+    report = repair(kernel, system, points, RepairConfig(epsilon=eps, seed="0")).report
+    # the ones meet the demand but leave the kernel at its density tuples
+    assert [e["reason"] for e in report["escalations"]] == [
+        "constraints",
+        "agreement",
+        "agreement",
+    ]
+    assert len(attempts) == 4
+    assert len(calls) == 2
+    assert report["violations"] == []
+    assert report["agreement_failures"]
+    want = rechecked(kernel, system, report, eps)
+    assert {key: report[key] for key in want} == want
