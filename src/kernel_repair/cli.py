@@ -23,7 +23,9 @@ from .demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from .density import density_mass
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
 from .fileio import (
+    MAX_SWEEP_ASSIGNMENTS,
     constraint_to_doc,
+    estimated_assignments,
     kernel_to_doc,
     load_constraint,
     load_json,
@@ -127,6 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_large_sweep(count: int, shown: str):
+    """Refuse, before any work, a sweep or audit above ``MAX_SWEEP_ASSIGNMENTS``."""
+    if count > MAX_SWEEP_ASSIGNMENTS:
+        raise ContractError(
+            f"refused: estimated {shown} assignments, more than {MAX_SWEEP_ASSIGNMENTS}"
+        )
+
+
+def _refuse_large_system_sweep(system, n: int):
+    v = system.variables
+    shown = f"{n}^{v}" if system.mode == "multiset" else f"{n}!/({n}-{v})!"
+    _refuse_large_sweep(estimated_assignments(system.mode, n, v), shown)
+
+
 def cmd_eval(args) -> int:
     kernel = load_kernel(args.kernel)
     value = kernel.value_at(args.point)
@@ -148,6 +164,7 @@ def cmd_density(args) -> int:
 def cmd_correct(args) -> int:
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)
+    _refuse_large_system_sweep(system, len(args.points))
     config = RepairConfig(
         epsilon=args.epsilon,
         seed=args.seed,
@@ -224,6 +241,7 @@ def cmd_demo(args) -> int:
 def cmd_audit(args) -> int:
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)
+    _refuse_large_sweep(args.trials, str(args.trials))
     res = audit_ae_hypothesis(kernel, system, samples=args.trials, seed=args.seed)
     doc = {
         "violations": res.violations,
@@ -253,6 +271,7 @@ def cmd_verify(args) -> int:
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
     symmetric = part == 2
+    _refuse_large_system_sweep(system, len(points))
 
     def evaluate(t):
         key = tuple(sorted(t)) if symmetric else tuple(t)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Union
 
@@ -339,11 +339,22 @@ class _AtomChecker:
     Every atom reads values only through ``val(slot)`` and decides only from
     ``==``, ``space.dist``, arithmetic and ``in``, so with the space and eps
     fixed its verdict is a function of the values at its slots.  Values are
-    interned to small ints, and each atom keeps its verdicts keyed on the
-    ids at its slots, so ``satisfied`` runs once per value pattern.  Affine
-    atoms also share one memo of ``_shift_toward`` per (value, direction).
-    A checker lives for one call; its memo for an atom holds at most
-    (distinct values) ** (slots of the atom) entries.
+    interned to small ints, and verdicts are kept keyed on the ids at an
+    atom's distinct slots, so ``satisfied`` runs once per value pattern.
+
+    Atoms that are one predicate on renamed slots share one memo.  An
+    atom's shape is the atom with its distinct slots renamed ``(0,)``,
+    ``(1,)``, ... in order of first use (``_shape``); two atoms with equal
+    shapes differ only in which slots they read, in the same order, and
+    ``satisfied`` reads a slot only to get its value, so they take the same
+    verdict on the same values at corresponding slots.  Shapes compare every
+    other field (coefficients, bound, allowed values, rows), so atoms that
+    differ in any of them keep separate memos.  ``metric_system()``'s six
+    triangle renamings fall into three shapes and its three symmetry
+    equalities into one.  Affine atoms also share one memo of
+    ``_shift_toward`` per (value, direction).  A checker lives for one call;
+    the memo of a shape holds at most (distinct values) ** (slots of the
+    shape) entries.
     """
 
     def __init__(self, system: ConstraintSystem, space: ValueSpace, eps: Fraction):
@@ -351,21 +362,27 @@ class _AtomChecker:
         self.eps = eps
         self.slots = system.all_slots()
         where = {s: k for k, s in enumerate(self.slots)}
-        self.details = tuple(atom.describe() for atom in system.atoms)
-        # per atom: its slot positions, the getter of its memo key, its memo
+        memos: dict = {}
+        # per atom: its distinct slot positions, the getter of its memo key,
+        # the memo of its shape
         self._compiled = []
         for atom in system.atoms:
-            positions = tuple(where[s] for s in atom.slots())
-            self._compiled.append((atom, positions, operator.itemgetter(*positions), {}))
+            shape, used = _shape(atom)
+            positions = tuple(where[s] for s in used)
+            self._compiled.append(
+                (atom, positions, operator.itemgetter(*positions), memos.setdefault(shape, {}))
+            )
         self._ids: dict = {}
         self._values: list = []
-        self._shifted: dict = {}
+        # value -> shifted value, for favor_small False and True
+        self._shifted: tuple[dict, dict] = ({}, {})
 
     def _shift(self, value, favor_small: bool):
-        key = (value, favor_small)
-        if key not in self._shifted:
-            self._shifted[key] = _shift_toward(self.space, value, self.eps, favor_small)
-        return self._shifted[key]
+        memo = self._shifted[favor_small]
+        shifted = memo.get(value)
+        if shifted is None:
+            shifted = memo[value] = _shift_toward(self.space, value, self.eps, favor_small)
+        return shifted
 
     def intern(self, value) -> int:
         vid = self._ids.get(value)
@@ -397,6 +414,14 @@ class _AtomChecker:
                 yield n
 
 
+def _tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """``operator.itemgetter(*positions)``, but a 1-tuple for one position."""
+    if len(positions) == 1:
+        (j,) = positions
+        return lambda seq: (seq[j],)
+    return operator.itemgetter(*positions)
+
+
 def violations(
     system: ConstraintSystem,
     evaluate: Callable[[tuple], object],
@@ -408,29 +433,52 @@ def violations(
     """All (assignment, atom) pairs on which the system fails.
 
     ``evaluate`` maps a point tuple of length ``arity`` to a value.  It
-    must be pure: the sweep calls it lazily, at most once per point tuple,
-    and memoises each atom's verdict on the values at its slots within this
-    call.  Violations come in assignment order, atoms in system order, and
-    the sweep stops after ``limit`` violations when given.
+    must be pure: the sweep calls it lazily, at most once per point tuple.
+    Each assignment first reads the values at all its slots, in the order
+    of ``system.all_slots()``; the vector of their interned ids then
+    decides it, since every verdict is a function of those values, so the
+    atoms are checked once per distinct vector and the verdicts are reused
+    at every later assignment with that vector (see ``_AtomChecker``).
+    Violations come in assignment order, atoms in system order, and the
+    sweep stops after ``limit`` violations when given.  Because an
+    assignment reads all its slots before it is decided, the last
+    assignment reached under ``limit`` may read, and decide, slots and
+    atoms past the violation that stops the sweep.
     """
     eps = as_fraction(eps)
     pts = tuple(points)
     checker = _AtomChecker(system, space, eps)
-    picks = tuple(tuple(v - 1 for v in slot) for slot in checker.slots)
+    reads = tuple(_tuple_getter(tuple(v - 1 for v in slot)) for slot in checker.slots)
     evaluated: dict[tuple[int, ...], int] = {}
+
+    def value_id(key: tuple[int, ...]) -> int:
+        vid = evaluated.get(key)
+        if vid is None:
+            vid = evaluated[key] = checker.intern(evaluate(tuple([pts[i] for i in key])))
+        return vid
+
+    # id vector -> indices of the atoms failing there
+    decided: dict[tuple[int, ...], tuple[int, ...]] = {}
+    details: dict[int, str] = {}
     found: list[Violation] = []
     for idx in system.assignments(range(len(pts))):
-
-        def fill(k: int) -> int:
-            key = tuple([idx[j] for j in picks[k]])
-            vid = evaluated.get(key)
-            if vid is None:
-                vid = evaluated[key] = checker.intern(evaluate(tuple([pts[i] for i in key])))
-            return vid
-
-        for n in checker.failing(fill):
-            assignment = tuple([pts[i] for i in idx])
-            found.append(Violation(assignment, system.atoms[n], checker.details[n]))
+        # most assignments read only tuples evaluated before; the first
+        # miss falls back to a pass that evaluates in slot order
+        try:
+            ids = tuple([evaluated[read(idx)] for read in reads])
+        except KeyError:
+            ids = tuple([value_id(read(idx)) for read in reads])
+        failed = decided.get(ids)
+        if failed is None:
+            failed = decided[ids] = tuple(checker.failing(ids.__getitem__))
+        if not failed:
+            continue
+        assignment = tuple([pts[i] for i in idx])
+        for n in failed:
+            atom = system.atoms[n]
+            if n not in details:
+                details[n] = atom.describe()
+            found.append(Violation(assignment, atom, details[n]))
             if limit is not None and len(found) >= limit:
                 return found
     return found
@@ -462,20 +510,38 @@ def instantiate_over(atoms: Iterable[ConstraintAtom], schema_vars: int, variable
 
 
 def _rename_atom(atom: ConstraintAtom, rename: dict[int, int]) -> ConstraintAtom:
-    def r(slot: VarTuple) -> VarTuple:
-        return tuple(rename[v] for v in slot)
+    return _replace_slots(atom, lambda slot: tuple(rename[v] for v in slot))
 
+
+def _replace_slots(atom: ConstraintAtom, r: Callable[[VarTuple], VarTuple], make=replace):
+    """The atom with every slot s replaced by ``r(s)``, built by ``make(atom, **fields)``."""
     if isinstance(atom, EqualityAtom):
-        return EqualityAtom(r(atom.left), r(atom.right))
+        return make(atom, left=r(atom.left), right=r(atom.right))
     if isinstance(atom, ZeroProductAtom):
-        return ZeroProductAtom(tuple(r(s) for s in atom.factors))
+        return make(atom, factors=tuple(r(s) for s in atom.factors))
     if isinstance(atom, AffineAtom):
-        return AffineAtom(tuple((c, r(s)) for c, s in atom.terms), atom.bound)
+        return make(atom, terms=tuple((c, r(s)) for c, s in atom.terms))
     if isinstance(atom, FiniteValuesAtom):
-        return FiniteValuesAtom(r(atom.slot), atom.allowed)
+        return make(atom, slot=r(atom.slot))
     if isinstance(atom, TableAtom):
-        return TableAtom(tuple(r(s) for s in atom.columns), atom.rows)
+        return make(atom, columns=tuple(r(s) for s in atom.columns))
     raise ContractError(f"unknown atom type {type(atom).__name__}")
+
+
+def _unchecked_replace(atom: ConstraintAtom, **fields) -> ConstraintAtom:
+    """``dataclasses.replace`` without ``__post_init__``, for fields already valid."""
+    new = object.__new__(type(atom))
+    new.__dict__.update(vars(atom), **fields)
+    return new
+
+
+def _shape(atom: ConstraintAtom) -> tuple[ConstraintAtom, tuple[VarTuple, ...]]:
+    """The atom with its slots renamed ``(0,)``, ``(1,)``, ... in order of first
+    use, and its distinct slots in that order."""
+    order: dict[VarTuple, int] = {}
+    for s in atom.slots():
+        order.setdefault(s, len(order))
+    return _replace_slots(atom, lambda s: (order[s],), _unchecked_replace), tuple(order)
 
 
 def symmetry_atoms(arity: int, variables: int) -> tuple[ConstraintAtom, ...]:

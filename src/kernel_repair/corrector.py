@@ -161,19 +161,23 @@ def _draw_guarded(rng: random.Random, point: Fraction, m: int, forbidden: set) -
     raise ContractError("could not draw a sample clear of the guarded values")
 
 
-def _point_key(points) -> str:
-    return ",".join(frac_str(x) for x in points)
+def _point_key(points, names: dict) -> str:
+    """The report key of a point tuple; ``names`` maps each point to its ``frac_str``."""
+    return ",".join([names[x] for x in points])
 
 
-def _report_values(space, values: dict) -> dict:
-    return {_point_key(k): value_to_text(space, v) for k, v in sorted(values.items())}
-
-
-def _report_violations(space, viols) -> list:
-    out = []
-    for v in viols[:10]:
-        out.append({"tuple": _point_key(v.assignment), "atom": v.detail})
+def _report_values(space, values: dict, names: dict) -> dict:
+    texts = {}  # value -> its text, formatted once per distinct value
+    out = {}
+    for t, v in sorted(values.items()):
+        if v not in texts:
+            texts[v] = value_to_text(space, v)
+        out[_point_key(t, names)] = texts[v]
     return out
+
+
+def _report_violations(viols, names: dict) -> list:
+    return [{"tuple": _point_key(v.assignment, names), "atom": v.detail} for v in viols[:10]]
 
 
 def _count_vectors(parts: int, total: int) -> list[tuple[int, ...]]:
@@ -232,6 +236,7 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     partition = epsilon_partition(space, eps) if eps > 0 else None
     part = 2 if symmetric else 1
     report = _base_report(part, system, pts, cfg, m)
+    names = {x: frac_str(x) for x in pts}
     if symmetric:
         report["core_size"] = core_size
         read_values = functools.partial(
@@ -255,12 +260,12 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
             viols = violations(
                 system, lambda t: values[tuple(sorted(t)) if symmetric else t], space, pts, eps
             )
-            closeness, agree = _closeness_table(kernel, partition, values, eps)
-            report["values"] = _report_values(space, values)
-            report["violations"] = _report_violations(space, viols)
+            closeness, agree = _closeness_table(kernel, partition, values, eps, names)
+            report["values"] = _report_values(space, values, names)
+            report["violations"] = _report_violations(viols, names)
             report["verdicts"] = _verdicts(system, viols)
             report["density_closeness"] = closeness
-            report["agreement_failures"] = [_point_key(t) for t in agree]
+            report["agreement_failures"] = [_point_key(t, names) for t in agree]
         if not viols and not agree:
             status = _STATUS_OK
             corrected = CorrectedKernel(
@@ -376,25 +381,33 @@ def _verdicts(system, viols) -> list:
     ]
 
 
-def _closeness_table(kernel, partition, values: dict, eps):
+def _closeness_table(kernel, partition, values: dict, eps, names: dict):
     """Per-tuple drift from the kernel, and the density tuples that drifted.
 
     Returns the report table plus the list of tuples that sit at density
     points yet moved further than eps.  Without a partition (exact mode)
-    density flags are unknown and nothing counts as a failure.
+    density flags are unknown and nothing counts as a failure.  A table
+    takes few distinct values, so each (repaired, kernel) value pair is
+    measured and formatted once.
     """
     table = {}
     bad = []
+    drifts = {}  # (repaired value, kernel value) -> (distance, its text)
     for t in sorted(values):
         at_t = kernel.value_at(t)
-        d = kernel.space.dist(values[t], at_t)
+        pair = (values[t], at_t)
+        drift = drifts.get(pair)
+        if drift is None:
+            d = kernel.space.dist(*pair)
+            drift = drifts[pair] = (d, frac_str(d))
+        d, text = drift
         if partition is None:
             dense = None
         else:
             dense = is_density_tuple(kernel, partition, t, value=at_t)
             if dense and d > eps:
                 bad.append(t)
-        table[_point_key(t)] = {"density": dense, "dist": frac_str(d)}
+        table[_point_key(t, names)] = {"density": dense, "dist": text}
     return table, bad
 
 

@@ -47,6 +47,12 @@ MAX_SYMMETRY_EQUALITIES = 50_000
 #: already (``StepKernel.from_flat``).
 MAX_KERNEL_ARITY = 1_000
 
+#: Most assignments one ``correct`` or ``verify`` sweep, or trials one
+#: ``audit``, may take.  The largest sweep of the tests, demos and benchmark
+#: is 6^3 = 216; 30 points over 8 variables in multiset mode would be
+#: 30^8, about 6.6e11, and run for days.
+MAX_SWEEP_ASSIGNMENTS = 10_000_000
+
 
 def _symmetry_equalities(arity: int, variables: int) -> int:
     """(arity! - 1) * variables! / (variables - arity)!, or a number past the cap.
@@ -65,6 +71,25 @@ def _symmetry_equalities(arity: int, variables: int) -> int:
         if count == 0 or count > MAX_SYMMETRY_EQUALITIES:
             break
         count *= k
+    return count
+
+
+def estimated_assignments(mode: str, points: int, variables: int) -> int:
+    """points ** variables in multiset mode, points! / (points - variables)! in
+    distinct mode, or a number past the cap.
+
+    That is how many assignments ``violations`` sweeps.  The product stops
+    once it passes ``MAX_SWEEP_ASSIGNMENTS``, so a huge variable count costs
+    nothing.
+    """
+    if mode == "multiset" and points <= 1:
+        # the product never grows, so the loop would run ``variables`` times
+        return points
+    count = 1
+    for k in range(variables):
+        count *= points if mode == "multiset" else points - k
+        if count == 0 or count > MAX_SWEEP_ASSIGNMENTS:
+            break
     return count
 
 

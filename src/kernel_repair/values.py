@@ -17,7 +17,7 @@ the combinatorial extraction machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -195,6 +195,8 @@ class CellPartition:
     ``kind`` is "labels" (cells are explicit label groups) or "bins"
     (half-open bins of fixed width in the space's chart coordinate; the last
     bin absorbs the right endpoint).  Cell ids are 0-based integers.
+    ``cell_of`` keeps the cell of each value it has placed, for the life of
+    the partition.
     """
 
     space: ValueSpace
@@ -202,6 +204,7 @@ class CellPartition:
     kind: str
     cells: tuple
     width: Fraction | None = None
+    _cell_ids: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cell_count(self) -> int:
@@ -216,6 +219,12 @@ class CellPartition:
         return v
 
     def cell_of(self, value) -> int:
+        idx = self._cell_ids.get(value)
+        if idx is None:
+            idx = self._cell_ids[value] = self._find_cell(value)
+        return idx
+
+    def _find_cell(self, value) -> int:
         if self.kind == "labels":
             for idx, cell in enumerate(self.cells):
                 if value in cell:

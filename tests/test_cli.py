@@ -14,6 +14,7 @@ from kernel_repair.cli import main
 from kernel_repair.constraint import triangle_free_system
 from kernel_repair.fileio import (
     MAX_KERNEL_ARITY,
+    MAX_SWEEP_ASSIGNMENTS,
     load_json,
     save_constraint,
     save_kernel,
@@ -135,6 +136,47 @@ def test_audit_refuses_a_huge_symmetry_shorthand_quickly(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert "expands to more than 50000 equalities" in err
+
+
+#: 101 bytes: one symmetry equality over 8 variables with repeats, which
+#: 30 points turn into 30^8 (about 6.6e11) assignments
+HUGE_SWEEP = (
+    '{"mode":"multiset","arity":2,"variables":8,'
+    '"atoms":[{"kind":"equality","left":[1,2],"right":[2,1]}]}'
+)
+
+
+@pytest.mark.parametrize("command", ["correct", "verify"])
+def test_a_sweep_above_the_cap_is_refused_quickly(tmp_path, capsys, command):
+    cpath = tmp_path / "huge-sweep.json"
+    cpath.write_text(HUGE_SWEEP)
+    kpath = kernel_file(tmp_path, constant_kernel(F(1, 2)))
+    points = [f"{2 * i + 1}/64" for i in range(30)]
+    if command == "correct":
+        rest = ["--points", ",".join(points), "--epsilon", "1/10", "--seed", "0"]
+    else:
+        rpath = tmp_path / "report.json"
+        rpath.write_text(to_json(
+            {"result": {"part": 2, "points": points, "epsilon": "1/10", "values": {}}}
+        ))
+        rest = ["--report", str(rpath)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--kernel", kpath, "--constraint", str(cpath), *rest)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"refused: estimated 30^8 assignments, more than {MAX_SWEEP_ASSIGNMENTS}" in err
+
+
+def test_audit_refuses_trials_above_the_cap(tmp_path, capsys):
+    kpath = kernel_file(tmp_path, constant_kernel(F(1)))
+    cpath = constraint_file(tmp_path, triangle_free_system())
+    trials = str(MAX_SWEEP_ASSIGNMENTS + 1)
+    code, out, err = run(
+        capsys,
+        "audit", "--kernel", kpath, "--constraint", cpath, "--trials", trials, "--seed", "7",
+    )
+    assert (code, out) == (1, "")
+    assert f"refused: estimated {trials} assignments" in err
 
 
 def test_main_dispatches_to_the_current_command_function(tmp_path, capsys, monkeypatch):

@@ -376,6 +376,111 @@ def test_sweep_evaluates_each_tuple_once_and_each_pattern_once(monkeypatch):
     assert calls["satisfied"] <= 3 * 3**2 + 6 * 3**3
 
 
+@st.composite
+def renamed_sweep_case(draw):
+    """A sweep_case whose atoms also read one slot twice, plus every renamed copy.
+
+    The copies come from ``instantiate_over`` under all permutations of the
+    variables, so many atoms are one predicate on renamed slots and their
+    shapes collide; the atoms that read one slot twice must keep shapes of
+    their own.
+    """
+    system, table, space, points, eps, _ = draw(sweep_case())
+    slot = st.tuples(*[st.integers(1, system.variables)] * system.arity)
+    s, t = draw(slot), draw(slot)
+    menu = sorted(set(table.values()), key=repr)
+    row = st.tuples(*[st.sampled_from(menu)] * 3)
+    atoms = system.atoms + (
+        ZeroProductAtom((s, t, s)),
+        TableAtom((s, t, s), frozenset(draw(st.lists(row, min_size=1, max_size=4)))),
+    )
+    if not isinstance(space, FiniteMetric):
+        bound = draw(st.sampled_from((F(0), F(1, 2))))
+        atoms += (AffineAtom(((F(1), s), (F(-1), t), (F(1, 2), s)), bound),)
+    atoms += instantiate_over(atoms, system.variables, system.variables)
+    system = ConstraintSystem(
+        arity=system.arity, variables=system.variables, mode=system.mode, atoms=atoms
+    )
+    return system, table, space, points, eps
+
+
+@given(renamed_sweep_case())
+def test_sweep_with_shared_shapes_matches_the_plain_sweep(case):
+    system, table, space, points, eps = case
+    evaluate = table.__getitem__
+    as_rows = lambda vs: [(v.assignment, v.atom, v.detail) for v in vs]
+    for limit in (None, 1, 3):
+        got = violations(system, evaluate, space, points, eps, limit=limit)
+        want = reference_violations(system, evaluate, space, points, eps, limit=limit)
+        assert as_rows(got) == as_rows(want)
+
+
+@given(renamed_sweep_case())
+def test_sweep_evaluates_tuples_in_the_order_the_plain_sweep_first_reads_them(case):
+    system, table, space, points, eps = case
+    got, want = [], []
+
+    def recorder(calls):
+        return lambda t: calls.append(t) or table[t]
+
+    violations(system, recorder(got), space, points, eps)
+    reference_violations(system, recorder(want), space, points, eps)
+    # the plain sweep reads every slot of every assignment anew
+    assert got == list(dict.fromkeys(want))
+
+
+def count_satisfied(monkeypatch, atoms) -> dict:
+    """Count ``satisfied`` calls on the classes of the given atoms."""
+    calls = {"satisfied": 0}
+    for cls in {type(atom) for atom in atoms}:
+        original = cls.satisfied
+
+        def counted(self, val, space, eps, original=original):
+            calls["satisfied"] += 1
+            return original(self, val, space, eps)
+
+        monkeypatch.setattr(cls, "satisfied", counted)
+    return calls
+
+
+def test_sweep_shares_verdicts_between_renamed_atoms(monkeypatch):
+    system = metric_system()
+    pts = tuple(F(2 * i + 1, 12) for i in range(6))
+    menu = (F(1, 5), F(2, 5), F(3, 5))
+    table = {
+        (a, b): menu[(i + j) % 3]
+        for (i, a), (j, b) in itertools.product(enumerate(pts), repeat=2)
+    }
+    calls = count_satisfied(monkeypatch, system.atoms)
+    found = violations(system, table.__getitem__, RAY, pts, F(1, 50))
+    assert found
+    # the 3 symmetry equalities are one shape over 2 slots and the 6
+    # triangles three shapes over 3 slots, 3 values each
+    assert calls["satisfied"] <= 1 * 3**2 + 3 * 3**3
+
+
+@pytest.mark.parametrize(
+    "failing, holding",
+    [
+        # differ only in the bound
+        (AffineAtom(((F(1), (1,)),), F(0)), AffineAtom(((F(1), (2,)),), F(1))),
+        # differ only in a coefficient
+        (AffineAtom(((F(1), (1,)),), F(0)), AffineAtom(((F(-1), (2,)),), F(0))),
+        # differ only in the rows
+        (TableAtom(((1,),), frozenset({(F(0),)})), TableAtom(((2,),), frozenset({(F(1, 2),)}))),
+        # differ only in the allowed values
+        (FiniteValuesAtom((1,), frozenset({F(0)})), FiniteValuesAtom((2,), frozenset({F(1, 2)}))),
+    ],
+)
+def test_atoms_that_differ_beyond_their_slots_keep_separate_verdicts(failing, holding):
+    pts = (F(1, 4), F(3, 4))
+    for atoms in ((failing, holding), (holding, failing)):
+        system = ConstraintSystem(arity=1, variables=2, mode="multiset", atoms=atoms)
+        found = violations(system, lambda t: F(1, 2), UNIT, pts)
+        assert {v.atom for v in found} == {failing}
+        assert len(found) == len(pts) ** 2
+
+
 # --- infeasibility probe ---
 
 

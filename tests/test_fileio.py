@@ -23,8 +23,10 @@ from kernel_repair.constraint import (
 )
 from kernel_repair.errors import FormatError
 from kernel_repair.fileio import (
+    MAX_SWEEP_ASSIGNMENTS,
     constraint_from_doc,
     constraint_to_doc,
+    estimated_assignments,
     kernel_from_doc,
     kernel_to_doc,
     load_constraint,
@@ -301,6 +303,20 @@ def test_symmetry_shorthand_with_too_few_variables_is_refused_at_once():
     doc = {"mode": "multiset", "arity": 8, "variables": 2, "atoms": [{"kind": "symmetry"}]}
     with pytest.raises(FormatError, match="more variables than the target system"):
         constraint_from_doc(doc, BoundedInterval(F(1)))
+
+
+def test_estimated_assignments_counts_the_sweep():
+    assert estimated_assignments("multiset", 6, 3) == 6**3
+    assert estimated_assignments("distinct", 6, 3) == math.perm(6, 3)
+    assert estimated_assignments("distinct", 2, 3) == 0
+    assert estimated_assignments("multiset", 10, 7) == MAX_SWEEP_ASSIGNMENTS
+
+
+def test_estimated_assignments_stops_past_the_cap():
+    # variables is unbounded in a constraint file; 30 ** 10**12 would not fit in memory
+    assert estimated_assignments("multiset", 30, 10**12) > MAX_SWEEP_ASSIGNMENTS
+    assert estimated_assignments("distinct", 10**9, 10**12) > MAX_SWEEP_ASSIGNMENTS
+    assert estimated_assignments("multiset", 1, 10**12) == 1
 
 
 def test_constraint_shape_inferred_from_slots():
