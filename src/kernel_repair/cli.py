@@ -18,14 +18,16 @@ import sys
 from fractions import Fraction
 
 from .constraint import violations
-from .corrector import RepairConfig, audit_ae_hypothesis, repair
+from .corrector import RepairConfig, audit_ae_hypothesis, repair, samples_per_point
 from .demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from .density import density_mass
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
 from .fileio import (
+    MAX_REPAIR_TABLE,
     MAX_SWEEP_ASSIGNMENTS,
     constraint_to_doc,
     estimated_assignments,
+    estimated_table_tuples,
     kernel_to_doc,
     load_constraint,
     load_json,
@@ -143,6 +145,21 @@ def _refuse_large_system_sweep(system, n: int):
     _refuse_large_sweep(estimated_assignments(system.mode, n, v), shown)
 
 
+def _refuse_large_repair(system, n: int, config: RepairConfig):
+    """Refuse, before any draw, a value table or sample pools above ``MAX_REPAIR_TABLE``."""
+    a = system.arity
+    if estimated_table_tuples(system.mode, n, a) > MAX_REPAIR_TABLE:
+        shown = f"C({n}+{a}-1,{a})" if system.mode == "multiset" else f"{n}^{a}"
+        raise ContractError(
+            f"refused: estimated {shown} value-table tuples, more than {MAX_REPAIR_TABLE}"
+        )
+    samples = n * samples_per_point(system, config)
+    if samples > MAX_REPAIR_TABLE:
+        raise ContractError(
+            f"refused: {samples} guarded samples per attempt, more than {MAX_REPAIR_TABLE}"
+        )
+
+
 def cmd_eval(args) -> int:
     kernel = load_kernel(args.kernel)
     value = kernel.value_at(args.point)
@@ -174,6 +191,7 @@ def cmd_correct(args) -> int:
         restarts=args.budget,
         max_refinement=args.m,
     )
+    _refuse_large_repair(system, len(args.points), config)
     outcome = repair(kernel, system, args.points, config)
     doc = {
         "inputs": {
@@ -258,6 +276,20 @@ def cmd_verify(args) -> int:
     system = load_constraint(args.constraint, kernel.space)
     doc = load_json(args.report, "report")
     result = doc.get("result", doc)
+    # a report written by correct names the files it repaired; a bare
+    # result document carries no inputs to compare
+    inputs = doc.get("inputs")
+    if inputs is not None:
+        if not isinstance(inputs, dict):
+            raise FormatError(f"report file {args.report}: inputs must be an object")
+        for key, given, built in (
+            ("kernel", args.kernel, kernel_to_doc(kernel)),
+            ("constraint", args.constraint, constraint_to_doc(system, kernel.space)),
+        ):
+            if inputs.get(key) != built:
+                raise FormatError(
+                    f"report file {args.report}: its inputs.{key} differs from {given}"
+                )
     try:
         part = result["part"]
         points = tuple(as_fraction(p) for p in result["points"])

@@ -19,20 +19,26 @@ Two regimes, selected by the constraint mode:
 
 Both regimes read the kernel in closed form through
 ``StepKernel.generic_value``: the samples are pairwise distinct and avoid
-every override constant.  On verification failure the refinement doubles.
-The closed form does not depend on the refinement level, so an escalation
-redraws its samples and re-reads the table it already checked; a table
-equal to the last one checked keeps that check's violations, verdicts and
-density table instead of recomputing them.  A bounded-budget
-satisfiability probe runs after the first verification failure so
-genuinely infeasible systems surface as such instead of burning the
-escalation budget.  The almost-everywhere audit decides each trial once
-per block vector of its points (see ``audit_ae_hypothesis``).  Every run
-is a pure function of the configuration seed.
+every override constant.  The value table is keyed by tuples of point
+indices (positions in the sorted points), so the sweep, the report and the
+closeness table hash and sort small ints; only a successful repair builds
+the ``Fraction``-keyed ``CorrectedKernel.values``.  The closeness table
+computes one row per closeness class of tuples (see ``_closeness_table``).
+On verification failure the refinement doubles.  The closed form does not
+depend on the refinement level, so an escalation redraws its samples and
+re-reads the table it already checked; a table equal to the last one
+checked keeps that check's violations, verdicts and density table instead
+of recomputing them.  A bounded-budget satisfiability probe runs after the
+first verification failure so genuinely infeasible systems surface as such
+instead of burning the escalation budget.  The almost-everywhere audit
+places its floats in base blocks by exact float cuts and decides each
+trial once per block vector of its points (see ``audit_ae_hypothesis``).
+Every run is a pure function of the configuration seed.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -43,7 +49,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .constraint import ConstraintSystem, _AtomChecker, proven_infeasible, violations
-from .density import is_density_tuple
+from .density import adjacent_blocks, is_density_tuple
 from .errors import ContractError
 from .kernel import StepKernel, block_of, repeat_pattern, sample_in_cell
 from .rational import as_fraction, frac_str
@@ -161,12 +167,12 @@ def _draw_guarded(rng: random.Random, point: Fraction, m: int, forbidden: set) -
     raise ContractError("could not draw a sample clear of the guarded values")
 
 
-def _point_key(points, names: dict) -> str:
-    """The report key of a point tuple; ``names`` maps each point to its ``frac_str``."""
-    return ",".join([names[x] for x in points])
+def _point_key(t, names: list) -> str:
+    """The report key of an index tuple; ``names[i]`` is the ``frac_str`` of point i."""
+    return ",".join([names[i] for i in t])
 
 
-def _report_values(space, values: dict, names: dict) -> dict:
+def _report_values(space, values: dict, names: list) -> dict:
     texts = {}  # value -> its text, formatted once per distinct value
     out = {}
     for t, v in sorted(values.items()):
@@ -176,7 +182,7 @@ def _report_values(space, values: dict, names: dict) -> dict:
     return out
 
 
-def _report_violations(viols, names: dict) -> list:
+def _report_violations(viols, names: list) -> list:
     return [{"tuple": _point_key(v.assignment, names), "atom": v.detail} for v in viols[:10]]
 
 
@@ -189,6 +195,19 @@ def _count_vectors(parts: int, total: int) -> list[tuple[int, ...]]:
             vec[i] += 1
         vecs.append(tuple(vec))
     return sorted(vecs)
+
+
+def samples_per_point(system: ConstraintSystem, config: RepairConfig) -> int:
+    """How many guarded samples ``repair`` draws per point in each attempt.
+
+    Distinct mode draws one; multiset mode draws a pool, by default twice
+    the core size ``max(variables, arity)``.
+    """
+    if system.mode != "multiset":
+        return 1
+    if config.pool_size is not None:
+        return config.pool_size
+    return 2 * max(system.variables, system.arity)
 
 
 def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optional[RepairConfig] = None) -> RepairOutcome:
@@ -220,23 +239,20 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     space = kernel.space
     eps = cfg.epsilon
     symmetric = system.mode == "multiset"
+    pool = samples_per_point(system, cfg)
     if symmetric:
         if eps <= 0:
             raise ContractError("multiset-mode repair needs a positive epsilon")
         if not kernel.symmetric_base:
             raise ContractError("multiset-mode repair needs a symmetric base grid")
         core_size = max(system.variables, kernel.arity)
-        pool = cfg.pool_size if cfg.pool_size is not None else 2 * core_size
         if pool < core_size:
             raise ContractError(f"pool_size {pool} is below the core size {core_size}")
-    else:
-        # distinct mode is a pool of one guarded sample per point
-        pool = 1
     m = separating_refinement(pts, kernel.resolution, cap)
     partition = epsilon_partition(space, eps) if eps > 0 else None
     part = 2 if symmetric else 1
     report = _base_report(part, system, pts, cfg, m)
-    names = {x: frac_str(x) for x in pts}
+    names = [frac_str(x) for x in pts]
     if symmetric:
         report["core_size"] = core_size
         read_values = functools.partial(
@@ -252,15 +268,21 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         report["final_m"] = m
         rng = random.Random(f"{cfg.seed}:p{part}:{attempt}")
         pools = _draw_pools(rng, kernel, pts, pool, m)
+        # keyed by index tuples into pts
         values = read_values(kernel, pts, pools, report)
         # an escalation re-reads the table it checked last (generic_value
         # does not depend on m); its checks and report entries then stand
         if values != checked:
             checked = values
+            # pts is sorted, so sorting indices sorts the points they stand for
             viols = violations(
-                system, lambda t: values[tuple(sorted(t)) if symmetric else t], space, pts, eps
+                system,
+                lambda t: values[tuple(sorted(t)) if symmetric else t],
+                space,
+                range(len(pts)),
+                eps,
             )
-            closeness, agree = _closeness_table(kernel, partition, values, eps, names)
+            closeness, agree = _closeness_table(kernel, partition, pts, values, eps, names)
             report["values"] = _report_values(space, values, names)
             report["violations"] = _report_violations(viols, names)
             report["verdicts"] = _verdicts(system, viols)
@@ -269,7 +291,10 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         if not viols and not agree:
             status = _STATUS_OK
             corrected = CorrectedKernel(
-                points=pts, arity=kernel.arity, symmetric=symmetric, values=values
+                points=pts,
+                arity=kernel.arity,
+                symmetric=symmetric,
+                values={tuple([pts[i] for i in t]): v for t, v in values.items()},
             )
             break
         if viols and not report["probe"]["ran"]:
@@ -324,16 +349,16 @@ def _report_pools(pts, pools) -> dict:
 def _read_samples(kernel, pts, pools, report) -> dict:
     """Distinct mode: read the kernel off the one sample drawn per point.
 
-    The samples are pairwise distinct and avoid every override constant, so
-    a sample tuple repeats exactly where its point tuple does and
+    Returns ``{index tuple: value}``, keyed by positions in ``pts``.  The
+    samples are pairwise distinct and avoid every override constant, so a
+    sample tuple repeats exactly where its index tuple does and
     ``generic_value`` gives ``value_at`` at it.
     """
-    samples = {z: p[0] for z, p in zip(pts, pools)}
-    report["samples"] = {frac_str(z): frac_str(y) for z, y in samples.items()}
-    blocks = {z: block_of(y, kernel.resolution) for z, y in samples.items()}
+    report["samples"] = {frac_str(z): frac_str(p[0]) for z, p in zip(pts, pools)}
+    blocks = [block_of(p[0], kernel.resolution) for p in pools]
     return {
-        t: kernel.generic_value(tuple([blocks[p] for p in t]), repeat_pattern(t))
-        for t in itertools.product(pts, repeat=kernel.arity)
+        t: kernel.generic_value(tuple([blocks[i] for i in t]), repeat_pattern(t))
+        for t in itertools.product(range(len(pts)), repeat=kernel.arity)
     }
 
 
@@ -352,6 +377,8 @@ def _read_cores(kernel, pts, pools, report, *, core_size, vectors) -> dict:
     blocks of the points repeated as the vector says.  Each coloring is
     therefore constant, and the search of ``extract_core`` accepts every
     element it tries: each pass keeps the first elements of each part.
+
+    Returns ``{sorted index tuple: value}``, keyed by positions in ``pts``.
     """
     report["pool_size"] = len(pools[0])
     report["pools"] = _report_pools(pts, pools)
@@ -361,9 +388,7 @@ def _read_cores(kernel, pts, pools, report, *, core_size, vectors) -> dict:
     values = {}
     for vec in vectors:
         key = tuple(
-            itertools.chain.from_iterable(
-                itertools.repeat(z, n) for z, n in zip(pts, vec)
-            )
+            itertools.chain.from_iterable(itertools.repeat(i, n) for i, n in enumerate(vec))
         )
         reps = sorted(itertools.chain.from_iterable(c[:n] for c, n in zip(cores, vec)))
         values[key] = kernel.generic_value(
@@ -381,32 +406,53 @@ def _verdicts(system, viols) -> list:
     ]
 
 
-def _closeness_table(kernel, partition, values: dict, eps, names: dict):
+def _closeness_table(kernel, partition, pts, values: dict, eps, names: list):
     """Per-tuple drift from the kernel, and the density tuples that drifted.
 
-    Returns the report table plus the list of tuples that sit at density
-    points yet moved further than eps.  Without a partition (exact mode)
-    density flags are unknown and nothing counts as a failure.  A table
-    takes few distinct values, so each (repaired, kernel) value pair is
-    measured and formatted once.
+    ``values`` is keyed by index tuples into ``pts``.  Returns the report
+    table plus the list of index tuples that sit at density points yet
+    moved further than eps.  Without a partition (exact mode) density flags
+    are unknown and nothing counts as a failure.
+
+    A row is computed once per closeness class, at the first tuple of the
+    class, and reused at the others.  The class of a tuple is its repaired
+    value, each coordinate's ``adjacent_blocks`` and the override constant
+    it equals (if any), and its ``repeat_pattern``.  The row is a function
+    of the class: a ``CoordIs`` condition holds exactly where its coordinate
+    equals its constant, a ``CoordsEqual`` condition exactly where the
+    pattern repeats, and a coordinate's base block is the last of its
+    adjacent blocks, so ``value_at`` is one value on the class; the
+    distance depends on it and the repaired value, and ``is_density_tuple``
+    reads only its cell and the base at the adjacent blocks.
     """
+    r = kernel.resolution
+    constants = kernel.exception_constants()
+    # point index -> id of its (adjacent blocks, constant equalled) pair
+    ids: dict = {}
+    coord = [
+        ids.setdefault((adjacent_blocks(x, r), x if x in constants else None), len(ids))
+        for x in pts
+    ]
     table = {}
     bad = []
-    drifts = {}  # (repaired value, kernel value) -> (distance, its text)
+    rows: dict = {}  # closeness class -> (density flag, distance text, drifted)
     for t in sorted(values):
-        at_t = kernel.value_at(t)
-        pair = (values[t], at_t)
-        drift = drifts.get(pair)
-        if drift is None:
-            d = kernel.space.dist(*pair)
-            drift = drifts[pair] = (d, frac_str(d))
-        d, text = drift
-        if partition is None:
-            dense = None
-        else:
-            dense = is_density_tuple(kernel, partition, t, value=at_t)
-            if dense and d > eps:
-                bad.append(t)
+        v = values[t]
+        key = (v, tuple([coord[i] for i in t]), repeat_pattern(t))
+        row = rows.get(key)
+        if row is None:
+            pt = tuple([pts[i] for i in t])
+            at_t = kernel.value_at(pt)
+            d = kernel.space.dist(v, at_t)
+            if partition is None:
+                row = (None, frac_str(d), False)
+            else:
+                dense = is_density_tuple(kernel, partition, pt, value=at_t)
+                row = (dense, frac_str(d), dense and d > eps)
+            rows[key] = row
+        dense, text, drifted = row
+        if drifted:
+            bad.append(t)
         table[_point_key(t, names)] = {"density": dense, "dist": text}
     return table, bad
 
@@ -446,6 +492,18 @@ class AuditResult:
         return self.violations / self.samples
 
 
+def _float_cuts(r: int) -> list[float]:
+    """The least floats at or above 1/r, 2/r, ..., (r-1)/r, in order."""
+    cuts = []
+    for j in range(1, r):
+        # float() of a Fraction is correctly rounded, so at most one step short
+        c = float(Fraction(j, r))
+        if Fraction(c) < Fraction(j, r):
+            c = math.nextafter(c, 1.0)
+        cuts.append(c)
+    return cuts
+
+
 def audit_ae_hypothesis(
     kernel: StepKernel, system: ConstraintSystem, samples: int = 1000, seed="0"
 ) -> AuditResult:
@@ -468,28 +526,39 @@ def audit_ae_hypothesis(
     ``resolution ** variables`` times) and reused after.  A trial where a
     coordinate equals a constant reads ``value_at`` and is decided anew.
     Every trial still draws its floats, so the counts match a plain audit.
+
+    A drawn float x lands in base block ``bisect_right(cuts, x)``, where
+    ``cuts[j-1]`` is the least float at or above j/r (``_float_cuts``).
+    This equals ``block_of(x, r)`` for every float x in [0, 1).  Proof: the
+    block is floor(x·r), the number of j in 1..r-1 with j/r <= x, since
+    x < 1.  For a float x, j/r <= x holds exactly when ``cuts[j-1]`` <= x:
+    if j/r <= x then x is a float at or above j/r, so the least such float
+    is at most x; if ``cuts[j-1]`` <= x then j/r <= ``cuts[j-1]`` <= x.  The
+    cuts rise with j, so ``bisect_right`` counts exactly those j.
     """
     if samples < 1:
         raise ContractError("at least one audit sample is required")
     rng = random.Random(f"{seed}:audit")
     checker = _AtomChecker(system, kernel.space, Fraction(0))
     constants = kernel.exception_constants()
-    r = kernel.resolution
+    block = functools.partial(bisect.bisect_right, _float_cuts(kernel.resolution))
     picks = tuple(tuple(v - 1 for v in slot) for slot in checker.slots)
     # the trial points are pairwise distinct, so a slot repeats a point
     # exactly where it repeats a variable
     patterns = tuple(repeat_pattern(slot) for slot in checker.slots)
+    # one empty argument tuple per variable: starmap calls rng.random once each
+    draws = ((),) * system.variables
     # blocks of the trial's variables -> whether some atom fails there
     verdict_of: dict[tuple[int, ...], bool] = {}
     bad = 0
     for _ in range(samples):
         # floats compare and hash exactly like the Fractions they denote
         while True:
-            tup = [rng.random() for _ in range(system.variables)]
+            tup = list(itertools.starmap(rng.random, draws))
             if len(set(tup)) == system.variables:
                 break
         if constants.isdisjoint(tup):
-            blocks = tuple([(n * r) // d for n, d in map(float.as_integer_ratio, tup)])
+            blocks = tuple(map(block, tup))
             failed = verdict_of.get(blocks)
             if failed is None:
 

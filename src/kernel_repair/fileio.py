@@ -53,6 +53,14 @@ MAX_KERNEL_ARITY = 1_000
 #: 30^8, about 6.6e11, and run for days.
 MAX_SWEEP_ASSIGNMENTS = 10_000_000
 
+#: Most value-table tuples one ``correct`` may read, and most guarded
+#: samples it may draw per attempt.  The table has ``points ** arity``
+#: tuples in distinct mode and C(points + arity - 1, arity) in multiset
+#: mode, whatever the sweep's size; the samples are points times the pool
+#: size.  The tables of the tests, demos and benchmark hold at most 6^3 =
+#: 216 tuples, and their attempts draw a few dozen samples.
+MAX_REPAIR_TABLE = 1_000_000
+
 
 def _symmetry_equalities(arity: int, variables: int) -> int:
     """(arity! - 1) * variables! / (variables - arity)!, or a number past the cap.
@@ -89,6 +97,26 @@ def estimated_assignments(mode: str, points: int, variables: int) -> int:
     for k in range(variables):
         count *= points if mode == "multiset" else points - k
         if count == 0 or count > MAX_SWEEP_ASSIGNMENTS:
+            break
+    return count
+
+
+def estimated_table_tuples(mode: str, points: int, arity: int) -> int:
+    """points ** arity in distinct mode, C(points + arity - 1, arity) in
+    multiset mode, or a number past the cap.
+
+    That is how many tuples the value table of ``repair`` holds.  The
+    product stops once it passes ``MAX_REPAIR_TABLE``, so a huge arity costs
+    nothing.
+    """
+    if points <= 1:
+        # the product never grows, so the loop would run ``arity`` times
+        return points
+    count = 1
+    for k in range(arity):
+        # C(points + k, k + 1) from C(points + k - 1, k), exact at each step
+        count = count * (points + k) // (k + 1) if mode == "multiset" else count * points
+        if count > MAX_REPAIR_TABLE:
             break
     return count
 

@@ -192,23 +192,25 @@ def tuple_dist(space: ValueSpace, u, v) -> Fraction:
 class CellPartition:
     """Partition of a value space into cells of diameter strictly below epsilon.
 
-    ``kind`` is "labels" (cells are explicit label groups) or "bins"
-    (half-open bins of fixed width in the space's chart coordinate; the last
-    bin absorbs the right endpoint).  Cell ids are 0-based integers.
-    ``cell_of`` keeps the cell of each value it has placed, for the life of
-    the partition.
+    ``kind`` is "labels" (``cells`` holds the label groups) or "bins"
+    (``bins`` half-open bins of width ``width`` in the space's chart
+    coordinate; the last bin absorbs the right endpoint).  Bins are not
+    built: a bin's bounds follow from its index.  Cell ids are 0-based
+    integers.  ``cell_of`` keeps the cell of each value it has placed, for
+    the life of the partition.
     """
 
     space: ValueSpace
     epsilon: Fraction
     kind: str
-    cells: tuple
+    cells: tuple = ()
     width: Fraction | None = None
+    bins: int = 0
     _cell_ids: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def cell_count(self) -> int:
-        return len(self.cells)
+        return len(self.cells) if self.kind == "labels" else self.bins
 
     def _chart(self, value) -> Fraction:
         if isinstance(self.space, CompactifiedRay):
@@ -231,13 +233,18 @@ class CellPartition:
                     return idx
             raise DomainError(f"label {value!r} is not in this space")
         idx = int(self._chart(value) // self.width)
-        return min(idx, len(self.cells) - 1)
+        return min(idx, self.bins - 1)
 
     def describe_cell(self, idx: int) -> str:
         if self.kind == "labels":
             return "{" + ",".join(self.cells[idx]) + "}"
-        lo, hi = self.cells[idx]
+        lo, hi = idx * self.width, min((idx + 1) * self.width, _chart_span(self.space))
         return f"[{lo},{hi})"
+
+
+def _chart_span(space: ValueSpace) -> Fraction:
+    """Length of the chart coordinate's range: the diameter, or 1 on the ray."""
+    return space.diameter if isinstance(space, BoundedInterval) else Fraction(1)
 
 
 def epsilon_partition(space: ValueSpace, epsilon) -> CellPartition:
@@ -262,13 +269,14 @@ def epsilon_partition(space: ValueSpace, epsilon) -> CellPartition:
             cells.append(cell)
         return CellPartition(space=space, epsilon=eps, kind="labels", cells=tuple(cells))
 
-    span = space.diameter if isinstance(space, BoundedInterval) else Fraction(1)
     width = eps / 2
-    count = math.ceil(span / width)
-    cells = tuple(
-        (i * width, min((i + 1) * width, span)) for i in range(count)
+    return CellPartition(
+        space=space,
+        epsilon=eps,
+        kind="bins",
+        width=width,
+        bins=math.ceil(_chart_span(space) / width),
     )
-    return CellPartition(space=space, epsilon=eps, kind="bins", cells=cells, width=width)
 
 
 def value_to_text(space: ValueSpace, value) -> str:

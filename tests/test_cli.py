@@ -12,8 +12,11 @@ from helpers import suite_problem
 from kernel_repair import cli
 from kernel_repair.cli import main
 from kernel_repair.constraint import triangle_free_system
+from kernel_repair.corrector import RepairConfig
+from kernel_repair.errors import ContractError
 from kernel_repair.fileio import (
     MAX_KERNEL_ARITY,
+    MAX_REPAIR_TABLE,
     MAX_SWEEP_ASSIGNMENTS,
     load_json,
     save_constraint,
@@ -21,7 +24,7 @@ from kernel_repair.fileio import (
     strip_timing,
     to_json,
 )
-from kernel_repair.kernel import StepKernel
+from kernel_repair.kernel import CoordIs, ExceptionPiece, StepKernel
 from kernel_repair.rational import frac_str
 from kernel_repair.values import BoundedInterval
 
@@ -165,6 +168,60 @@ def test_a_sweep_above_the_cap_is_refused_quickly(tmp_path, capsys, command):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert f"refused: estimated 30^8 assignments, more than {MAX_SWEEP_ASSIGNMENTS}" in err
+
+
+#: 114 bytes: one variable sweeps 30 assignments, but the value table of
+#: an arity-8 kernel over 30 points has 30^8 tuples
+HUGE_TABLE = (
+    '{"mode":"distinct","arity":8,"variables":1,'
+    '"atoms":[{"kind":"finite","slot":[1,1,1,1,1,1,1,1],"allowed":["1/2"]}]}'
+)
+
+#: 103 bytes: one point sweeps one assignment, but multiset mode draws a pool of
+#: 2 x 10,000,000 guarded samples for it
+HUGE_POOLS = (
+    '{"mode":"multiset","arity":1,"variables":10000000,'
+    '"atoms":[{"kind":"equality","left":[1],"right":[2]}]}'
+)
+
+
+def refused_correct(tmp_path, capsys, constraint_text, kernel, points):
+    cpath = tmp_path / "constraint.json"
+    cpath.write_text(constraint_text)
+    kpath = kernel_file(tmp_path, kernel)
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "correct", "--kernel", kpath, "--constraint", str(cpath),
+        "--points", points, "--epsilon", "1/10", "--seed", "0",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    return err
+
+
+def test_a_value_table_above_the_cap_is_refused_quickly(tmp_path, capsys):
+    points = ",".join(f"{2 * i + 1}/64" for i in range(30))
+    err = refused_correct(tmp_path, capsys, HUGE_TABLE, constant_kernel(F(1, 2), arity=8), points)
+    assert f"refused: estimated 30^8 value-table tuples, more than {MAX_REPAIR_TABLE}" in err
+
+
+def test_sample_pools_above_the_cap_are_refused_quickly(tmp_path, capsys):
+    kernel = StepKernel.from_flat(
+        arity=1, resolution=1, space=BoundedInterval(F(1)), flat_values=[F(1, 2)],
+        symmetric_base=True,
+    )
+    err = refused_correct(tmp_path, capsys, HUGE_POOLS, kernel, "1/2")
+    assert f"refused: 20000000 guarded samples per attempt, more than {MAX_REPAIR_TABLE}" in err
+
+
+def test_the_repair_caps_refuse_only_past_the_cap():
+    system = triangle_free_system(mode="multiset")  # arity 2
+    # C(1414, 2) = 999,691 tuples and 1413 x 707 = 998,991 samples
+    cli._refuse_large_repair(system, 1413, RepairConfig(pool_size=707))
+    with pytest.raises(ContractError, match=r"C\(1415\+2-1,2\) value-table tuples"):
+        cli._refuse_large_repair(system, 1415, RepairConfig(pool_size=1))
+    with pytest.raises(ContractError, match="1000404 guarded samples"):
+        cli._refuse_large_repair(system, 1413, RepairConfig(pool_size=708))
 
 
 def test_audit_refuses_trials_above_the_cap(tmp_path, capsys):
@@ -532,6 +589,51 @@ def test_verify_end_to_end_on_a_real_report(tmp_path, capsys):
     )
     assert code == 0
     assert "all atoms hold" in out
+
+
+def real_report_and_files(tmp_path, capsys):
+    assert run(capsys, *correct_argv(tmp_path, "real.json"))[0] == 0
+    kernel, system, _, _ = suite_problem(0, "distinct")
+    return (
+        str(tmp_path / "real.json"),
+        kernel_file(tmp_path, kernel, "k2.json"),
+        constraint_file(tmp_path, system, "c2.json"),
+    )
+
+
+def test_verify_prints_the_same_with_and_without_matching_inputs(tmp_path, capsys):
+    rpath, kpath, cpath = real_report_and_files(tmp_path, capsys)
+    code, out, _ = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath
+    )
+    bare = tmp_path / "bare.json"
+    bare.write_text(to_json({"result": load_json(rpath, "report")["result"]}))
+    assert (code, out) == run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", str(bare)
+    )[:2]
+    assert code == 0
+
+
+def test_verify_refuses_a_report_of_another_kernel(tmp_path, capsys):
+    rpath, _, cpath = real_report_and_files(tmp_path, capsys)
+    kernel, _, _, _ = suite_problem(0, "distinct")
+    other = kernel.with_exceptions((ExceptionPiece((CoordIs(1, F(1, 7)),), F(0)),))
+    kpath = kernel_file(tmp_path, other, "other.json")
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath
+    )
+    assert (code, out) == (1, "")
+    assert f"inputs.kernel differs from {kpath}" in err
+
+
+def test_verify_refuses_a_report_of_another_constraint(tmp_path, capsys):
+    rpath, kpath, _ = real_report_and_files(tmp_path, capsys)
+    cpath = constraint_file(tmp_path, triangle_free_system(mode="multiset"), "other.json")
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath
+    )
+    assert (code, out) == (1, "")
+    assert f"inputs.constraint differs from {cpath}" in err
 
 
 # --- usage and file errors ---

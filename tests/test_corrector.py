@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -720,3 +723,203 @@ def test_an_escalation_that_reads_a_new_table_checks_it(monkeypatch):
     assert report["agreement_failures"]
     want = rechecked(kernel, system, report, eps)
     assert {key: report[key] for key in want} == want
+
+
+# --- index-keyed tables, closeness classes and float cuts against plain references ---
+
+
+def reference_values(kernel, system, report):
+    """The value table re-read with ``value_at`` at the report's samples or
+    sorted core representatives, keyed by ``Fraction`` tuples."""
+    pts = [as_fraction(z) for z in report["points"]]
+    if system.mode == "multiset":
+        cores = {as_fraction(z): [as_fraction(y) for y in c] for z, c in report["cores"].items()}
+        tuples = itertools.combinations_with_replacement(pts, kernel.arity)
+        return {
+            t: kernel.value_at(
+                tuple(sorted(y for z in sorted(set(t)) for y in cores[z][: t.count(z)]))
+            )
+            for t in tuples
+        }
+    samples = {as_fraction(z): as_fraction(y) for z, y in report["samples"].items()}
+    return {
+        t: kernel.value_at(tuple(samples[z] for z in t))
+        for t in itertools.product(pts, repeat=kernel.arity)
+    }
+
+
+def check_against_references(kernel, system, points, eps, seed):
+    outcome = repair(kernel, system, points, RepairConfig(epsilon=eps, seed=seed))
+    report = outcome.report
+    space = kernel.space
+    values = reference_values(kernel, system, report)
+    assert report["values"] == {
+        ",".join(frac_str(x) for x in t): value_to_text(space, v) for t, v in values.items()
+    }
+    want = rechecked(kernel, system, report, eps)
+    assert {key: report[key] for key in want} == want
+    assert report["agreement_failures"] == [
+        key
+        for key, row in want["density_closeness"].items()
+        if row["density"] and as_fraction(row["dist"]) > eps
+    ]
+    if outcome.ok:
+        # the corrected kernel is keyed by point tuples, not index tuples
+        assert outcome.corrected.values == values
+        for t in values:
+            assert all(type(x) is Fraction for x in t)
+            assert outcome.corrected.value_at(t) == values[t]
+    return outcome
+
+
+@st.composite
+def table_case(draw):
+    """Random kernel, points and system in either mode.
+
+    Points sit on interior grid cuts, on ``CoordIs`` constants and inside
+    blocks; some constants are points, so tuples of one repaired value and
+    one block vector read different kernel values and density flags.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    mode = draw(st.sampled_from(["distinct", "multiset"]))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    resolution = draw(st.integers(min_value=1, max_value=4))
+    variables = draw(st.integers(min_value=1, max_value=3))
+    menu = [F(0), F(1, 2), F(1)]
+    cuts = [F(j, resolution) for j in range(1, resolution)]
+    inside = [F(j, 16) for j in range(1, 16, 2)] + [F(j, 7) for j in range(7)]
+    on_cuts = rng.sample(cuts, min(len(cuts), rng.randint(0, 2)))
+    points = sorted(set(on_cuts + rng.sample(inside, rng.randint(1, 4))))
+    pieces = []
+    for _ in range(rng.randrange(5)):
+        conditions = []
+        for _ in range(rng.randint(1, 2)):
+            if arity >= 2 and rng.random() < 0.5:
+                first, second = rng.sample(range(1, arity + 1), 2)
+                conditions.append(CoordsEqual(first, second))
+            else:
+                const = rng.choice(points) if rng.random() < 0.7 else F(rng.randrange(7), 7)
+                conditions.append(CoordIs(rng.randint(1, arity), const))
+        pieces.append(ExceptionPiece(tuple(conditions), rng.choice(menu)))
+    base = {}
+    for blocks in itertools.product(range(resolution), repeat=arity):
+        key = tuple(sorted(blocks)) if mode == "multiset" else blocks
+        base.setdefault(key, rng.choice(menu))
+    kernel = StepKernel.from_flat(
+        arity=arity,
+        resolution=resolution,
+        space=BoundedInterval(F(1)),
+        flat_values=[
+            base[tuple(sorted(b)) if mode == "multiset" else b]
+            for b in itertools.product(range(resolution), repeat=arity)
+        ],
+        exceptions=pieces,
+        symmetric_base=mode == "multiset",
+    )
+
+    def slot():
+        return tuple(rng.randint(1, variables) for _ in range(arity))
+
+    kinds = [
+        lambda: FiniteValuesAtom(slot(), frozenset(rng.sample(menu, rng.randint(1, 3)))),
+        lambda: EqualityAtom(slot(), slot()),
+        lambda: AffineAtom(((F(1), slot()), (F(-1), slot())), F(1, 4)),
+    ]
+    atoms = tuple(rng.choice(kinds)() for _ in range(rng.randint(1, 3)))
+    system = ConstraintSystem(arity=arity, variables=variables, mode=mode, atoms=atoms)
+    eps = draw(st.sampled_from([F(1, 10), F(1, 3), F(3, 2)]))
+    return kernel, system, tuple(points), eps, draw(st.sampled_from(["0", "x"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_case())
+def test_repair_equals_the_point_keyed_references(case):
+    check_against_references(*case)
+
+
+@pytest.mark.parametrize("mode", ["distinct", "multiset"])
+def test_closeness_rows_differ_where_a_point_is_a_constant(mode):
+    # 1/7 and 3/16 share block 0 and read 1/2, but the kernel is 0 at 1/7
+    kernel = StepKernel.from_flat(
+        arity=1,
+        resolution=2,
+        space=BoundedInterval(F(1)),
+        flat_values=[F(1, 2), F(1, 2)],
+        exceptions=(ExceptionPiece((CoordIs(1, F(1, 7)),), F(0)),),
+        symmetric_base=True,
+    )
+    system = ConstraintSystem(
+        arity=1, variables=1, mode=mode, atoms=(FiniteValuesAtom((1,), frozenset({F(1, 2)})),)
+    )
+    outcome = check_against_references(kernel, system, (F(1, 7), F(3, 16)), F(1, 10), "0")
+    closeness = outcome.report["density_closeness"]
+    assert (closeness["1/7"]["dist"], closeness["3/16"]["dist"]) == ("1/2", "0")
+
+
+@pytest.mark.parametrize("mode", ["distinct", "multiset"])
+def test_closeness_rows_differ_where_a_point_is_on_a_cut(mode):
+    # 1/2 and 3/4 read block 1, but 1/2 also touches block 0
+    kernel = StepKernel.from_flat(
+        arity=1,
+        resolution=2,
+        space=BoundedInterval(F(1)),
+        flat_values=[F(0), F(1)],
+        symmetric_base=True,
+    )
+    system = ConstraintSystem(
+        arity=1, variables=1, mode=mode, atoms=(FiniteValuesAtom((1,), frozenset({F(1)})),)
+    )
+    outcome = check_against_references(kernel, system, (F(1, 2), F(3, 4)), F(1, 10), "0")
+    closeness = outcome.report["density_closeness"]
+    assert (closeness["1/2"]["density"], closeness["3/4"]["density"]) == (False, True)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_float_cuts_place_every_float_in_its_block(r):
+    block = functools.partial(bisect.bisect_right, corrector._float_cuts(r))
+    near = []
+    for j in range(r + 1):
+        x = float(Fraction(j, r))
+        near += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+    rng = random.Random(f"cuts:{r}")
+    drawn = [rng.random() for _ in range(2000)]
+    for x in near + drawn:
+        if 0 <= x < 1:
+            assert block(x) == block_of(Fraction(x), r), (x, r)
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 6, 7])
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_audit_equals_the_plain_audit_off_dyadic_resolutions(resolution, seed):
+    rng = random.Random(f"off-dyadic:{resolution}:{seed}")
+    menu = [F(0), F(1, 2), F(1)]
+    # the audit's own early floats as constants, so some trials hit them
+    stream = random.Random(f"{seed}:audit")
+    hits = [F(stream.random()) for _ in range(6)]
+    kernel = StepKernel.from_flat(
+        arity=2,
+        resolution=resolution,
+        space=BoundedInterval(F(1)),
+        flat_values=[rng.choice(menu) for _ in range(resolution**2)],
+        exceptions=(
+            ExceptionPiece((CoordsEqual(1, 2),), F(1)),
+            ExceptionPiece((CoordIs(1, rng.choice(hits)),), F(0)),
+            ExceptionPiece((CoordIs(2, F(1, 7)),), F(1)),
+        ),
+    )
+    for system in (
+        triangle_free_system(mode="distinct"),
+        ConstraintSystem(
+            arity=2,
+            variables=3,
+            mode="distinct",
+            atoms=(
+                FiniteValuesAtom((1, 2), frozenset({F(0), F(1, 2)})),
+                EqualityAtom((2, 3), (3, 2)),
+                FiniteValuesAtom((3, 3), frozenset({F(1)})),
+            ),
+        ),
+    ):
+        assert audit_ae_hypothesis(kernel, system, 300, seed=seed) == reference_audit(
+            kernel, system, 300, seed=seed
+        )

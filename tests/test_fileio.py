@@ -23,10 +23,12 @@ from kernel_repair.constraint import (
 )
 from kernel_repair.errors import FormatError
 from kernel_repair.fileio import (
+    MAX_REPAIR_TABLE,
     MAX_SWEEP_ASSIGNMENTS,
     constraint_from_doc,
     constraint_to_doc,
     estimated_assignments,
+    estimated_table_tuples,
     kernel_from_doc,
     kernel_to_doc,
     load_constraint,
@@ -317,6 +319,24 @@ def test_estimated_assignments_stops_past_the_cap():
     assert estimated_assignments("multiset", 30, 10**12) > MAX_SWEEP_ASSIGNMENTS
     assert estimated_assignments("distinct", 10**9, 10**12) > MAX_SWEEP_ASSIGNMENTS
     assert estimated_assignments("multiset", 1, 10**12) == 1
+
+
+@pytest.mark.parametrize("points", range(0, 7))
+@pytest.mark.parametrize("arity", range(1, 5))
+def test_estimated_table_tuples_counts_the_table(points, arity):
+    assert estimated_table_tuples("distinct", points, arity) == points**arity
+    assert estimated_table_tuples("multiset", points, arity) == math.comb(
+        points + arity - 1, arity
+    )
+
+
+def test_estimated_table_tuples_stops_past_the_cap():
+    # a kernel of resolution 1 may have arity 1,000; larger counts are cut short
+    assert estimated_table_tuples("distinct", 1000, 2) == MAX_REPAIR_TABLE
+    assert estimated_table_tuples("distinct", 30, 10**12) > MAX_REPAIR_TABLE
+    assert estimated_table_tuples("multiset", 30, 10**12) > MAX_REPAIR_TABLE
+    assert estimated_table_tuples("multiset", 1, 10**12) == 1
+    assert estimated_table_tuples("distinct", 0, 10**12) == 0
 
 
 def test_constraint_shape_inferred_from_slots():
