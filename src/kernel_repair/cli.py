@@ -260,6 +260,13 @@ def cmd_audit(args) -> int:
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)
     _refuse_large_sweep(args.trials, str(args.trials))
+    # each trial draws one float per variable
+    draws = args.trials * system.variables
+    if draws > MAX_SWEEP_ASSIGNMENTS:
+        raise ContractError(
+            f"refused: estimated {args.trials}*{system.variables} audit draws, "
+            f"more than {MAX_SWEEP_ASSIGNMENTS}"
+        )
     res = audit_ae_hypothesis(kernel, system, samples=args.trials, seed=args.seed)
     doc = {
         "violations": res.violations,

@@ -18,8 +18,9 @@ Two regimes, selected by the constraint mode:
   each pool (see ``_read_cores``).
 
 Both regimes read the kernel in closed form through
-``StepKernel.generic_value``: the samples are pairwise distinct and avoid
-every override constant.  The value table is keyed by tuples of point
+``StepKernel.generic_value`` at the points' own base blocks: every sample
+lies in its point's base block, and the samples are pairwise distinct and
+avoid every override constant.  The value table is keyed by tuples of point
 indices (positions in the sorted points), so the sweep, the report and the
 closeness table hash and sort small ints; only a successful repair builds
 the ``Fraction``-keyed ``CorrectedKernel.values``.  The closeness table
@@ -31,14 +32,16 @@ checked keeps that check's violations, verdicts and density table instead
 of recomputing them.  A bounded-budget satisfiability probe runs after the
 first verification failure so genuinely infeasible systems surface as such
 instead of burning the escalation budget.  The almost-everywhere audit
-places its floats in base blocks by exact float cuts and decides each
-trial once per block vector of its points (see ``audit_ae_hypothesis``).
+draws its floats in rounds, places them in base blocks by exact float cuts,
+counts its trials per block vector and decides each vector of slot values
+once (see ``audit_ae_hypothesis``).
 Every run is a pure function of the configuration seed.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -48,7 +51,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constraint import ConstraintSystem, _AtomChecker, proven_infeasible, violations
+from .constraint import (
+    ConstraintSystem,
+    _AtomChecker,
+    _tuple_getter,
+    proven_infeasible,
+    violations,
+)
 from .density import adjacent_blocks, is_density_tuple
 from .errors import ContractError
 from .kernel import StepKernel, block_of, repeat_pattern, sample_in_cell
@@ -59,6 +68,11 @@ from .values import epsilon_partition, value_to_text
 #: guard only rejects exact rational coincidences, which a float-backed
 #: generator essentially never produces, so the cap is a formality.
 _GUARD_TRIES = 64
+
+#: About how many floats the audit draws per round: enough trials per round
+#: to count block vectors in bulk, few enough to bound the memory of any
+#: ``samples``.  A round always draws at least one whole trial.
+_AUDIT_ROUND = 1 << 14
 
 _STATUS_OK = "ok"
 _STATUS_FAILED = "failed"
@@ -210,6 +224,13 @@ def samples_per_point(system: ConstraintSystem, config: RepairConfig) -> int:
     return 2 * max(system.variables, system.arity)
 
 
+def _check_arity(kernel: StepKernel, system: ConstraintSystem):
+    if system.arity != kernel.arity:
+        raise ContractError(
+            f"system arity {system.arity} does not match kernel arity {kernel.arity}"
+        )
+
+
 def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optional[RepairConfig] = None) -> RepairOutcome:
     """Repair the kernel's values over the given points for the system.
 
@@ -228,10 +249,7 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     for x in pts:
         if not 0 <= x < 1:
             raise ContractError(f"point {x} outside [0, 1)")
-    if system.arity != kernel.arity:
-        raise ContractError(
-            f"system arity {system.arity} does not match kernel arity {kernel.arity}"
-        )
+    _check_arity(kernel, system)
     system.validate_for_space(kernel.space)
     cap = cfg.max_refinement
     if cap is not None and cap < kernel.resolution:
@@ -350,12 +368,15 @@ def _read_samples(kernel, pts, pools, report) -> dict:
     """Distinct mode: read the kernel off the one sample drawn per point.
 
     Returns ``{index tuple: value}``, keyed by positions in ``pts``.  The
-    samples are pairwise distinct and avoid every override constant, so a
-    sample tuple repeats exactly where its index tuple does and
-    ``generic_value`` gives ``value_at`` at it.
+    value at a sample tuple is ``generic_value`` at the points' own base
+    blocks.  Proof: the level m is the kernel resolution times a power of
+    two, so every sample lies in its point's base block; the samples are
+    pairwise distinct and avoid every override constant, so a sample tuple
+    repeats exactly where its index tuple does and ``generic_value`` gives
+    ``value_at`` at it.  The samples are drawn and reported as the witness.
     """
     report["samples"] = {frac_str(z): frac_str(p[0]) for z, p in zip(pts, pools)}
-    blocks = [block_of(p[0], kernel.resolution) for p in pools]
+    blocks = [block_of(z, kernel.resolution) for z in pts]
     return {
         t: kernel.generic_value(tuple([blocks[i] for i in t]), repeat_pattern(t))
         for t in itertools.product(range(len(pts)), repeat=kernel.arity)
@@ -376,24 +397,24 @@ def _read_cores(kernel, pts, pools, report, *, core_size, vectors) -> dict:
     (``generic_value``) and the kernel reads its base grid there, at the
     blocks of the points repeated as the vector says.  Each coloring is
     therefore constant, and the search of ``extract_core`` accepts every
-    element it tries: each pass keeps the first elements of each part.
+    element it tries: each pass keeps the first elements of each part.  The
+    value of a vector is read at those blocks of the points, without
+    placing or sorting the samples; pools and cores are reported as the
+    witness.
 
     Returns ``{sorted index tuple: value}``, keyed by positions in ``pts``.
     """
     report["pool_size"] = len(pools[0])
     report["pools"] = _report_pools(pts, pools)
-    cores = [sorted(p[:core_size]) for p in pools]
-    report["cores"] = _report_pools(pts, cores)
+    report["cores"] = _report_pools(pts, [sorted(p[:core_size]) for p in pools])
+    blocks = [block_of(z, kernel.resolution) for z in pts]
     distinct = tuple(range(kernel.arity))
     values = {}
     for vec in vectors:
         key = tuple(
             itertools.chain.from_iterable(itertools.repeat(i, n) for i, n in enumerate(vec))
         )
-        reps = sorted(itertools.chain.from_iterable(c[:n] for c, n in zip(cores, vec)))
-        values[key] = kernel.generic_value(
-            tuple([block_of(y, kernel.resolution) for y in reps]), distinct
-        )
+        values[key] = kernel.generic_value(tuple([blocks[i] for i in key]), distinct)
     return values
 
 
@@ -511,21 +532,29 @@ def audit_ae_hypothesis(
 
     Each trial draws pairwise distinct uniform points (repeats in atom
     slots still reach the kernel's diagonal behavior) and checks the atoms
-    exactly up to the first failure, reading only the slots it reaches;
-    atom verdicts are memoised across trials on the values read.  Reports
-    the violating trial count with a 95% Wilson interval.  A kernel whose
-    defects are confined to null sets audits at zero.
+    exactly.  Reports the violating trial count with a 95% Wilson interval.
+    A kernel whose defects are confined to null sets audits at zero.
 
-    A trial is decided once per block vector.  Its points are pairwise
+    The stream is the one of a trial-by-trial audit: trials are consecutive
+    chunks of ``variables`` floats, and a chunk with a repeated float is
+    dropped and the next chunk drawn in its place.  The floats are drawn in
+    rounds of about ``_AUDIT_ROUND`` floats, each round drawing only the
+    chunks still needed, so a round never draws past the last trial and
+    memory stays bounded whatever the sample count.
+
+    Trials are counted per block vector.  A trial's points are pairwise
     distinct, so a slot repeats a point exactly where it repeats a
     variable, and each slot's repeat pattern is fixed by the system.  When
     no coordinate equals an override constant, every slot value is
     ``StepKernel.generic_value`` at the slot's blocks and pattern, so the
     trial's verdict depends only on the tuple of its variables' base
-    blocks; it is computed at the first trial with that tuple (at most
-    ``resolution ** variables`` times) and reused after.  A trial where a
-    coordinate equals a constant reads ``value_at`` and is decided anew.
-    Every trial still draws its floats, so the counts match a plain audit.
+    blocks.  Each round counts its trials per block vector; each distinct
+    vector, in order of first appearance, reads the interned id of every
+    slot through a per-call memo keyed by the slot's (blocks, pattern), so
+    ``generic_value`` runs once per such class, and its id vector is
+    decided once, as in ``violations``; a failing vector adds its count.  A
+    trial where a coordinate equals a constant is decided on its own: it
+    reads ``value_at`` lazily, only at the slots of the atoms it reaches.
 
     A drawn float x lands in base block ``bisect_right(cuts, x)``, where
     ``cuts[j-1]`` is the least float at or above j/r (``_float_cuts``).
@@ -538,6 +567,7 @@ def audit_ae_hypothesis(
     """
     if samples < 1:
         raise ContractError("at least one audit sample is required")
+    _check_arity(kernel, system)
     rng = random.Random(f"{seed}:audit")
     checker = _AtomChecker(system, kernel.space, Fraction(0))
     constants = kernel.exception_constants()
@@ -546,34 +576,55 @@ def audit_ae_hypothesis(
     # the trial points are pairwise distinct, so a slot repeats a point
     # exactly where it repeats a variable
     patterns = tuple(repeat_pattern(slot) for slot in checker.slots)
-    # one empty argument tuple per variable: starmap calls rng.random once each
-    draws = ((),) * system.variables
-    # blocks of the trial's variables -> whether some atom fails there
-    verdict_of: dict[tuple[int, ...], bool] = {}
+    reads = tuple(zip(map(_tuple_getter, picks), patterns))
+    v = system.variables
+    per_round = max(1, _AUDIT_ROUND // v)
+    slot_ids: dict = {}  # (slot blocks, slot pattern) -> interned value id
+    decided: dict[tuple[int, ...], bool] = {}  # id vector -> whether an atom fails
+
+    def slot_id(key) -> int:
+        vid = slot_ids.get(key)
+        if vid is None:
+            vid = slot_ids[key] = checker.intern(kernel.generic_value(*key))
+        return vid
+
+    def hit_fails(tup) -> bool:
+        tup = [Fraction(x) for x in tup]
+
+        def fill(k):
+            return checker.intern(kernel.value_at(tuple([tup[j] for j in picks[k]])))
+
+        return next(checker.failing(fill), None) is not None
+
     bad = 0
-    for _ in range(samples):
+    left = samples
+    while left:
         # floats compare and hash exactly like the Fractions they denote
-        while True:
-            tup = list(itertools.starmap(rng.random, draws))
-            if len(set(tup)) == system.variables:
-                break
-        if constants.isdisjoint(tup):
-            blocks = tuple(map(block, tup))
-            failed = verdict_of.get(blocks)
-            if failed is None:
-
-                def fill(k):
-                    key = tuple([blocks[j] for j in picks[k]])
-                    return checker.intern(kernel.generic_value(key, patterns[k]))
-
-                failed = verdict_of[blocks] = next(checker.failing(fill), None) is not None
+        draws = itertools.repeat((), min(left, per_round) * v)
+        floats = list(itertools.starmap(rng.random, draws))
+        if len(set(floats)) < len(floats):
+            # drop the chunks with a repeated float; a later round redraws them
+            floats = list(
+                itertools.chain.from_iterable(
+                    c for c in zip(*[iter(floats)] * v) if len(set(c)) == v
+                )
+            )
+        left -= len(floats) // v
+        if constants.isdisjoint(floats):
+            counts = collections.Counter(zip(*[iter(map(block, floats))] * v))
         else:
-            tup = [Fraction(x) for x in tup]
-
-            def fill(k):
-                return checker.intern(kernel.value_at(tuple([tup[j] for j in picks[k]])))
-
-            failed = next(checker.failing(fill), None) is not None
-        bad += failed
+            counts = collections.Counter()
+            for tup in zip(*[iter(floats)] * v):
+                if constants.isdisjoint(tup):
+                    counts[tuple(map(block, tup))] += 1
+                else:
+                    bad += hit_fails(tup)
+        for blocks, n in counts.items():
+            ids = tuple([slot_id((read(blocks), pattern)) for read, pattern in reads])
+            failed = decided.get(ids)
+            if failed is None:
+                failed = decided[ids] = next(checker.failing(ids.__getitem__), None) is not None
+            if failed:
+                bad += n
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)

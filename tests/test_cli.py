@@ -12,7 +12,7 @@ from helpers import suite_problem
 from kernel_repair import cli
 from kernel_repair.cli import main
 from kernel_repair.constraint import triangle_free_system
-from kernel_repair.corrector import RepairConfig
+from kernel_repair.corrector import AuditResult, RepairConfig
 from kernel_repair.errors import ContractError
 from kernel_repair.fileio import (
     MAX_KERNEL_ARITY,
@@ -234,6 +234,62 @@ def test_audit_refuses_trials_above_the_cap(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert f"refused: estimated {trials} assignments" in err
+
+
+#: 108 bytes: one finite atom, but each audit trial draws one float per
+#: variable, 100,000,000 of them
+HUGE_AUDIT = (
+    '{"mode":"distinct","arity":2,"variables":100000000,'
+    '"atoms":[{"kind":"finite","slot":[1,2],"allowed":["1"]}]}'
+)
+
+
+def test_audit_refuses_draws_above_the_cap_quickly(tmp_path, capsys):
+    cpath = tmp_path / "huge-audit.json"
+    cpath.write_text(HUGE_AUDIT)
+    kpath = kernel_file(tmp_path, constant_kernel(F(1)))
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "audit", "--kernel", kpath, "--constraint", str(cpath), "--trials", "1", "--seed", "7",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "refused: estimated 1*100000000 audit draws, more than 10000000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("trials, refused", [(3_333_333, False), (3_333_334, True)])
+def test_audit_draw_cap_boundary(tmp_path, capsys, monkeypatch, trials, refused):
+    # three variables per trial: 9,999,999 draws pass, 10,000,002 do not
+    kpath = kernel_file(tmp_path, constant_kernel(F(1)))
+    cpath = constraint_file(tmp_path, triangle_free_system())
+    monkeypatch.setattr(
+        cli, "audit_ae_hypothesis", lambda *args, **kw: AuditResult(1, 0, 0.0, 1.0)
+    )
+    code, _, err = run(
+        capsys,
+        "audit", "--kernel", kpath, "--constraint", cpath, "--trials", str(trials), "--seed", "7",
+    )
+    assert code == (1 if refused else 0)
+    assert ("audit draws" in err) == refused
+
+
+@pytest.mark.parametrize("arity", [1, 3])
+def test_audit_refuses_an_arity_mismatch(tmp_path, capsys, arity):
+    # a kernel of arity 2 under a constraint of arity 1 or 3
+    cpath = tmp_path / "mismatch.json"
+    cpath.write_text(json.dumps({
+        "mode": "distinct", "arity": arity, "variables": arity,
+        "atoms": [{"kind": "finite", "slot": list(range(1, arity + 1)), "allowed": ["1"]}],
+    }))
+    kpath = kernel_file(tmp_path, constant_kernel(F(1)))
+    code, out, err = run(
+        capsys, "audit", "--kernel", kpath, "--constraint", str(cpath), "--seed", "7"
+    )
+    assert (code, out) == (1, "")
+    assert f"error: system arity {arity} does not match kernel arity 2" in err
+    assert "Traceback" not in err
 
 
 def test_main_dispatches_to_the_current_command_function(tmp_path, capsys, monkeypatch):

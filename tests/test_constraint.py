@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import reference_violations
 from kernel_repair.constraint import (
@@ -404,6 +404,7 @@ def renamed_sweep_case(draw):
     return system, table, space, points, eps
 
 
+@settings(deadline=None)
 @given(renamed_sweep_case())
 def test_sweep_with_shared_shapes_matches_the_plain_sweep(case):
     system, table, space, points, eps = case
@@ -415,6 +416,7 @@ def test_sweep_with_shared_shapes_matches_the_plain_sweep(case):
         assert as_rows(got) == as_rows(want)
 
 
+@settings(deadline=None)
 @given(renamed_sweep_case())
 def test_sweep_evaluates_tuples_in_the_order_the_plain_sweep_first_reads_them(case):
     system, table, space, points, eps = case

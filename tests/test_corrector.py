@@ -435,45 +435,46 @@ def constant_hit_kernel():
 )
 @pytest.mark.parametrize("seed", ["0", "7"])
 def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, seed):
-    # a read is recorded as (blocks, repeat pattern), whether it went
-    # through value_at or generic_value
-    reads = []
+    # value_at reads are recorded as point tuples, generic_value reads as
+    # (blocks, repeat pattern)
+    point_reads, class_reads = [], []
     value_at, generic_value = StepKernel.value_at, StepKernel.generic_value
 
     def read_point(self, point):
-        blocks = tuple(block_of(x, self.resolution) for x in point)
-        reads.append((blocks, repeat_pattern(point)))
+        point_reads.append(tuple(point))
         return value_at(self, point)
 
     def read_class(self, blocks, pattern):
-        reads.append((blocks, pattern))
+        class_reads.append((blocks, pattern))
         return generic_value(self, blocks, pattern)
 
     monkeypatch.setattr(StepKernel, "value_at", read_point)
     monkeypatch.setattr(StepKernel, "generic_value", read_class)
     got = audit_ae_hypothesis(kernel, system, 300, seed=seed)
-    got_reads = list(reads)
-    reads.clear()
+    got_points, got_classes = list(point_reads), list(class_reads)
+    point_reads.clear()
     # each trial's points and where its reads start
     trials = []
     want = reference_audit(
-        kernel, system, 300, seed=seed, on_trial=lambda tup: trials.append((tup, len(reads)))
+        kernel, system, 300, seed=seed, on_trial=lambda tup: trials.append((tup, len(point_reads)))
     )
     assert got == want
-    # the memo reads slots as lazily as the plain audit, and only in a
-    # trial that hits a constant or is the first with its block vector
+    # a trial that hits a constant reads value_at as lazily as the plain
+    # audit; the clear trials read generic_value once per (slot blocks,
+    # slot pattern), in trial order and then slot order
     constants = kernel.exception_constants()
-    seen = set()
-    expected = []
-    ends = [start for _, start in trials[1:]] + [len(reads)]
+    hit_reads = []
+    clear_classes = []
+    ends = [start for _, start in trials[1:]] + [len(point_reads)]
     for (tup, start), end in zip(trials, ends):
-        blocks = tuple(block_of(x, kernel.resolution) for x in tup)
-        hits = not constants.isdisjoint(tup)
-        if hits or blocks not in seen:
-            expected += reads[start:end]
-        if not hits:
-            seen.add(blocks)
-    assert got_reads == expected
+        if constants.isdisjoint(tup):
+            for slot in system.all_slots():
+                blocks = tuple(block_of(tup[v - 1], kernel.resolution) for v in slot)
+                clear_classes.append((blocks, repeat_pattern(slot)))
+        else:
+            hit_reads += point_reads[start:end]
+    assert got_points == hit_reads
+    assert got_classes == list(dict.fromkeys(clear_classes))
 
 
 def test_audit_reads_value_at_where_a_trial_hits_a_constant(monkeypatch):
@@ -499,6 +500,104 @@ def test_audit_reads_value_at_where_a_trial_hits_a_constant(monkeypatch):
     assert len(calls) <= len(system.all_slots())
     assert got.violations == 49
     assert got == reference_audit(kernel, system, 50, seed="0")
+
+
+def test_audit_refuses_an_arity_mismatch():
+    # a kernel of arity 2 under systems of arity 1 and 3, refused before drawing
+    for arity in (1, 3):
+        system = ConstraintSystem(
+            arity=arity,
+            variables=arity,
+            mode="distinct",
+            atoms=(FiniteValuesAtom(tuple(range(1, arity + 1)), frozenset({F(1)})),),
+        )
+        with pytest.raises(
+            ContractError, match=f"system arity {arity} does not match kernel arity 2"
+        ):
+            audit_ae_hypothesis(all_ones_kernel(), system, 10)
+
+
+#: Twelve floats in the four blocks of a resolution-4 kernel; a scripted
+#: stream over so few repeats floats inside trials of two or more variables.
+SCRIPT_FLOATS = [(2 * k + 1) / 24 for k in range(12)]
+
+#: An override constant the scripted stream hits.
+SCRIPT_HIT = F(SCRIPT_FLOATS[4])
+
+
+class ScriptedRandom:
+    """Stands in for ``random.Random``: each draw is one of ``SCRIPT_FLOATS``,
+    chosen by a real generator of the same seed; ``drawn`` counts the draws."""
+
+    real = random.Random
+
+    def __init__(self, seed):
+        self._choose = self.real(seed).choice
+        self.drawn = 0
+
+    def random(self):
+        self.drawn += 1
+        return self._choose(SCRIPT_FLOATS)
+
+
+def scripted_case(variables):
+    rng = random.Random(f"scripted:{variables}")
+    kernel = StepKernel.from_flat(
+        arity=2,
+        resolution=4,
+        space=BoundedInterval(F(1)),
+        flat_values=[rng.choice([F(0), F(1, 2), F(1)]) for _ in range(16)],
+        exceptions=(
+            ExceptionPiece((CoordsEqual(1, 2),), F(1)),
+            ExceptionPiece((CoordIs(1, SCRIPT_HIT),), F(0)),
+        ),
+    )
+    atoms = {
+        1: (FiniteValuesAtom((1, 1), frozenset({F(1)})),),
+        2: (FiniteValuesAtom((1, 2), frozenset({F(0), F(1, 2)})), EqualityAtom((1, 2), (2, 1))),
+        3: triangle_free_system(mode="distinct").atoms,
+        4: (
+            FiniteValuesAtom((1, 2), frozenset({F(0), F(1)})),
+            EqualityAtom((2, 3), (4, 1)),
+            FiniteValuesAtom((4, 3), frozenset({F(1, 2), F(1)})),
+        ),
+    }[variables]
+    system = ConstraintSystem(arity=2, variables=variables, mode="distinct", atoms=atoms)
+    return kernel, system
+
+
+@pytest.mark.parametrize("variables", [1, 2, 3, 4])
+@pytest.mark.parametrize("round_floats", [7, None])
+def test_audit_redraws_repeats_like_the_plain_audit(monkeypatch, variables, round_floats):
+    # trials with a repeated float are redrawn from the same stream, also
+    # across rounds: seven floats a round, or the real round size with one
+    # round's trials and a few more
+    if round_floats is not None:
+        monkeypatch.setattr(corrector, "_AUDIT_ROUND", round_floats)
+        samples = 150
+    else:
+        samples = corrector._AUDIT_ROUND // variables + 3
+    kernel, system = scripted_case(variables)
+    streams = []
+
+    def scripted(seed):
+        streams.append(ScriptedRandom(seed))
+        return streams[-1]
+
+    monkeypatch.setattr(random, "Random", scripted)
+    got = audit_ae_hypothesis(kernel, system, samples, seed="r")
+    hits = []
+    want = reference_audit(
+        kernel, system, samples, seed="r",
+        on_trial=lambda tup: hits.append(SCRIPT_HIT in tup),
+    )
+    assert got == want
+    # the same floats were drawn, no more and no fewer
+    audit_stream, reference_stream = streams
+    assert audit_stream.drawn == reference_stream.drawn
+    # the script did hit the constant, and repeated floats in some trials
+    assert any(hits) and not all(hits)
+    assert (reference_stream.drawn > samples * variables) == (variables > 1)
 
 
 @pytest.mark.parametrize("index", range(8))
