@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-escalations", type=int, default=3)
     p.add_argument("--m", type=int, help="cap on the refinement level")
     p.add_argument("--R", type=int, help="samples per point in multiset mode")
-    p.add_argument("--method", choices=("greedy", "exhaustive"), default="greedy",
-                   help="former extraction strategy; accepted, no effect")
-    p.add_argument("--budget", type=int, default=32,
-                   help="former restarts per core extraction, at least 1; accepted, no effect")
     p.add_argument("--out", help="write the full report here")
 
     p = sub.add_parser("ramsey", help="extract a monochromatic core from a seeded random coloring")
@@ -187,8 +183,6 @@ def cmd_correct(args) -> int:
         seed=args.seed,
         max_escalations=args.max_escalations,
         pool_size=args.R,
-        method=args.method,
-        restarts=args.budget,
         max_refinement=args.m,
     )
     _refuse_large_repair(system, len(args.points), config)

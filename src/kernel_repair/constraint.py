@@ -10,6 +10,7 @@ used when values are only known up to the space metric.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -289,6 +290,27 @@ class ConstraintSystem:
                         )
         object.__setattr__(self, "atoms", atoms)
 
+    @functools.cached_property
+    def _atom_plan(self) -> tuple:
+        """What every ``_AtomChecker`` of this system compiles, built once.
+
+        ``(slots, compiled, shapes)``: ``slots`` is ``all_slots()``;
+        ``compiled`` holds per atom the atom, its distinct slot positions,
+        the getter of its memo key and the index of its shape; ``shapes``
+        counts the distinct shapes.  It depends only on the atoms, which a
+        frozen system never changes; the memos stay with each checker.
+        """
+        slots = self.all_slots()
+        where = {s: k for k, s in enumerate(slots)}
+        shapes: dict = {}
+        compiled = []
+        for atom in self.atoms:
+            shape, used = _shape(atom)
+            positions = tuple(where[s] for s in used)
+            index = shapes.setdefault(shape, len(shapes))
+            compiled.append((atom, positions, operator.itemgetter(*positions), index))
+        return slots, tuple(compiled), len(shapes)
+
     def all_slots(self) -> tuple[VarTuple, ...]:
         seen = []
         for atom in self.atoms:
@@ -354,24 +376,21 @@ class _AtomChecker:
     equalities into one.  Affine atoms also share one memo of
     ``_shift_toward`` per (value, direction).  A checker lives for one call;
     the memo of a shape holds at most (distinct values) ** (slots of the
-    shape) entries.
+    shape) entries.  The slots, positions, key getters and shapes come from
+    the system's ``_atom_plan``, compiled once per system; the memos, the
+    interned values and the shift memo belong to the checker.
     """
 
     def __init__(self, system: ConstraintSystem, space: ValueSpace, eps: Fraction):
         self.space = space
         self.eps = eps
-        self.slots = system.all_slots()
-        where = {s: k for k, s in enumerate(self.slots)}
-        memos: dict = {}
+        self.slots, compiled, shapes = system._atom_plan
+        memos = [{} for _ in range(shapes)]
         # per atom: its distinct slot positions, the getter of its memo key,
         # the memo of its shape
-        self._compiled = []
-        for atom in system.atoms:
-            shape, used = _shape(atom)
-            positions = tuple(where[s] for s in used)
-            self._compiled.append(
-                (atom, positions, operator.itemgetter(*positions), memos.setdefault(shape, {}))
-            )
+        self._compiled = [
+            (atom, positions, key_of, memos[shape]) for atom, positions, key_of, shape in compiled
+        ]
         self._ids: dict = {}
         self._values: list = []
         # value -> shifted value, for favor_small False and True

@@ -25,13 +25,14 @@ indices (positions in the sorted points), so the sweep, the report and the
 closeness table hash and sort small ints; only a successful repair builds
 the ``Fraction``-keyed ``CorrectedKernel.values``.  The closeness table
 computes one row per closeness class of tuples (see ``_closeness_table``).
-On verification failure the refinement doubles.  The closed form does not
-depend on the refinement level, so an escalation redraws its samples and
-re-reads the table it already checked; a table equal to the last one
-checked keeps that check's violations, verdicts and density table instead
-of recomputing them.  A bounded-budget satisfiability probe runs after the
-first verification failure so genuinely infeasible systems surface as such
-instead of burning the escalation budget.  The almost-everywhere audit
+On verification failure the refinement doubles, a bounded number of times.
+The closed form depends on neither the refinement level nor the samples,
+so an escalation would re-read the table it already checked: ``repair``
+reads, sweeps and compares the table once, runs a bounded-budget
+satisfiability probe once if the sweep fails (so genuinely infeasible
+systems surface as such instead of burning the escalation budget), counts
+the escalations the budget allows, and then draws the witness samples of
+the last attempt only, on floats.  The almost-everywhere audit
 draws its floats in rounds, places them in base blocks by exact float cuts,
 counts its trials per block vector and decides each vector of slot values
 once (see ``audit_ae_hypothesis``).
@@ -58,9 +59,9 @@ from .constraint import (
     proven_infeasible,
     violations,
 )
-from .density import adjacent_blocks, is_density_tuple
+from .density import adjacent_blocks, base_in_cell
 from .errors import ContractError
-from .kernel import StepKernel, block_of, repeat_pattern, sample_in_cell
+from .kernel import StepKernel, block_of, repeat_pattern
 from .rational import as_fraction, frac_str
 from .values import epsilon_partition, value_to_text
 
@@ -85,15 +86,13 @@ class RepairConfig:
 
     epsilon: relaxation tolerance; must be positive in multiset mode.
     seed: any string; every random choice derives from it.
-    max_escalations: additional rounds allowed after the first attempt.
+    max_escalations: how many times a failed repair may double the
+        refinement level.  The table does not depend on the level, so an
+        escalation cannot change the status; it moves ``final_m`` and the
+        witnesses drawn there.
     pool_size: samples per point in multiset mode (default twice the core
         size); the cores are the first core-size samples of each pool, by
         proof, so the rest are reported as witnesses only.
-    method: former core extraction strategy, "greedy" or "exhaustive";
-        accepted, no effect (the cores are pool prefixes, found without a
-        search).
-    restarts: former attempts per greedy extraction, at least 1; accepted,
-        no effect.
     max_refinement: optional cap on the refinement level; values below the
         kernel resolution are raised to it.
     """
@@ -102,8 +101,6 @@ class RepairConfig:
     seed: str = "0"
     max_escalations: int = 3
     pool_size: Optional[int] = None
-    method: str = "greedy"
-    restarts: int = 32
     max_refinement: Optional[int] = None
 
     def __post_init__(self):
@@ -113,10 +110,6 @@ class RepairConfig:
         object.__setattr__(self, "epsilon", eps)
         if self.max_escalations < 0:
             raise ContractError("max_escalations must be nonnegative")
-        if self.method not in ("greedy", "exhaustive"):
-            raise ContractError(f"unknown extraction method {self.method!r}")
-        if self.restarts < 1:
-            raise ContractError("restarts must be at least 1")
         if self.pool_size is not None and self.pool_size < 1:
             raise ContractError("pool_size must be at least 1")
 
@@ -172,28 +165,9 @@ def separating_refinement(points, resolution: int, cap: Optional[int] = None) ->
     return m
 
 
-def _draw_guarded(rng: random.Random, point: Fraction, m: int, forbidden: set) -> Fraction:
-    """Sample the point's cell, rejecting exact coincidences with forbidden values."""
-    for _ in range(_GUARD_TRIES):
-        y = sample_in_cell(point, m, rng)
-        if y not in forbidden:
-            return y
-    raise ContractError("could not draw a sample clear of the guarded values")
-
-
 def _point_key(t, names: list) -> str:
     """The report key of an index tuple; ``names[i]`` is the ``frac_str`` of point i."""
     return ",".join([names[i] for i in t])
-
-
-def _report_values(space, values: dict, names: list) -> dict:
-    texts = {}  # value -> its text, formatted once per distinct value
-    out = {}
-    for t, v in sorted(values.items()):
-        if v not in texts:
-            texts[v] = value_to_text(space, v)
-        out[_point_key(t, names)] = texts[v]
-    return out
 
 
 def _report_violations(viols, names: list) -> list:
@@ -212,7 +186,7 @@ def _count_vectors(parts: int, total: int) -> list[tuple[int, ...]]:
 
 
 def samples_per_point(system: ConstraintSystem, config: RepairConfig) -> int:
-    """How many guarded samples ``repair`` draws per point in each attempt.
+    """How many guarded samples ``repair`` draws per point.
 
     Distinct mode draws one; multiset mode draws a pool, by default twice
     the core size ``max(variables, arity)``.
@@ -235,9 +209,20 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     """Repair the kernel's values over the given points for the system.
 
     Distinct-mode systems use the one-sample construction, multiset-mode
-    systems the pool-and-core construction; both share one
-    verify/probe/escalate loop.  The outcome's report is identical across
-    runs with the same inputs except for its timing entry.
+    systems the pool-and-core construction.  The outcome's report is
+    identical across runs with the same inputs except for its timing entry.
+
+    Everything is decided before a witness is drawn.  The closed-form table
+    depends on neither the refinement level, the seed nor the samples (see
+    ``_read_samples``), so an escalation could only redraw the witnesses and
+    re-read it: the table is read, swept and compared with the kernel once,
+    the probe runs once if the sweep fails, and the escalations the budget
+    and the cap allow are then only counted.  Attempt a draws from its own
+    generator, seeded ``{seed}:p{part}:{a}``, and the report keeps the last
+    attempt's witnesses only, so only those are drawn.  So an earlier
+    attempt's guarded draw can no longer fail with "could not draw a sample
+    clear of the guarded values", which takes ``_GUARD_TRIES`` exact clashes
+    in a row.
     """
     cfg = config or RepairConfig()
     start = time.perf_counter()
@@ -271,61 +256,58 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     part = 2 if symmetric else 1
     report = _base_report(part, system, pts, cfg, m)
     names = [frac_str(x) for x in pts]
+    # keyed by index tuples into pts
     if symmetric:
         report["core_size"] = core_size
-        read_values = functools.partial(
-            _read_cores,
-            core_size=core_size,
-            vectors=_count_vectors(len(pts), kernel.arity),
-        )
+        values = _read_cores(kernel, pts, _count_vectors(len(pts), kernel.arity))
     else:
-        read_values = _read_samples
+        values = _read_samples(kernel, pts)
+    # pts is sorted, so sorting indices sorts the points they stand for
+    viols = violations(
+        system,
+        lambda t: values[tuple(sorted(t)) if symmetric else t],
+        space,
+        range(len(pts)),
+        eps,
+    )
+    texts, closeness, agree = _closeness_table(kernel, partition, pts, values, eps, names)
+    report["values"] = texts
+    report["violations"] = _report_violations(viols, names)
+    report["verdicts"] = _verdicts(system, viols)
+    report["density_closeness"] = closeness
+    report["agreement_failures"] = [_point_key(t, names) for t in agree]
     status, corrected = _STATUS_FAILED, None
-    checked = None
-    for attempt in range(cfg.max_escalations + 1):
-        report["final_m"] = m
-        rng = random.Random(f"{cfg.seed}:p{part}:{attempt}")
-        pools = _draw_pools(rng, kernel, pts, pool, m)
-        # keyed by index tuples into pts
-        values = read_values(kernel, pts, pools, report)
-        # an escalation re-reads the table it checked last (generic_value
-        # does not depend on m); its checks and report entries then stand
-        if values != checked:
-            checked = values
-            # pts is sorted, so sorting indices sorts the points they stand for
-            viols = violations(
-                system,
-                lambda t: values[tuple(sorted(t)) if symmetric else t],
-                space,
-                range(len(pts)),
-                eps,
-            )
-            closeness, agree = _closeness_table(kernel, partition, pts, values, eps, names)
-            report["values"] = _report_values(space, values, names)
-            report["violations"] = _report_violations(viols, names)
-            report["verdicts"] = _verdicts(system, viols)
-            report["density_closeness"] = closeness
-            report["agreement_failures"] = [_point_key(t, names) for t in agree]
-        if not viols and not agree:
-            status = _STATUS_OK
-            corrected = CorrectedKernel(
-                points=pts,
-                arity=kernel.arity,
-                symmetric=symmetric,
-                values={tuple([pts[i] for i in t]): v for t, v in values.items()},
-            )
-            break
-        if viols and not report["probe"]["ran"]:
-            report["probe"]["ran"] = True
-            if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
-                report["probe"]["proven_infeasible"] = True
-                status = _STATUS_INFEASIBLE
-                break
-        if attempt == cfg.max_escalations or (cap is not None and m * 2 > cap):
-            break
-        m *= 2
+    if not viols and not agree:
+        status = _STATUS_OK
+        corrected = CorrectedKernel(
+            points=pts,
+            arity=kernel.arity,
+            symmetric=symmetric,
+            values={tuple([pts[i] for i in t]): v for t, v in values.items()},
+        )
+    elif viols:
+        report["probe"]["ran"] = True
+        if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
+            report["probe"]["proven_infeasible"] = True
+            status = _STATUS_INFEASIBLE
+    attempt = 0
+    if status == _STATUS_FAILED:
         reason = "constraints" if viols else "agreement"
-        report["escalations"].append({"reason": reason, "m": m})
+        while attempt < cfg.max_escalations and (cap is None or m * 2 <= cap):
+            attempt += 1
+            m *= 2
+            report["escalations"].append({"reason": reason, "m": m})
+    report["final_m"] = m
+    rng = random.Random(f"{cfg.seed}:p{part}:{attempt}")
+    drawn = _draw_witnesses(rng, kernel, pts, pool, m)
+    if symmetric:
+        report["pool_size"] = pool
+        report["pools"] = {z: [text for _, text in d] for z, d in zip(names, drawn)}
+        report["cores"] = {
+            z: [text for _, text in sorted(d[:core_size])] for z, d in zip(names, drawn)
+        }
+    else:
+        report["samples"] = {z: d[0][1] for z, d in zip(names, drawn)}
     report["status"] = status
     report["timing"] = time.perf_counter() - start
     return RepairOutcome(status=status, corrected=corrected, report=report)
@@ -346,26 +328,44 @@ def _base_report(part: int, system, pts, cfg, m_init: int) -> dict:
     }
 
 
-def _draw_pools(rng: random.Random, kernel, pts, pool: int, m: int) -> list[list[Fraction]]:
-    """Pool guarded samples per point, pairwise distinct and clear of the points."""
-    forbidden = set(kernel.exception_constants()) | set(pts)
-    pools = []
+def _draw_witnesses(rng: random.Random, kernel, pts, pool: int, m: int) -> list[list[tuple[float, str]]]:
+    """Guarded samples per point, pairwise distinct and clear of the points
+    and the override constants, as (float, ``frac_str`` text) pairs.
+
+    Point z lies in the level-m cell s; its sample is (s + f)/m for one draw
+    f = ``rng.random()``, as in ``sample_in_cell``, redrawn when the sample
+    equals a point, a constant or an earlier sample.  The guard tests f
+    exactly: (s + f)/m == c holds exactly when f == c·m − s, and the other
+    points and their samples lie in other cells, since m separates the
+    points.  Floats hash and compare exactly like the ``Fraction``s they
+    denote, and a point's samples sort by their floats as by their values.
+    """
+    constants = kernel.exception_constants()
+    drawn = []
     for z in pts:
-        drawn = []
+        s = block_of(z, m)
+        guard = {c * m - s for c in constants if block_of(c, m) == s}
+        guard.add(z * m - s)
+        witnesses = []
         for _ in range(pool):
-            y = _draw_guarded(rng, z, m, forbidden)
-            forbidden.add(y)
-            drawn.append(y)
-        pools.append(drawn)
-    return pools
+            for _ in range(_GUARD_TRIES):
+                f = rng.random()
+                if f not in guard:
+                    break
+            else:
+                raise ContractError("could not draw a sample clear of the guarded values")
+            guard.add(f)
+            a, b = f.as_integer_ratio()
+            num, den = s * b + a, m * b
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            witnesses.append((f, str(num) if den == 1 else f"{num}/{den}"))
+        drawn.append(witnesses)
+    return drawn
 
 
-def _report_pools(pts, pools) -> dict:
-    return {frac_str(z): [frac_str(y) for y in p] for z, p in zip(pts, pools)}
-
-
-def _read_samples(kernel, pts, pools, report) -> dict:
-    """Distinct mode: read the kernel off the one sample drawn per point.
+def _read_samples(kernel, pts) -> dict:
+    """Distinct mode: the table read off one guarded sample per point.
 
     Returns ``{index tuple: value}``, keyed by positions in ``pts``.  The
     value at a sample tuple is ``generic_value`` at the points' own base
@@ -373,9 +373,9 @@ def _read_samples(kernel, pts, pools, report) -> dict:
     two, so every sample lies in its point's base block; the samples are
     pairwise distinct and avoid every override constant, so a sample tuple
     repeats exactly where its index tuple does and ``generic_value`` gives
-    ``value_at`` at it.  The samples are drawn and reported as the witness.
+    ``value_at`` at it.  So the table depends on neither m, the seed nor the
+    samples; ``repair`` draws them afterwards as the witness.
     """
-    report["samples"] = {frac_str(z): frac_str(p[0]) for z, p in zip(pts, pools)}
     blocks = [block_of(z, kernel.resolution) for z in pts]
     return {
         t: kernel.generic_value(tuple([blocks[i] for i in t]), repeat_pattern(t))
@@ -383,8 +383,8 @@ def _read_samples(kernel, pts, pools, report) -> dict:
     }
 
 
-def _read_cores(kernel, pts, pools, report, *, core_size, vectors) -> dict:
-    """Multiset mode: take the cores and read the kernel at sorted representatives.
+def _read_cores(kernel, pts, vectors) -> dict:
+    """Multiset mode: the table read at sorted representatives of the cores.
 
     The cores are the first ``core_size`` samples of each pool, which is
     what ``multi_type_extract`` returns for the coloring of a size vector
@@ -398,15 +398,12 @@ def _read_cores(kernel, pts, pools, report, *, core_size, vectors) -> dict:
     blocks of the points repeated as the vector says.  Each coloring is
     therefore constant, and the search of ``extract_core`` accepts every
     element it tries: each pass keeps the first elements of each part.  The
-    value of a vector is read at those blocks of the points, without
-    placing or sorting the samples; pools and cores are reported as the
-    witness.
+    value of a vector is read at those blocks of the points, so the table
+    depends on neither m, the seed nor the pools; ``repair`` draws the pools
+    afterwards and reports them and the cores as the witness.
 
     Returns ``{sorted index tuple: value}``, keyed by positions in ``pts``.
     """
-    report["pool_size"] = len(pools[0])
-    report["pools"] = _report_pools(pts, pools)
-    report["cores"] = _report_pools(pts, [sorted(p[:core_size]) for p in pools])
     blocks = [block_of(z, kernel.resolution) for z in pts]
     distinct = tuple(range(kernel.arity))
     values = {}
@@ -428,54 +425,76 @@ def _verdicts(system, viols) -> list:
 
 
 def _closeness_table(kernel, partition, pts, values: dict, eps, names: list):
-    """Per-tuple drift from the kernel, and the density tuples that drifted.
+    """The report's texts and per-tuple drift from the kernel, and the
+    density tuples that drifted.
 
-    ``values`` is keyed by index tuples into ``pts``.  Returns the report
-    table plus the list of index tuples that sit at density points yet
-    moved further than eps.  Without a partition (exact mode) density flags
-    are unknown and nothing counts as a failure.
+    ``values`` is keyed by index tuples into ``pts``.  Returns the report's
+    ``values`` and ``density_closeness`` tables plus the list of index
+    tuples that sit at density points yet moved further than eps.  Without
+    a partition (exact mode) density flags are unknown and nothing counts
+    as a failure.
 
     A row is computed once per closeness class, at the first tuple of the
-    class, and reused at the others.  The class of a tuple is its repaired
-    value, each coordinate's ``adjacent_blocks`` and the override constant
-    it equals (if any), and its ``repeat_pattern``.  The row is a function
-    of the class: a ``CoordIs`` condition holds exactly where its coordinate
-    equals its constant, a ``CoordsEqual`` condition exactly where the
-    pattern repeats, and a coordinate's base block is the last of its
-    adjacent blocks, so ``value_at`` is one value on the class; the
-    distance depends on it and the repaired value, and ``is_density_tuple``
-    reads only its cell and the base at the adjacent blocks.
+    class, and reused at the others.  The class of a tuple is each
+    coordinate's ``adjacent_blocks`` and the override constant it equals
+    (if any), and its ``repeat_pattern``.  Precondition: the repaired value
+    is a function of the class.  The tables of ``_read_samples`` and
+    ``_read_cores`` meet it: they read ``generic_value`` at the tuple's base
+    blocks, the last of each coordinate's adjacent blocks, and at its
+    pattern or the all-distinct one.  A ``CoordIs`` condition holds exactly
+    where its coordinate equals its constant and a ``CoordsEqual`` condition
+    exactly where the pattern repeats, so ``value_at`` is one value on the
+    class, ``generic_value`` when no coordinate equals a constant.  The
+    texts are computed once per pair of values, and the density flag
+    reads only the cell of ``value_at`` and the base at the adjacent blocks
+    (``base_in_cell``).
     """
     r = kernel.resolution
+    space = kernel.space
     constants = kernel.exception_constants()
+    adjacent = [adjacent_blocks(x, r) for x in pts]
+    blocks = [adj[-1] for adj in adjacent]
+    hits = [x in constants for x in pts]
     # point index -> id of its (adjacent blocks, constant equalled) pair
     ids: dict = {}
     coord = [
-        ids.setdefault((adjacent_blocks(x, r), x if x in constants else None), len(ids))
-        for x in pts
+        ids.setdefault((adj, x if hit else None), len(ids))
+        for x, adj, hit in zip(pts, adjacent, hits)
     ]
+    texts = {}
     table = {}
     bad = []
-    rows: dict = {}  # closeness class -> (density flag, distance text, drifted)
+    # (repaired value, kernel value) -> (value text, distance text, beyond eps)
+    pairs: dict = {}
+    rows: dict = {}  # closeness class -> (value text, density flag, distance text, drifted)
     for t in sorted(values):
-        v = values[t]
-        key = (v, tuple([coord[i] for i in t]), repeat_pattern(t))
+        pattern = repeat_pattern(t)
+        key = (tuple([coord[i] for i in t]), pattern)
         row = rows.get(key)
         if row is None:
-            pt = tuple([pts[i] for i in t])
-            at_t = kernel.value_at(pt)
-            d = kernel.space.dist(v, at_t)
-            if partition is None:
-                row = (None, frac_str(d), False)
+            v = values[t]
+            if any([hits[i] for i in t]):
+                at_t = kernel.value_at(tuple([pts[i] for i in t]))
             else:
-                dense = is_density_tuple(kernel, partition, pt, value=at_t)
-                row = (dense, frac_str(d), dense and d > eps)
-            rows[key] = row
-        dense, text, drifted = row
+                at_t = kernel.generic_value(tuple([blocks[i] for i in t]), pattern)
+            pair = pairs.get((v, at_t))
+            if pair is None:
+                d = space.dist(v, at_t)
+                pair = pairs[(v, at_t)] = (value_to_text(space, v), frac_str(d), d > eps)
+            text, dist_text, beyond = pair
+            if partition is None:
+                dense = None
+            else:
+                target = partition.cell_of(at_t)
+                dense = base_in_cell(kernel, partition, [adjacent[i] for i in t], target)
+            row = rows[key] = (text, dense, dist_text, dense and beyond)
+        text, dense, dist_text, drifted = row
+        name = _point_key(t, names)
+        texts[name] = text
+        table[name] = {"density": dense, "dist": dist_text}
         if drifted:
             bad.append(t)
-        table[_point_key(t, names)] = {"density": dense, "dist": text}
-    return table, bad
+    return texts, table, bad
 
 
 # 97.5th normal quantile, for two-sided 95% coverage.

@@ -100,12 +100,21 @@ def is_density_tuple(kernel: StepKernel, partition: CellPartition, point, value=
     pt = tuple(as_fraction(x) for x in point)
     if value is None:
         value = kernel.value_at(pt)
-    target = partition.cell_of(value)
     per_axis = [adjacent_blocks(x, kernel.resolution) for x in pt]
-    for blocks in itertools.product(*per_axis):
-        if partition.cell_of(kernel.base[blocks]) != target:
-            return False
-    return True
+    return base_in_cell(kernel, partition, per_axis, partition.cell_of(value))
+
+
+def base_in_cell(kernel: StepKernel, partition: CellPartition, per_axis, target: int) -> bool:
+    """Whether the base grid maps every block vector of ``per_axis`` into cell ``target``.
+
+    ``per_axis`` holds one tuple of base blocks per coordinate, and the
+    block vectors are their product.  With each coordinate's
+    ``adjacent_blocks`` and the cell of the kernel value at the point, this
+    is the density rule of ``is_density_tuple``.
+    """
+    cell_of = partition.cell_of
+    base = kernel.base
+    return all(cell_of(base[blocks]) == target for blocks in itertools.product(*per_axis))
 
 
 def density_profile(

@@ -6,7 +6,10 @@ brute-force density oracle that shares no code with the implementation
 beyond kernel lookup.  reference_violations and reference_audit are the
 plain sweeps the memoised ones replaced: every assignment evaluated anew,
 every atom checked at every assignment.  reference_core is the candidate
-scan that core extraction's pruned search replaced.
+scan that core extraction's pruned search replaced.  reference_repair is the
+attempt loop that the one-pass repair replaced: every attempt draws its
+witnesses as ``Fraction``s (draw_pools), reads the kernel with ``value_at``
+at them, and sweeps and compares its table anew.
 """
 
 from __future__ import annotations
@@ -22,14 +25,31 @@ from kernel_repair.constraint import (
     FiniteValuesAtom,
     Violation,
     metric_system,
+    proven_infeasible,
     symmetry_atoms,
     triangle_free_system,
 )
-from kernel_repair.corrector import AuditResult, wilson_interval
-from kernel_repair.kernel import CoordIs, CoordsEqual, ExceptionPiece, StepKernel, block_of
+from kernel_repair.corrector import (
+    AuditResult,
+    CorrectedKernel,
+    RepairOutcome,
+    samples_per_point,
+    separating_refinement,
+    wilson_interval,
+)
+from kernel_repair.density import is_density_tuple
+from kernel_repair.errors import ContractError
+from kernel_repair.kernel import (
+    CoordIs,
+    CoordsEqual,
+    ExceptionPiece,
+    StepKernel,
+    block_of,
+    sample_in_cell,
+)
 from kernel_repair.ramsey import is_monochromatic
-from kernel_repair.rational import as_fraction
-from kernel_repair.values import BoundedInterval
+from kernel_repair.rational import as_fraction, frac_str
+from kernel_repair.values import BoundedInterval, epsilon_partition, value_to_text
 
 F = Fraction
 
@@ -238,3 +258,143 @@ def reference_core(parts, sizes, coloring, goal):
         if is_monochromatic(combo, sizes, coloring):
             return tuple(list(c) for c in combo)
     return None
+
+
+def draw_guarded(rng, point, m, forbidden):
+    """Sample the point's level-m cell, redrawing exact hits on forbidden values."""
+    for _ in range(64):
+        y = sample_in_cell(point, m, rng)
+        if y not in forbidden:
+            return y
+    raise ContractError("could not draw a sample clear of the guarded values")
+
+
+def draw_pools(rng, kernel, pts, pool, m):
+    """Pool guarded ``Fraction`` samples per point, pairwise distinct and
+    clear of the points and the override constants."""
+    forbidden = set(kernel.exception_constants()) | set(pts)
+    pools = []
+    for z in pts:
+        drawn = []
+        for _ in range(pool):
+            y = draw_guarded(rng, z, m, forbidden)
+            forbidden.add(y)
+            drawn.append(y)
+        pools.append(drawn)
+    return pools
+
+
+def sampled_table(kernel, mode, pools, core_size):
+    """``value_at`` at the sample tuples (distinct mode) or at the sorted
+    representatives of the cores (multiset mode), keyed by index tuples."""
+    n = len(pools)
+    if mode == "multiset":
+        cores = [sorted(p[:core_size]) for p in pools]
+        return {
+            t: kernel.value_at(
+                tuple(sorted(y for i in sorted(set(t)) for y in cores[i][: t.count(i)]))
+            )
+            for t in itertools.combinations_with_replacement(range(n), kernel.arity)
+        }
+    return {
+        t: kernel.value_at(tuple(pools[i][0] for i in t))
+        for t in itertools.product(range(n), repeat=kernel.arity)
+    }
+
+
+def reference_repair(kernel, system, points, config):
+    """Oracle repair: the attempt loop, each attempt drawn, read and checked anew.
+
+    Returns a ``RepairOutcome`` whose report has no timing entry.  Inputs
+    are assumed valid.
+    """
+    pts = tuple(sorted(as_fraction(x) for x in points))
+    cap = config.max_refinement
+    if cap is not None and cap < kernel.resolution:
+        cap = kernel.resolution
+    space, eps = kernel.space, config.epsilon
+    symmetric = system.mode == "multiset"
+    pool = samples_per_point(system, config)
+    core_size = max(system.variables, kernel.arity)
+    m = separating_refinement(pts, kernel.resolution, cap)
+    partition = epsilon_partition(space, eps) if eps > 0 else None
+    part = 2 if symmetric else 1
+    names = [frac_str(x) for x in pts]
+
+    def key(t):
+        return ",".join(names[i] for i in t)
+
+    report = {
+        "part": part,
+        "mode": system.mode,
+        "status": None,
+        "epsilon": frac_str(eps),
+        "seed": str(config.seed),
+        "points": names,
+        "initial_m": m,
+        "final_m": m,
+        "escalations": [],
+        "probe": {"ran": False, "proven_infeasible": False},
+    }
+    if symmetric:
+        report["core_size"] = core_size
+    status, corrected = "failed", None
+    for attempt in range(config.max_escalations + 1):
+        report["final_m"] = m
+        rng = random.Random(f"{config.seed}:p{part}:{attempt}")
+        pools = draw_pools(rng, kernel, pts, pool, m)
+        if symmetric:
+            report["pool_size"] = pool
+            report["pools"] = {z: [frac_str(y) for y in p] for z, p in zip(names, pools)}
+            report["cores"] = {
+                z: [frac_str(y) for y in sorted(p[:core_size])] for z, p in zip(names, pools)
+            }
+        else:
+            report["samples"] = {z: frac_str(p[0]) for z, p in zip(names, pools)}
+        values = sampled_table(kernel, system.mode, pools, core_size)
+        viols = reference_violations(
+            system,
+            lambda t: values[tuple(sorted(t)) if symmetric else t],
+            space,
+            range(len(pts)),
+            eps,
+        )
+        report["values"] = {key(t): value_to_text(space, v) for t, v in sorted(values.items())}
+        report["violations"] = [
+            {"tuple": key(v.assignment), "atom": v.detail} for v in viols[:10]
+        ]
+        report["verdicts"] = [
+            {"atom": atom.describe(), "holds": all(v.atom is not atom for v in viols)}
+            for atom in system.atoms
+        ]
+        closeness, agree = {}, []
+        for t, v in sorted(values.items()):
+            pt = tuple(pts[i] for i in t)
+            d = space.dist(v, kernel.value_at(pt))
+            dense = None if partition is None else is_density_tuple(kernel, partition, pt)
+            closeness[key(t)] = {"density": dense, "dist": frac_str(d)}
+            if dense and d > eps:
+                agree.append(key(t))
+        report["density_closeness"] = closeness
+        report["agreement_failures"] = agree
+        if not viols and not agree:
+            status = "ok"
+            corrected = CorrectedKernel(
+                points=pts,
+                arity=kernel.arity,
+                symmetric=symmetric,
+                values={tuple(pts[i] for i in t): v for t, v in values.items()},
+            )
+            break
+        if viols and not report["probe"]["ran"]:
+            report["probe"]["ran"] = True
+            if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
+                report["probe"]["proven_infeasible"] = True
+                status = "infeasible"
+                break
+        if attempt == config.max_escalations or (cap is not None and m * 2 > cap):
+            break
+        m *= 2
+        report["escalations"].append({"reason": "constraints" if viols else "agreement", "m": m})
+    report["status"] = status
+    return RepairOutcome(status=status, corrected=corrected, report=report)

@@ -3,19 +3,29 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import itertools
 import math
 import random
+import re
+import types
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_audit, reference_violations, suite_problem
-from kernel_repair import corrector
+from helpers import (
+    draw_pools,
+    reference_audit,
+    reference_repair,
+    reference_violations,
+    suite_problem,
+)
+from kernel_repair import constraint, corrector
 from kernel_repair.constraint import (
     AffineAtom,
+    _AtomChecker,
     ConstraintSystem,
     EqualityAtom,
     FiniteValuesAtom,
@@ -82,10 +92,6 @@ def test_config_validation():
         RepairConfig(epsilon=F(-1, 10))
     with pytest.raises(ContractError):
         RepairConfig(max_escalations=-1)
-    with pytest.raises(ContractError):
-        RepairConfig(method="psychic")
-    with pytest.raises(ContractError):
-        RepairConfig(restarts=0)
     with pytest.raises(ContractError):
         RepairConfig(pool_size=0)
 
@@ -771,13 +777,16 @@ def rechecked(kernel, system, report, eps):
     }
 
 
-def counting_sweeps(monkeypatch):
+def counting(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
     calls = []
-    sweep = corrector.violations
-    monkeypatch.setattr(
-        corrector, "violations", lambda *args, **kw: calls.append(args) or sweep(*args, **kw)
-    )
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
     return calls
+
+
+def counting_sweeps(monkeypatch):
+    return counting(monkeypatch, corrector, "violations")
 
 
 @pytest.mark.parametrize("mode", ["distinct", "multiset"])
@@ -793,35 +802,29 @@ def test_an_escalating_repair_sweeps_its_table_once(monkeypatch, mode):
     assert {key: report[key] for key in want} == want
 
 
-def test_an_escalation_that_reads_a_new_table_checks_it(monkeypatch):
-    # the closed-form table never changes between attempts; a reader whose
-    # table does shows that the loop checks the table it read
-    kernel, system, points, eps = escalating_problem("distinct")
-    read = corrector._read_samples
-    attempts = []
+@pytest.mark.parametrize("mode", ["distinct", "multiset"])
+def test_an_escalating_repair_decides_once_and_draws_the_last_attempt(monkeypatch, mode):
+    kernel, system, points, eps = escalating_problem(mode)
+    config = RepairConfig(epsilon=eps, seed="0")
+    want = reference_repair(kernel, system, points, config)
+    reads = counting(monkeypatch, corrector, "_read_cores" if mode == "multiset" else "_read_samples")
+    sweeps = counting_sweeps(monkeypatch)
+    probes = counting(monkeypatch, corrector, "proven_infeasible")
+    seeds = []
 
-    def read_ones_after_the_first(kernel, pts, pools, report):
-        values = read(kernel, pts, pools, report)
-        if attempts:
-            values = {t: F(1) for t in values}
-        attempts.append(values)
-        return values
+    class Recording(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
 
-    monkeypatch.setattr(corrector, "_read_samples", read_ones_after_the_first)
-    calls = counting_sweeps(monkeypatch)
-    report = repair(kernel, system, points, RepairConfig(epsilon=eps, seed="0")).report
-    # the ones meet the demand but leave the kernel at its density tuples
-    assert [e["reason"] for e in report["escalations"]] == [
-        "constraints",
-        "agreement",
-        "agreement",
-    ]
-    assert len(attempts) == 4
-    assert len(calls) == 2
-    assert report["violations"] == []
-    assert report["agreement_failures"]
-    want = rechecked(kernel, system, report, eps)
-    assert {key: report[key] for key in want} == want
+    monkeypatch.setattr(corrector, "random", types.SimpleNamespace(Random=Recording))
+    outcome = repair(kernel, system, points, config)
+    assert outcome.status == want.status == "failed"
+    assert len(outcome.report["escalations"]) == 3
+    assert (len(reads), len(sweeps), len(probes)) == (1, 1, 1)
+    part = 2 if mode == "multiset" else 1
+    assert seeds == [f"0:p{part}:3"]
+    assert strip_timing(outcome.report) == want.report
 
 
 # --- index-keyed tables, closeness classes and float cuts against plain references ---
@@ -1022,3 +1025,193 @@ def test_audit_equals_the_plain_audit_off_dyadic_resolutions(resolution, seed):
         assert audit_ae_hypothesis(kernel, system, 300, seed=seed) == reference_audit(
             kernel, system, 300, seed=seed
         )
+
+
+# --- the one-pass repair against the attempt loop, witnesses and atom plans ---
+
+
+def test_a_repeated_constant_point_under_a_diagonal_piece_fails_agreement():
+    # the table reads the diagonal piece at (1/2, 1/2), where value_at reads
+    # the piece of the constant 1/2 first; no escalation changes the table
+    kernel = StepKernel.from_flat(
+        arity=2,
+        resolution=1,
+        space=BoundedInterval(F(1)),
+        flat_values=[F(0)],
+        exceptions=(
+            ExceptionPiece((CoordIs(1, F(1, 2)),), F(0)),
+            ExceptionPiece((CoordsEqual(1, 2),), F(1)),
+        ),
+    )
+    system = ConstraintSystem(
+        arity=2,
+        variables=1,
+        mode="distinct",
+        atoms=(FiniteValuesAtom((1, 1), frozenset({F(0), F(1)})),),
+    )
+    config = RepairConfig(epsilon=F(1, 10), seed="0")
+    outcome = repair(kernel, system, (F(1, 4), F(1, 2)), config)
+    report = outcome.report
+    assert outcome.status == "failed"
+    assert [e["reason"] for e in report["escalations"]] == ["agreement"] * 3
+    assert report["agreement_failures"] == ["1/2,1/2"]
+    assert report["values"]["1/2,1/2"] == "1"
+    assert kernel.value_at((F(1, 2), F(1, 2))) == 0
+    assert strip_timing(report) == reference_repair(kernel, system, (F(1, 4), F(1, 2)), config).report
+
+
+class ScriptedDraws(random.Random):
+    """Its own seeded stream, after the scripted floats are used up."""
+
+    def __init__(self, seed, script):
+        super().__init__(seed)
+        self.script = list(script)
+
+    def random(self):
+        return self.script.pop(0) if self.script else super().random()
+
+
+def witness_texts(drawn, core_size):
+    return [
+        ([text for _, text in d], [text for _, text in sorted(d[:core_size])]) for d in drawn
+    ]
+
+
+def reference_witness_texts(pools, core_size):
+    return [
+        ([frac_str(y) for y in p], [frac_str(y) for y in sorted(p[:core_size])]) for p in pools
+    ]
+
+
+def test_witnesses_redraw_hits_on_the_point_and_on_a_constant():
+    # at m = 8, 3/16 is 1/2 into cell 1 and the constant 5/32 a quarter
+    kernel = StepKernel.from_flat(
+        arity=1,
+        resolution=1,
+        space=BoundedInterval(F(1)),
+        flat_values=[F(0)],
+        exceptions=(ExceptionPiece((CoordIs(1, F(5, 32)),), F(1)),),
+    )
+    pts = (F(3, 16), F(11, 16))
+    # point 3/16: hit itself, hit the constant, 0.7, 0.7 again; point 11/16
+    # (cell 5, its own guard) may draw 0.25 and 0.7
+    script = [0.5, 0.25, 0.7, 0.7, 0.1, 0.25, 0.7]
+    drawn = corrector._draw_witnesses(ScriptedDraws("w", script), kernel, pts, 2, 8)
+    pools = draw_pools(ScriptedDraws("w", script), kernel, pts, 2, 8)
+    assert witness_texts(drawn, 2) == reference_witness_texts(pools, 2)
+    assert [[f for f, _ in d] for d in drawn] == [[0.7, 0.1], [0.25, 0.7]]
+
+
+@st.composite
+def witness_case(draw):
+    """Points, constants, level and a script of floats that hit the guard.
+
+    The script mixes exact hits c·m − s, for the points and for constants
+    in their cells, with repeats and fresh floats.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    grid = [F(j, 64) for j in range(64)] + [F(j, 7) for j in range(1, 7)]
+    pts = tuple(sorted(rng.sample(grid, rng.randint(1, 4))))
+    constants = rng.sample(grid, rng.randint(0, 4)) + rng.sample(pts, rng.randint(0, len(pts)))
+    resolution = rng.choice([1, 2, 4])
+    kernel = StepKernel.from_flat(
+        arity=1,
+        resolution=resolution,
+        space=BoundedInterval(F(1)),
+        flat_values=[F(0)] * resolution,
+        exceptions=tuple(ExceptionPiece((CoordIs(1, c),), F(1)) for c in constants),
+    )
+    m = separating_refinement(pts, kernel.resolution) * 2 ** rng.randint(0, 3)
+    hits = []
+    for x in set(pts) | set(constants):
+        offset = x * m - block_of(x, m)
+        if float(offset) == offset:
+            hits.append(float(offset))
+    menu = hits + [rng.random() for _ in range(3)]
+    script = [rng.choice(menu) for _ in range(rng.randint(0, 12))] if menu else []
+    pool = rng.randint(1, 4)
+    return kernel, pts, m, pool, script, rng.randint(1, pool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_case(), st.sampled_from(["0", "x"]))
+def test_witnesses_on_floats_equal_the_fraction_draws(case, seed):
+    kernel, pts, m, pool, script, core_size = case
+    first, second = ScriptedDraws(seed, script), ScriptedDraws(seed, script)
+    drawn = corrector._draw_witnesses(first, kernel, pts, pool, m)
+    pools = draw_pools(second, kernel, pts, pool, m)
+    assert witness_texts(drawn, core_size) == reference_witness_texts(pools, core_size)
+    # the floats stand for the samples, and as many were drawn
+    assert [[F(s) for s in p] for p in pools] == [
+        [(block_of(z, m) + F(f)) / m for f, _ in d] for z, d in zip(pts, drawn)
+    ]
+    assert first.script == second.script and first.random() == second.random()
+
+
+@st.composite
+def escalating_table_case(draw):
+    kernel, system, points, eps, seed = draw(table_case())
+    config = RepairConfig(
+        epsilon=eps,
+        seed=seed,
+        max_escalations=draw(st.integers(min_value=0, max_value=3)),
+        max_refinement=draw(st.sampled_from([None, 8, 64])),
+    )
+    return kernel, system, points, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(escalating_table_case())
+def test_repair_equals_the_attempt_loop(case):
+    kernel, system, points, config = case
+    try:
+        want = reference_repair(kernel, system, points, config)
+    except ContractError as exc:
+        with pytest.raises(ContractError, match=re.escape(str(exc))):
+            repair(kernel, system, points, config)
+        return
+    outcome = repair(kernel, system, points, config)
+    assert strip_timing(outcome.report) == want.report
+    assert outcome.status == want.status
+    if want.corrected is None:
+        assert outcome.corrected is None
+    else:
+        assert outcome.corrected.values == want.corrected.values
+
+
+def test_an_atom_plan_is_compiled_once_per_system(monkeypatch):
+    kernel, system, points, eps = suite_problem(1, "multiset")
+    shapes = counting(monkeypatch, constraint, "_shape")
+    for e in (F(0), eps):
+        _AtomChecker(system, kernel.space, e)
+    audit_ae_hypothesis(kernel, system, 20)
+    repair(kernel, system, points, RepairConfig(epsilon=eps))
+    assert len(shapes) == len(system.atoms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_case(), st.randoms(use_true_random=False))
+def test_a_shared_atom_plan_decides_like_a_fresh_one(case, rnd):
+    kernel, system, points, eps, seed = case
+    space = kernel.space
+    menu = [F(0), F(1, 2), F(1), F(3, 5)]
+    vectors = [[rnd.choice(menu) for _ in system.all_slots()] for _ in range(6)]
+    # an exact checker, then a relaxed one, on the one plan of the system
+    checkers = [_AtomChecker(system, space, e) for e in (F(0), eps)]
+    for checker in checkers:
+        fresh = _AtomChecker(dataclasses.replace(system), space, checker.eps)
+        for values in vectors:
+            ids = [checker.intern(v) for v in values]
+            fresh_ids = [fresh.intern(v) for v in values]
+            assert list(checker.failing(ids.__getitem__)) == list(
+                fresh.failing(fresh_ids.__getitem__)
+            )
+    plan = vars(system)["_atom_plan"]
+    assert all(checker.slots is plan[0] for checker in checkers)
+    audit = audit_ae_hypothesis(kernel, system, 30, seed=seed)
+    assert audit == audit_ae_hypothesis(kernel, dataclasses.replace(system), 30, seed=seed)
+    config = RepairConfig(epsilon=eps, seed=seed)
+    got = repair(kernel, system, points, config)
+    want = repair(kernel, dataclasses.replace(system), points, config)
+    assert strip_timing(got.report) == strip_timing(want.report)
+    assert vars(system)["_atom_plan"] is plan

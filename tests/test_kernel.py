@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from kernel_repair.corrector import _draw_pools, separating_refinement
+from helpers import draw_pools
+from kernel_repair.corrector import separating_refinement
 from kernel_repair.errors import ContractError, DomainError
 from kernel_repair.kernel import (
     CoordIs,
@@ -287,7 +288,7 @@ def guarded_case(draw):
         exceptions=pieces,
     )
     m = separating_refinement(points, resolution) * 2**level
-    pools = _draw_pools(rng, kernel, points, 2, m)
+    pools = draw_pools(rng, kernel, points, 2, m)
     return kernel, [y for pool in pools for y in pool]
 
 
