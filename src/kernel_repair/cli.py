@@ -27,6 +27,7 @@ from .fileio import (
     MAX_SWEEP_ASSIGNMENTS,
     constraint_to_doc,
     estimated_assignments,
+    estimated_selections,
     estimated_table_tuples,
     kernel_to_doc,
     load_constraint,
@@ -35,7 +36,7 @@ from .fileio import (
     to_json,
     write_report,
 )
-from .ramsey import all_selections, extract_core
+from .ramsey import all_selections, extract_core, validate_request
 from .rational import as_fraction, frac_str
 from .values import epsilon_partition, value_from_text, value_to_text
 
@@ -217,6 +218,16 @@ def cmd_ramsey(args) -> int:
         raise ContractError("profile length must equal the number of parts")
     if args.colors < 1:
         raise ContractError("at least one color is required")
+    if args.size > MAX_REPAIR_TABLE:
+        raise ContractError(f"refused: {args.size} elements per part, more than {MAX_REPAIR_TABLE}")
+    validate_request(
+        [range(args.size)] * args.parts, args.profile, args.target, args.method, args.budget
+    )
+    if estimated_selections(args.size, args.profile) > MAX_REPAIR_TABLE:
+        shown = "*".join(f"C({args.size},{t})" for t in args.profile)
+        raise ContractError(
+            f"refused: estimated {shown} colored selections, more than {MAX_REPAIR_TABLE}"
+        )
     parts = [[f"{i}.{j}" for j in range(args.size)] for i in range(args.parts)]
     rng = random.Random(f"{args.seed}:coloring")
     table = {
@@ -260,6 +271,11 @@ def cmd_audit(args) -> int:
         raise ContractError(
             f"refused: estimated {args.trials}*{system.variables} audit draws, "
             f"more than {MAX_SWEEP_ASSIGNMENTS}"
+        )
+    # a trial's floats, their set and their blocks are held at once
+    if system.variables > MAX_REPAIR_TABLE:
+        raise ContractError(
+            f"refused: {system.variables} draws in one audit trial, more than {MAX_REPAIR_TABLE}"
         )
     res = audit_ae_hypothesis(kernel, system, samples=args.trials, seed=args.seed)
     doc = {

@@ -121,6 +121,29 @@ def estimated_table_tuples(mode: str, points: int, arity: int) -> int:
     return count
 
 
+def estimated_selections(size: int, profile) -> int:
+    """The product of C(size, t) over the profile, or a number past the cap.
+
+    That is how many selections a coloring of equal parts of ``size``
+    elements holds.  Each C(size, t) is built as C(size - k + i, i) for
+    i = 1..k with k = min(t, size - t), which never shrinks, and the count
+    stops once it passes ``MAX_REPAIR_TABLE``, so a huge size or subset size
+    costs a few steps.  Subset sizes must lie in 0..size.
+    """
+    count = 1
+    for t in profile:
+        k = min(t, size - t)
+        term = 1
+        for i in range(1, k + 1):
+            term = term * (size - k + i) // i
+            if term > MAX_REPAIR_TABLE:
+                break
+        count *= term
+        if count > MAX_REPAIR_TABLE:
+            break
+    return count
+
+
 def _require(doc: dict, key: str, where: str):
     if key not in doc:
         raise FormatError(f"{where}: missing required key {key!r}")

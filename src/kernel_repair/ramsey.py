@@ -3,9 +3,17 @@
 A selection over parts P_1..P_p with size vector (t_1..t_p) picks a
 t_i-subset from each part.  Given a coloring of all selections, a core
 assigns each part a subset of a common size on which the coloring is
-constant.  One complete search finds it: a pruned depth-first search over
-element positions in natural order, which returns the lexicographically
-first core, and whose failure proves that no core of that size exists.
+constant.  One complete search finds it (``_search``).  It colors every
+subset of the last part with a positive subset size once for each
+selection from the earlier parts' cores, keeps the colors as bitmasks, and
+ANDs them while the earlier cores grow; since a larger earlier core only
+adds constraints, a candidate whose bitmasks leave the last part no core
+is dropped without losing one.  It returns the lexicographically first
+core, and its failure proves that no core of that size exists.
+
+Colors must be hashable: the search buckets them as dict keys, so two
+colors are one color exactly when they are one dict key (``1``, ``1.0``
+and ``True`` are one color).
 
 The multi-pass driver handles several size vectors over the same parts by
 shrinking the cores a little per vector, in lexicographic vector order, so
@@ -15,6 +23,7 @@ subsets).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterator, Sequence
@@ -22,6 +31,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import ContractError, ExtractionFailed
 
 Selection = tuple[tuple, ...]
+#: Maps a selection to its color; colors must be hashable and are compared
+#: as dict keys.
 Coloring = Callable[[Selection], object]
 
 _UNSET = object()
@@ -51,7 +62,16 @@ def is_monochromatic(parts, sizes, coloring: Coloring) -> bool:
     return True
 
 
-def _validate(parts, sizes, goal: int):
+def validate_request(parts, sizes, goal: int, method: str = "greedy", restarts: int = 32):
+    """Raise ContractError unless ``extract_core`` accepts these arguments.
+
+    Reads only the length of each part, so a caller can check a request
+    before it builds the parts or colors anything.
+    """
+    if method not in ("greedy", "exhaustive"):
+        raise ContractError(f"unknown extraction method {method!r}")
+    if restarts < 1:
+        raise ContractError("restarts must be at least 1")
     if goal < 1:
         raise ContractError("core size must be at least 1")
     if len(parts) != len(sizes):
@@ -65,68 +85,194 @@ def _validate(parts, sizes, goal: int):
             raise ContractError(f"core size {goal} exceeds a part of {len(p)} elements")
 
 
+@functools.lru_cache(maxsize=16)
+def _plan(n: int, s: int):
+    """Row plan for the s-subsets of n positions, in lexicographic order.
+
+    A subset's row is its first s-1 positions (its head) and its bit is
+    its last position.  Returns the number of heads, the index of each
+    head, and each subset's row index and bit.
+    """
+    heads = {head: i for i, head in enumerate(itertools.combinations(range(n - 1), s - 1))}
+    powers = [1 << e for e in range(n)]
+    rows, bits = [], []
+    for sub in itertools.combinations(range(n), s):
+        rows.append(heads[sub[:-1]])
+        bits.append(powers[sub[-1]])
+    return len(heads), heads, rows, bits
+
+
 def _search(parts, sizes, coloring: Coloring, goal: int):
     """Lexicographically first core of the given size, or None if none exists.
 
-    Parts fill one after another, each by a backtracking scan over its
-    positions in natural order.  An element joins its core only if every
-    selection it completes has the color fixed by the first selection
-    colored; every extension of the partial cores keeps a selection that
-    disagrees, so dropping the element loses no core and the search is
-    complete.  A selection is complete only once the parts after the
-    current one, which are still empty, ask for no elements, and the
-    subsets of the finished parts stay fixed while later parts fill.
+    Let L be the last part with a positive subset size s.  A part of subset
+    size zero adds only the empty subset, so it takes its first ``goal``
+    elements, and so do the parts after L.  A prefix is a selection from
+    the cores of the parts before L.  A prefix colors every s-subset of
+    part L exactly once and keeps the colors as rows: for each head (s-1
+    positions of part L), a row maps each color to the bitmask of the later
+    positions that complete the head to a subset of that color.  Rows are
+    kept by prefix, so no selection is colored twice in one call.
+
+    The earlier parts with a positive subset size are enumerated in
+    lexicographic order of positions.  The last of them, M, grows its core
+    one position at a time, and each prefix that a new element completes
+    ANDs its rows into a running table, one list of head bitmasks per
+    color.  A larger core of M only adds prefixes, and so constraints: the
+    table only loses bits as M's core grows.  A core of part L in color c
+    needs a head, its first s-1 positions, whose bitmask keeps
+    ``goal - s + 1`` bits, so a color without such a head is dropped, and a
+    table without colors drops the element, both for good.  The parts
+    before M have no complete prefix until M fills, so they are enumerated
+    without pruning.  Once M's core is full, part L is searched on the
+    table by bitmasks, one color at a time, each search taking positions in
+    natural order and dropping a position that leaves too few candidates;
+    the least core over the colors is the answer.  Every pruning step
+    discards only candidates that no completion can turn into a core, so an
+    empty result proves that no core exists.
+
+    A row colors every later element of part L, whereas a lazy scan stops
+    at the first conflict.  For an easy core in a very large part this can
+    take more coloring calls than such a scan, but never more than the
+    number of selections.
     """
     p = len(parts)
-    checked = [t > 0 and not any(sizes[i + 1:]) for i, t in enumerate(sizes)]
-    cores: list[list] = [[] for _ in range(p)]
-    prefixes: list[Selection] = [()]  # selections restricted to the finished parts
-    ref = _UNSET
+    cores = [list(part[:goal]) for part in parts]
+    positive = [i for i in range(p) if sizes[i]]
+    if not positive:
+        return tuple(cores)
+    *earlier, last = positive
+    s = sizes[last]
+    heads, head_index, row_of, bit_of = _plan(len(parts[last]), s)
+    suffix = ((),) * (p - 1 - last)
+    tails = ((sub,) + suffix for sub in itertools.combinations(parts[last], s))
+    if earlier:
+        tails = list(tails)  # shared by every prefix; a lone prefix streams them
+    need = goal - s + 1  # bits that some head of a core's color keeps
 
-    def new_selections(i: int, elem) -> Iterator[Selection]:
-        # selections that use elem, about to join cores[i] after its last element
-        tail = ((),) * (p - 1 - i)
-        for mine in itertools.combinations(cores[i], sizes[i] - 1):
-            here = mine + (elem,)
-            for pre in prefixes:
-                yield pre + (here,) + tail
+    def rows_of(prefix):
+        # the prefix's rows: per color, one bitmask per head
+        colors = [coloring(prefix + tail) for tail in tails]
+        rows = {}
+        try:
+            for c, r, b in zip(colors, row_of, bit_of):
+                masks = rows.get(c)
+                if masks is None:
+                    masks = rows[c] = [0] * heads
+                masks[r] |= b
+        except TypeError:
+            raise ContractError("colors must be hashable") from None
+        return rows
 
-    def fill(i: int, start: int) -> bool:
-        nonlocal prefixes, ref
-        if i == p:
-            return True
-        core, part = cores[i], parts[i]
-        if len(core) == goal:
-            outer = prefixes
-            if i + 1 < p:
-                pool = list(itertools.combinations(core, sizes[i]))
-                prefixes = [pre + (s,) for pre in outer for s in pool]
-            if fill(i + 1, 0):
-                return True
-            prefixes = outer
-            return False
-        for pos in range(start, len(part) - (goal - len(core)) + 1):
-            elem = part[pos]
-            ref_was_unset = ref is _UNSET
-            ok = True
-            if checked[i]:
-                for sel in new_selections(i, elem):
-                    c = coloring(sel)
-                    if ref is _UNSET:
-                        ref = c
-                    elif c != ref:
-                        ok = False
-                        break
-            if ok:
-                core.append(elem)
-                if fill(i, pos + 1):
+    def narrow(table, rows):
+        # the table ANDed with the rows, keeping colors that can still reach goal
+        out = {}
+        for c, masks in rows.items():
+            if table is not None:
+                old = table.get(c)
+                if old is None:
+                    continue
+                masks = [a & b for a, b in zip(old, masks)]
+            if any(m.bit_count() >= need for m in masks):
+                out[c] = masks
+        return out
+
+    def first_in(masks):
+        # first goal-subset of part L whose s-subsets all carry the masks' color
+        chosen = []
+
+        def grow(cand, left):
+            while cand.bit_count() >= left:
+                low = cand & -cand
+                cand ^= low
+                x = low.bit_length() - 1
+                if left == 1:
+                    chosen.append(x)
                     return True
-                core.pop()
-            if ref_was_unset:
-                ref = _UNSET
+                nxt = cand
+                if s > 1:
+                    for head in itertools.combinations(chosen, s - 2):
+                        nxt &= masks[head_index[head + (x,)]]
+                if nxt.bit_count() >= left - 1:
+                    chosen.append(x)
+                    if grow(nxt, left - 1):
+                        return True
+                    chosen.pop()
+            return False
+
+        start = masks[0] if s == 1 else (1 << len(parts[last])) - 1
+        return tuple(chosen) if grow(start, goal) else None
+
+    def finish(table) -> bool:
+        found = [f for f in map(first_in, table.values()) if f is not None]
+        if not found:
+            return False
+        part = parts[last]
+        cores[last] = [part[x] for x in min(found)]
+        return True
+
+    if not earlier:
+        return tuple(cores) if finish(narrow(None, rows_of(((),) * last))) else None
+
+    *blind, m = earlier
+    t, part = sizes[m], parts[m]
+    mid = ((),) * (last - m - 1)
+    spots = []  # M's core by position
+    core = cores[m] = []
+
+    def fill(start: int, table, outer) -> bool:
+        # outer pairs each selection from the parts before M with its rows,
+        # keyed by the positions picked from M; positions, not elements, key
+        # the rows, so elements need not be hashable
+        if len(core) == goal:
+            return finish(table)
+        for pos in range(start, len(part) - (goal - len(core)) + 1):
+            narrowed = table
+            y = part[pos]
+            for mine, elems in zip(
+                itertools.combinations(spots, t - 1), itertools.combinations(core, t - 1)
+            ):
+                here = mine + (pos,)
+                for kept, pre in outer:
+                    rows = kept.get(here)
+                    if rows is None:
+                        rows = kept[here] = rows_of(pre + (elems + (y,),) + mid)
+                    narrowed = narrow(narrowed, rows)
+                    if not narrowed:
+                        break
+                else:
+                    continue
+                break
+            if narrowed is not None and not narrowed:
+                continue
+            spots.append(pos)
+            core.append(y)
+            if fill(pos + 1, narrowed, outer):
+                return True
+            spots.pop()
+            core.pop()
         return False
 
-    return tuple(cores) if fill(0, 0) else None
+    if not blind:
+        # the parts before M all have subset size zero: one empty prefix
+        return tuple(cores) if fill(0, None, [({}, ((),) * m)]) else None
+    rows_by_prefix = {}  # by the positions picked from the parts before M
+    for picked in itertools.product(*(itertools.combinations(range(len(parts[i])), goal) for i in blind)):
+        picks = dict(zip(blind, picked))
+        for i in blind:
+            cores[i] = [parts[i][j] for j in picks[i]]
+        outer = [
+            (
+                rows_by_prefix.setdefault(key, {}),
+                tuple(tuple(parts[i][j] for j in sub) for i, sub in enumerate(key)),
+            )
+            for key in itertools.product(
+                *(itertools.combinations(picks.get(i, ()), sizes[i]) for i in range(m))
+            )
+        ]
+        if fill(0, None, outer):
+            return tuple(cores)
+    return None
 
 
 def extract_core(parts, sizes, coloring: Coloring, goal: int, method: str = "greedy", seed="0", restarts: int = 32):
@@ -135,16 +281,14 @@ def extract_core(parts, sizes, coloring: Coloring, goal: int, method: str = "gre
     Each core lists its elements in part order, so the result is
     deterministic.  Raises ExtractionFailed with ``proven_absent=True``
     when the search finishes empty, which proves that no core of this size
-    exists.  ``method`` ("greedy" or "exhaustive"), ``seed`` and
-    ``restarts`` (at least 1) are accepted and checked but have no effect:
-    both former strategies are this one search.
+    exists.  The coloring is called at most once per selection; its colors
+    must be hashable and are compared as dict keys, and an unhashable color
+    raises ContractError.  ``method`` ("greedy" or "exhaustive"), ``seed``
+    and ``restarts`` (at least 1) are accepted and checked but have no
+    effect: both former strategies are this one search.
     """
-    if method not in ("greedy", "exhaustive"):
-        raise ContractError(f"unknown extraction method {method!r}")
-    if restarts < 1:
-        raise ContractError("restarts must be at least 1")
     parts = [tuple(p) for p in parts]
-    _validate(parts, sizes, goal)
+    validate_request(parts, sizes, goal, method, restarts)
     cores = _search(parts, sizes, coloring, goal)
     if cores is None:
         raise ExtractionFailed(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from kernel_repair.fileio import (
     MAX_KERNEL_ARITY,
     MAX_REPAIR_TABLE,
     MAX_SWEEP_ASSIGNMENTS,
+    estimated_selections,
     load_json,
     save_constraint,
     save_kernel,
@@ -275,6 +277,37 @@ def test_audit_draw_cap_boundary(tmp_path, capsys, monkeypatch, trials, refused)
     assert ("audit draws" in err) == refused
 
 
+def one_trial_audit(tmp_path, variables):
+    cpath = tmp_path / "wide-audit.json"
+    cpath.write_text(
+        '{"mode":"distinct","arity":2,"variables":%d,'
+        '"atoms":[{"kind":"finite","slot":[1,2],"allowed":["1"]}]}' % variables
+    )
+    return str(cpath)
+
+
+@pytest.mark.parametrize("variables, refused", [(MAX_REPAIR_TABLE, False), (MAX_REPAIR_TABLE + 1, True)])
+def test_audit_refuses_one_trial_above_the_table_cap(tmp_path, capsys, monkeypatch, variables, refused):
+    # one trial holds all its floats at once, so its draws are capped
+    # like a value table, although the total stays under the draw cap
+    cpath = one_trial_audit(tmp_path, variables)
+    kpath = kernel_file(tmp_path, constant_kernel(F(1)))
+    monkeypatch.setattr(
+        cli, "audit_ae_hypothesis", lambda *args, **kw: AuditResult(1, 0, 0.0, 1.0)
+    )
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "audit", "--kernel", kpath, "--constraint", cpath, "--trials", "1", "--seed", "7",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == (1 if refused else 0)
+    if refused:
+        assert out == ""
+        assert f"refused: {variables} draws in one audit trial, more than {MAX_REPAIR_TABLE}" in err
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("arity", [1, 3])
 def test_audit_refuses_an_arity_mismatch(tmp_path, capsys, arity):
     # a kernel of arity 2 under a constraint of arity 1 or 3
@@ -451,6 +484,83 @@ def test_ramsey_profile_must_match_parts(capsys):
     )
     assert code == 1
     assert "profile length" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--size", "5", "--profile=-1", "--target", "2"), "subset sizes must be nonnegative"),
+        (("--size", "150", "--profile", "3", "--target", "1"), "subset size 3 exceeds the core size 1"),
+        (("--size", "4", "--profile", "1", "--target", "5"), "core size 5 exceeds a part of 4 elements"),
+        (("--size", "4", "--profile", "1", "--target", "0"), "core size must be at least 1"),
+        (("--size", "150", "--profile", "3", "--target", "4", "--budget", "0"), "restarts must be at least 1"),
+    ],
+)
+def test_ramsey_validates_before_coloring(capsys, monkeypatch, argv, message):
+    def no_table(*args):
+        raise AssertionError("the coloring table was built before validation")
+
+    monkeypatch.setattr(cli, "all_selections", no_table)
+    code, out, err = run(capsys, "ramsey", *argv, "--colors", "2", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("--size", "1000", "--profile", "3", "--target", "5"), "C(1000,3)"),
+        (("--parts", "3", "--size", "200", "--profile", "1,2,1", "--target", "2"), "C(200,1)*C(200,2)*C(200,1)"),
+        (("--size", "1000000", "--profile", "500000", "--target", "500000"), "C(1000000,500000)"),
+    ],
+)
+def test_ramsey_refuses_a_table_above_the_cap_quickly(capsys, argv, shown):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "ramsey", *argv, "--colors", "2", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"refused: estimated {shown} colored selections, more than {MAX_REPAIR_TABLE}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [MAX_REPAIR_TABLE + 1, 10**20])
+def test_ramsey_refuses_parts_above_the_cap_quickly(capsys, size):
+    # a zero profile colors one selection, but the parts alone would be huge
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "ramsey", "--size", str(size), "--profile", "0", "--target", "1",
+        "--colors", "2", "--seed", "1",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert f"refused: {size} elements per part, more than {MAX_REPAIR_TABLE}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size, refused", [(1000, False), (1001, True)])
+def test_ramsey_table_cap_boundary(capsys, monkeypatch, size, refused):
+    # two singleton parts: 1000 * 1000 selections pass, 1001 * 1001 do not
+    assert 1000 * 1000 == MAX_REPAIR_TABLE
+    monkeypatch.setattr(cli, "all_selections", lambda parts, sizes: [])
+    monkeypatch.setattr(cli, "extract_core", lambda parts, *args, **kw: [p[:1] for p in parts])
+    code, _, err = run(
+        capsys,
+        "ramsey", "--parts", "2", "--size", str(size), "--profile", "1,1", "--target", "1",
+        "--colors", "2", "--seed", "1",
+    )
+    assert code == (1 if refused else 0)
+    assert ("refused" in err) == refused
+
+
+def test_estimated_selections_counts_exactly_up_to_the_cap():
+    for size in range(0, 12):
+        for t in range(0, size + 1):
+            assert estimated_selections(size, [t]) == math.comb(size, t)
+            assert estimated_selections(size, [t, t, 0]) == math.comb(size, t) ** 2
+    assert estimated_selections(10**12, [10**11]) > MAX_REPAIR_TABLE
+    assert estimated_selections(1000, [1, 1]) == MAX_REPAIR_TABLE
+    assert estimated_selections(1001, [1, 1]) > MAX_REPAIR_TABLE
 
 
 # --- demo ---

@@ -190,13 +190,14 @@ def test_extract_core_checks_the_ignored_arguments():
         extract_core(parts, [1], constant, 2, restarts=0)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_search_matches_the_candidate_scan(data):
-    """Equal cores, or both fail and the search calls its failure a proof."""
-    count = data.draw(st.integers(1, 2), label="parts")
-    lengths = data.draw(st.lists(st.integers(1, 5), min_size=count, max_size=count), label="lengths")
-    sizes = data.draw(st.lists(st.integers(0, 2), min_size=count, max_size=count), label="sizes")
+def coloring_case(data):
+    """1-3 parts of 1-5 elements (1-4 for three parts), subset sizes 0-3, a
+    drawn coloring of every selection as a dict keyed by selection, and the
+    goals to try."""
+    count = data.draw(st.integers(1, 3), label="parts")
+    longest = 5 if count < 3 else 4
+    lengths = data.draw(st.lists(st.integers(1, longest), min_size=count, max_size=count), label="lengths")
+    sizes = data.draw(st.lists(st.integers(0, 3), min_size=count, max_size=count), label="sizes")
     colors = data.draw(st.integers(1, 3), label="colors")
     parts = [[f"{i}.{j}" for j in range(n)] for i, n in enumerate(lengths)]
     selections = list(all_selections(parts, sizes))
@@ -204,16 +205,107 @@ def test_search_matches_the_candidate_scan(data):
         st.lists(st.integers(0, colors - 1), min_size=len(selections), max_size=len(selections)),
         label="coloring",
     )
-    coloring = dict(zip(selections, drawn)).__getitem__
-    for goal in range(max(1, *sizes), min(lengths) + 1):
-        expected = reference_core(parts, sizes, coloring, goal)
+    return parts, sizes, dict(zip(selections, drawn)), range(max(1, *sizes), min(lengths) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_search_matches_the_candidate_scan(data):
+    """Equal cores, or both fail and the search calls its failure a proof."""
+    parts, sizes, table, goals = coloring_case(data)
+    for goal in goals:
+        expected = reference_core(parts, sizes, table.__getitem__, goal)
         try:
-            found = extract_core(parts, sizes, coloring, goal)
+            found = extract_core(parts, sizes, table.__getitem__, goal)
         except ExtractionFailed as exc:
             assert expected is None
             assert exc.proven_absent
         else:
             assert found == expected
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [(0, 0), (0, 2), (2, 0), (1, 0, 2), (2, 1, 1), (1, 2, 0), (0, 1, 1)],
+)
+def test_search_matches_the_candidate_scan_on_every_layout(sizes):
+    """Zero parts before, between and after the positive ones, and two
+    earlier positive parts, on seeded two-colored cases of every goal."""
+    rng = random.Random(f"layout:{sizes}")
+    parts = [[f"{i}.{j}" for j in range(4)] for i in range(len(sizes))]
+    selections = list(all_selections(parts, sizes))
+    for trial in range(20):
+        # a few color flips on a constant coloring leave cores to find
+        flips = set(rng.sample(range(len(selections)), min(trial % 5, len(selections))))
+        table = {sel: int(i in flips) for i, sel in enumerate(selections)}
+        for goal in range(max(1, *sizes), 5):
+            expected = reference_core(parts, sizes, table.__getitem__, goal)
+            try:
+                found = extract_core(parts, sizes, table.__getitem__, goal)
+            except ExtractionFailed:
+                found = None
+            assert found == expected
+
+
+def seeded_cases(name, count):
+    """Seeded random colorings of 1-3 parts, three parts most often (1-5
+    elements, 1-4 for three parts), with subset sizes 0-3, 2-3 colors and
+    every goal."""
+    rng = random.Random(name)
+    for _ in range(count):
+        n = rng.choice((1, 2, 3, 3))
+        longest = 5 if n < 3 else 4
+        parts = [[f"{i}.{j}" for j in range(rng.randint(1, longest))] for i in range(n)]
+        sizes = [rng.randint(0, 3) for _ in range(n)]
+        colors = rng.randint(2, 3)
+        table = {sel: rng.randrange(colors) for sel in all_selections(parts, sizes)}
+        for goal in range(max(1, *sizes), min(map(len, parts)) + 1):
+            yield parts, sizes, table, goal
+
+
+def test_search_matches_the_candidate_scan_on_seeded_colorings():
+    for parts, sizes, table, goal in seeded_cases("scan", 600):
+        try:
+            found = extract_core(parts, sizes, table.__getitem__, goal)
+        except ExtractionFailed as exc:
+            assert exc.proven_absent
+            found = None
+        assert found == reference_core(parts, sizes, table.__getitem__, goal)
+
+
+def test_each_selection_is_colored_at_most_once_per_call():
+    for parts, sizes, table, goal in seeded_cases("once", 600):
+        calls = []
+
+        def counted(selection):
+            calls.append(selection)
+            return table[selection]
+
+        try:
+            extract_core(parts, sizes, counted, goal)
+        except ExtractionFailed:
+            pass
+        assert len(calls) == len(set(calls))
+
+
+def test_an_unhashable_color_is_a_contract_error():
+    with pytest.raises(ContractError, match="hashable"):
+        extract_core([[0, 1, 2]], [1], lambda sel: [sel[0][0] % 2], 2)
+    with pytest.raises(ContractError, match="hashable"):
+        extract_core([[0, 1], [0, 1, 2]], [1, 2], lambda sel: {"c": 0}, 2)
+
+
+def test_elements_need_not_be_hashable():
+    parts = [[[0], [1], [2]], [[3], [4], [5]]]
+    coloring = lambda sel: int(sel[0][0] == [1] and sel[1][0] == [4])
+    assert extract_core(parts, [1, 1], coloring, 2) == reference_core(parts, [1, 1], coloring, 2)
+    assert extract_core(parts, [1, 1], coloring, 2) == ([[0], [1]], [[3], [5]])
+
+
+def test_colors_compare_as_dict_keys():
+    # 1, 1.0 and True are one dict key, so one color
+    coloring = lambda sel: (1, 1.0, True)[sel[0][0] % 3]
+    assert extract_core([list(range(4))], [1], coloring, 4) == ([0, 1, 2, 3],)
 
 
 # --- shrink schedule ---
