@@ -288,6 +288,37 @@ def cmd_audit(args) -> int:
     return 0
 
 
+def _index_table(table: dict, rank: dict, space) -> dict:
+    """A report's value table keyed by tuples of point indices.
+
+    ``rank`` maps each point of the report to its index.  A key becomes the
+    tuple of its tokens' indices; keys naming any other point are dropped,
+    since no sweep of the points reads them, but every key and value is
+    still parsed, in table order, so a malformed entry anywhere raises.
+    Each distinct key token and value text is parsed once.  A later key
+    naming the same tuple (``1/2`` and ``2/4``) wins.
+    """
+    # token -> index of its point, or None for a point not listed
+    indices: dict = {}
+    parsed: dict = {}
+    values = {}
+    for key, text in table.items():
+        idx = []
+        for tok in key.split(","):
+            if tok not in indices:
+                indices[tok] = rank.get(as_fraction(tok))
+            idx.append(indices[tok])
+        if type(text) is not str:
+            value = value_from_text(space, text)
+        elif text in parsed:
+            value = parsed[text]
+        else:
+            value = parsed[text] = value_from_text(space, text)
+        if None not in idx:
+            values[tuple(idx)] = value
+    return values
+
+
 def cmd_verify(args) -> int:
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)
@@ -309,28 +340,41 @@ def cmd_verify(args) -> int:
                 )
     try:
         part = result["part"]
-        points = tuple(as_fraction(p) for p in result["points"])
+        listed = result["points"]
+        _refuse_large_system_sweep(system, len(listed))
+        points = tuple(as_fraction(p) for p in listed)
         eps = args.epsilon if args.epsilon is not None else as_fraction(result["epsilon"])
-        values = {
-            tuple(as_fraction(tok) for tok in key.split(",")): value_from_text(
-                kernel.space, text
+        table = result["values"]
+        if len(table) > MAX_REPAIR_TABLE:
+            raise ContractError(
+                f"refused: {len(table)} report values, more than {MAX_REPAIR_TABLE}"
             )
-            for key, text in result["values"].items()
-        }
+        # repeated points share the index of their point among the sorted
+        # distinct points, so sorting indices sorts points
+        distinct = sorted(set(points))
+        rank = {p: i for i, p in enumerate(distinct)}
+        values = _index_table(table, rank, kernel.space)
+    except ContractError:
+        raise
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
     symmetric = part == 2
-    _refuse_large_system_sweep(system, len(points))
+    canon = [rank[p] for p in points]
 
     def evaluate(t):
-        key = tuple(sorted(t)) if symmetric else tuple(t)
-        if key not in values:
-            raise FormatError(f"report has no value for tuple {key}")
-        return values[key]
+        key = tuple([canon[i] for i in t])
+        if symmetric:
+            key = tuple(sorted(key))
+        try:
+            return values[key]
+        except KeyError:
+            shown = tuple(distinct[i] for i in key)
+            raise FormatError(f"report has no value for tuple {shown}") from None
 
-    viols = violations(system, evaluate, kernel.space, points, eps)
+    viols = violations(system, evaluate, kernel.space, range(len(points)), eps)
     for v in viols[:10]:
-        print(f"violated: {v.detail} at ({','.join(frac_str(x) for x in v.assignment)})")
+        shown = ",".join(frac_str(points[i]) for i in v.assignment)
+        print(f"violated: {v.detail} at ({shown})")
     n, v = len(points), system.variables
     # multiset mode sweeps every n^v tuple, distinct mode only the injective ones
     checked = f"{n}^{v}" if system.mode == "multiset" else str(math.perm(n, v))

@@ -107,6 +107,12 @@ class AffineAtom:
     negated negative terms, so inf <= inf + c holds.  The relaxed reading
     moves each value by eps in its favorable direction, through the chart
     for the compactified ray and additively (unclipped) on intervals.
+
+    ``satisfied`` decides on integers: each side is summed as one
+    numerator/denominator pair and the sides are compared by cross
+    multiplication, which is exact and builds no ``Fraction``.  A value
+    that is neither an int nor a ``Fraction`` is taken at its exact value
+    (``as_fraction``).
     """
 
     terms: tuple[tuple[Fraction, VarTuple], ...]
@@ -135,28 +141,33 @@ class AffineAtom:
         shift = getattr(val, "shift", None) or (
             lambda v, favor_small: _shift_toward(space, v, eps, favor_small)
         )
-        shifted = []
+        # lhs = ln/ld sums the positive terms, rhs = rn/rd is the bound
+        # minus the negative ones; an infinite value makes its side infinite
+        ln, ld = 0, 1
+        rn, rd = self.bound.numerator, self.bound.denominator
+        lhs_inf = rhs_inf = False
         for c, s in self.terms:
             v = val(s)
+            positive = c.numerator > 0
             if eps:
-                v = shift(v, c > 0)
-            shifted.append((c, v))
-        lhs = Fraction(0)
-        rhs = self.bound
-        for c, v in shifted:
-            if c > 0:
-                if v is INFINITY:
-                    lhs = INFINITY
+                v = shift(v, positive)
+            if v is INFINITY:
+                if positive:
+                    lhs_inf = True
                 else:
-                    lhs = lhs if lhs is INFINITY else lhs + c * v
+                    rhs_inf = True
+                continue
+            if type(v) is not int and type(v) is not Fraction:
+                v = as_fraction(v)
+            # c * v as n/d
+            n, d = c.numerator * v.numerator, c.denominator * v.denominator
+            if positive:
+                ln, ld = ln * d + n * ld, ld * d
             else:
-                if v is INFINITY:
-                    rhs = INFINITY
-                else:
-                    rhs = rhs if rhs is INFINITY else rhs - c * v
-        if lhs is INFINITY:
-            return rhs is INFINITY
-        return rhs is INFINITY or lhs <= rhs
+                rn, rd = rn * d - n * rd, rd * d
+        if lhs_inf:
+            return rhs_inf
+        return rhs_inf or ln * rd <= rn * ld
 
     def describe(self) -> str:
         parts = " + ".join(f"({c})*f{s}" for c, s in self.terms)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 from .constraint import (
@@ -459,9 +460,62 @@ def save_constraint(system: ConstraintSystem, space: ValueSpace, path: str):
         fh.write(to_json(constraint_to_doc(system, space)))
 
 
+class _NotPlain(Exception):
+    """A node that only ``json.dumps`` encodes exactly."""
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _plain_json(node, indent: str) -> str:
+    """``node`` as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at
+    ``indent``, for exact dict/list/tuple/str/int/bool/None/finite-float
+    nodes with str keys; raises ``_NotPlain`` at any other node."""
+    t = type(node)
+    if t is str:
+        return _encode_str(node)
+    if t is dict:
+        if not node:
+            return "{}"
+        for key in node:
+            if type(key) is not str:
+                raise _NotPlain
+        inner = indent + "  "
+        return "{\n" + inner + (",\n" + inner).join([
+            _encode_str(key) + ": " + _plain_json(node[key], inner) for key in sorted(node)
+        ]) + "\n" + indent + "}"
+    if t is list or t is tuple:
+        if not node:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join([
+            _plain_json(item, inner) for item in node
+        ]) + "\n" + indent + "]"
+    if t is int:
+        return int.__repr__(node)
+    if t is bool:
+        return "true" if node else "false"
+    if node is None:
+        return "null"
+    if t is float and math.isfinite(node):
+        return float.__repr__(node)
+    raise _NotPlain
+
+
 def to_json(doc: dict) -> str:
-    """Canonical serialization: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    """Canonical serialization: sorted keys, fixed separators, trailing newline.
+
+    The text of ``json.dumps(doc, indent=2, sort_keys=True,
+    ensure_ascii=True)``, built in one pass, since ``json`` falls back to
+    its pure-Python encoder whenever it indents.  A document with any other
+    node (a non-str key, a non-finite float, a subclass, a cycle) goes to
+    ``json.dumps`` whole, which encodes it or raises as it always did.
+    """
+    try:
+        text = _plain_json(doc, "")
+    except (_NotPlain, RecursionError):
+        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True)
+    return text + "\n"
 
 
 def write_report(doc: dict, path: str):

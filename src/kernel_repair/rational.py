@@ -40,6 +40,9 @@ def as_fraction(x) -> Fraction:
 
 def frac_str(x) -> str:
     """Canonical string form used in files and reports ("3/10", "1", "inf")."""
+    # a Fraction is never infinite; comparing it with a float is slow
+    if type(x) is Fraction:
+        return str(x)
     if x == math.inf:
         return "inf"
     f = as_fraction(x)

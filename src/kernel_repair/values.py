@@ -144,6 +144,9 @@ class CompactifiedRay:
     """
 
     def contains(self, value) -> bool:
+        # a Fraction is never infinite; comparing it with a float is slow
+        if type(value) is Fraction:
+            return value.numerator >= 0
         if value == INFINITY:
             return True
         try:
@@ -153,20 +156,25 @@ class CompactifiedRay:
 
     def chart(self, value) -> Fraction:
         """Map a value into [0, 1]; exact for rational inputs."""
-        if value == INFINITY:
-            return Fraction(1)
-        v = _coerce_number(value)
-        if v < 0:
+        if type(value) is not Fraction:
+            if value == INFINITY:
+                return Fraction(1)
+            value = _coerce_number(value)
+        n, d = value.numerator, value.denominator
+        if n < 0:
             raise DomainError("ray values must be nonnegative")
-        return v / (1 + v)
+        # (n/d) / (1 + n/d), in lowest terms since gcd(n, n + d) = gcd(n, d)
+        return Fraction(n, n + d)
 
     def chart_inverse(self, s: Fraction):
         s = as_fraction(s)
-        if not 0 <= s <= 1:
+        n, d = s.numerator, s.denominator
+        if not 0 <= n <= d:
             raise DomainError("chart coordinate must lie in [0, 1]")
-        if s == 1:
+        if n == d:
             return INFINITY
-        return s / (1 - s)
+        # (n/d) / (1 - n/d)
+        return Fraction(n, d - n)
 
     def dist(self, a, b) -> Fraction:
         return abs(self.chart(a) - self.chart(b))
@@ -285,7 +293,7 @@ def value_to_text(space: ValueSpace, value) -> str:
         if not space.contains(value):
             raise DomainError(f"label {value!r} is not in this space")
         return str(value)
-    if value == INFINITY:
+    if type(value) is not Fraction and value == INFINITY:
         return "inf"
     return frac_str(_coerce_number(value))
 

@@ -5,11 +5,15 @@ the distinct-mode and multiset-mode acceptance runs; midpoint_mass is a
 brute-force density oracle that shares no code with the implementation
 beyond kernel lookup.  reference_violations and reference_audit are the
 plain sweeps the memoised ones replaced: every assignment evaluated anew,
-every atom checked at every assignment.  reference_core is the candidate
+every atom checked at every assignment, affine atoms by
+reference_affine_satisfied, the ``Fraction`` arithmetic that the integer
+sums of ``AffineAtom.satisfied`` replaced.  reference_core is the candidate
 scan that core extraction's pruned search replaced.  reference_repair is the
 attempt loop that the one-pass repair replaced: every attempt draws its
 witnesses as ``Fraction``s (draw_pools), reads the kernel with ``value_at``
-at them, and sweeps and compares its table anew.
+at them, and sweeps and compares its table anew.  reference_verify is the
+``verify`` command that the index-keyed one replaced: it keys the report's
+table by tuples of ``Fraction`` points.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import math
 import random
 from fractions import Fraction
 
+from kernel_repair.cli import _refuse_large_system_sweep
 from kernel_repair.constraint import (
+    AffineAtom,
     ConstraintSystem,
     EqualityAtom,
     FiniteValuesAtom,
@@ -28,6 +34,7 @@ from kernel_repair.constraint import (
     proven_infeasible,
     symmetry_atoms,
     triangle_free_system,
+    _shift_toward,
 )
 from kernel_repair.corrector import (
     AuditResult,
@@ -38,7 +45,14 @@ from kernel_repair.corrector import (
     wilson_interval,
 )
 from kernel_repair.density import is_density_tuple
-from kernel_repair.errors import ContractError
+from kernel_repair.errors import ContractError, DomainError, FormatError
+from kernel_repair.fileio import (
+    constraint_to_doc,
+    kernel_to_doc,
+    load_constraint,
+    load_json,
+    load_kernel,
+)
 from kernel_repair.kernel import (
     CoordIs,
     CoordsEqual,
@@ -49,7 +63,14 @@ from kernel_repair.kernel import (
 )
 from kernel_repair.ramsey import is_monochromatic
 from kernel_repair.rational import as_fraction, frac_str
-from kernel_repair.values import BoundedInterval, epsilon_partition, value_to_text
+from kernel_repair.values import (
+    INFINITY,
+    BoundedInterval,
+    FiniteMetric,
+    epsilon_partition,
+    value_from_text,
+    value_to_text,
+)
 
 F = Fraction
 
@@ -199,6 +220,42 @@ def midpoint_mass(kernel, partition, point, m, cell_index=None):
     return total * F(m) ** len(pt)
 
 
+def reference_affine_satisfied(atom, val, space, eps):
+    """``AffineAtom.satisfied`` in ``Fraction`` arithmetic, with extended
+    arithmetic for ``INFINITY``."""
+    if isinstance(space, FiniteMetric):
+        raise ContractError("affine atoms need a numeric value space")
+    shifted = []
+    for c, s in atom.terms:
+        v = val(s)
+        if eps:
+            v = _shift_toward(space, v, eps, c > 0)
+        shifted.append((c, v))
+    lhs = F(0)
+    rhs = atom.bound
+    for c, v in shifted:
+        if c > 0:
+            if v is INFINITY:
+                lhs = INFINITY
+            else:
+                lhs = lhs if lhs is INFINITY else lhs + c * v
+        else:
+            if v is INFINITY:
+                rhs = INFINITY
+            else:
+                rhs = rhs if rhs is INFINITY else rhs - c * v
+    if lhs is INFINITY:
+        return rhs is INFINITY
+    return rhs is INFINITY or lhs <= rhs
+
+
+def reference_satisfied(atom, val, space, eps):
+    """An atom's verdict, by the reference arithmetic for affine atoms."""
+    if isinstance(atom, AffineAtom):
+        return reference_affine_satisfied(atom, val, space, eps)
+    return atom.satisfied(val, space, eps)
+
+
 def reference_violations(system, evaluate, space, points, eps=F(0), limit=None):
     """Oracle sweep: every assignment, every atom, values cached per assignment."""
     eps = as_fraction(eps)
@@ -212,7 +269,7 @@ def reference_violations(system, evaluate, space, points, eps=F(0), limit=None):
             return cache[slot]
 
         for atom in system.atoms:
-            if not atom.satisfied(val, space, eps):
+            if not reference_satisfied(atom, val, space, eps):
                 found.append(Violation(assignment, atom, atom.describe()))
                 if limit is not None and len(found) >= limit:
                     return found
@@ -242,7 +299,7 @@ def reference_audit(kernel, system, samples=1000, seed="0", on_trial=None):
                 cache[slot] = kernel.value_at(tuple(tup[v - 1] for v in slot))
             return cache[slot]
 
-        if not all(atom.satisfied(val, kernel.space, zero) for atom in system.atoms):
+        if not all(reference_satisfied(a, val, kernel.space, zero) for a in system.atoms):
             bad += 1
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)
@@ -398,3 +455,57 @@ def reference_repair(kernel, system, points, config):
         report["escalations"].append({"reason": "constraints" if viols else "agreement", "m": m})
     report["status"] = status
     return RepairOutcome(status=status, corrected=corrected, report=report)
+
+
+def reference_verify(args) -> int:
+    """``cli.cmd_verify`` over a table keyed by tuples of ``Fraction`` points.
+
+    Its messages, exit codes and verdicts are the command's, except that it
+    parses every point and value before it refuses a sweep above the cap
+    and has no cap on the table's size.
+    """
+    kernel = load_kernel(args.kernel)
+    system = load_constraint(args.constraint, kernel.space)
+    doc = load_json(args.report, "report")
+    result = doc.get("result", doc)
+    inputs = doc.get("inputs")
+    if inputs is not None:
+        if not isinstance(inputs, dict):
+            raise FormatError(f"report file {args.report}: inputs must be an object")
+        for key, given, built in (
+            ("kernel", args.kernel, kernel_to_doc(kernel)),
+            ("constraint", args.constraint, constraint_to_doc(system, kernel.space)),
+        ):
+            if inputs.get(key) != built:
+                raise FormatError(
+                    f"report file {args.report}: its inputs.{key} differs from {given}"
+                )
+    try:
+        part = result["part"]
+        points = tuple(as_fraction(p) for p in result["points"])
+        eps = args.epsilon if args.epsilon is not None else as_fraction(result["epsilon"])
+        values = {
+            tuple(as_fraction(tok) for tok in key.split(",")): value_from_text(
+                kernel.space, text
+            )
+            for key, text in result["values"].items()
+        }
+    except (KeyError, TypeError, DomainError, ValueError) as exc:
+        raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
+    symmetric = part == 2
+    _refuse_large_system_sweep(system, len(points))
+
+    def evaluate(t):
+        key = tuple(sorted(t)) if symmetric else tuple(t)
+        if key not in values:
+            raise FormatError(f"report has no value for tuple {key}")
+        return values[key]
+
+    viols = reference_violations(system, evaluate, kernel.space, points, eps)
+    for v in viols[:10]:
+        print(f"violated: {v.detail} at ({','.join(frac_str(x) for x in v.assignment)})")
+    n, v = len(points), system.variables
+    checked = f"{n}^{v}" if system.mode == "multiset" else str(math.perm(n, v))
+    print(f"checked {checked} assignments: "
+          f"{'all atoms hold' if not viols else f'{len(viols)} violations'}")
+    return 0 if not viols else 2

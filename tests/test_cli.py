@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import suite_problem
+from helpers import reference_verify, suite_problem
 from kernel_repair import cli
 from kernel_repair.cli import main
-from kernel_repair.constraint import triangle_free_system
+from kernel_repair.constraint import (
+    ConstraintSystem,
+    EqualityAtom,
+    metric_system,
+    triangle_free_system,
+)
 from kernel_repair.corrector import AuditResult, RepairConfig
 from kernel_repair.errors import ContractError
 from kernel_repair.fileio import (
@@ -28,7 +39,7 @@ from kernel_repair.fileio import (
 )
 from kernel_repair.kernel import CoordIs, ExceptionPiece, StepKernel
 from kernel_repair.rational import frac_str
-from kernel_repair.values import BoundedInterval
+from kernel_repair.values import BoundedInterval, CompactifiedRay
 
 F = Fraction
 
@@ -800,6 +811,180 @@ def test_verify_refuses_a_report_of_another_constraint(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert f"inputs.constraint differs from {cpath}" in err
+
+
+# --- verify: refusals before parsing ---
+
+
+def test_verify_refuses_a_large_sweep_before_parsing_the_report(tmp_path, capsys, monkeypatch):
+    kpath = kernel_file(tmp_path, constant_kernel(F(1, 2)))
+    cpath = constraint_file(tmp_path, metric_system())
+    points = [f"{i}/1500" for i in range(1500)]
+    rpath = tmp_path / "report.json"
+    rpath.write_text(to_json({"result": {
+        "part": 2, "points": points, "epsilon": "1/50",
+        "values": {f"{a},{a}": "0" for a in points},
+    }}))
+    # verify's point/key-token and value parsers
+    for parser in ("as_fraction", "value_from_text"):
+        monkeypatch.setattr(cli, parser, lambda *args: pytest.fail("parsed before refusing"))
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", str(rpath)
+    )
+    assert (code, out) == (1, "")
+    assert f"refused: estimated 1500^3 assignments, more than {MAX_SWEEP_ASSIGNMENTS}" in err
+
+
+def test_verify_refuses_a_large_table_before_parsing_a_value(tmp_path, capsys, monkeypatch):
+    kpath, cpath = equality_files(tmp_path)
+    values = symmetric_values()
+    values["1/8,1/8"] = "1/2"
+    rpath = report_file(tmp_path, values)
+    monkeypatch.setattr(cli, "MAX_REPAIR_TABLE", len(values) - 1)
+    monkeypatch.setattr(cli, "value_from_text", lambda *args: pytest.fail("parsed a value"))
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath
+    )
+    assert (code, out) == (1, "")
+    assert f"refused: 5 report values, more than {len(values) - 1}" in err
+
+
+def test_verify_reads_a_table_at_the_cap(tmp_path, capsys, monkeypatch):
+    kpath, cpath = equality_files(tmp_path)
+    rpath = report_file(tmp_path, symmetric_values())
+    monkeypatch.setattr(cli, "MAX_REPAIR_TABLE", len(symmetric_values()))
+    code, out, _ = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath
+    )
+    assert code == 0
+    assert "all atoms hold" in out
+
+
+# --- verify against the Fraction-keyed reference ---
+
+
+def both_verifies(monkeypatch, argv):
+    """``(code, stdout, stderr)`` of ``main(argv)`` under ``cmd_verify``, then
+    under ``reference_verify``."""
+    outcomes = []
+    for command in (cli.cmd_verify, reference_verify):
+        monkeypatch.setattr(cli, "cmd_verify", command)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        outcomes.append((code, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+def written_report(path, points, values, part=1, epsilon="0"):
+    # unsorted, so the table keeps its order
+    path.write_text(json.dumps({
+        "result": {"part": part, "points": points, "epsilon": epsilon, "values": values}
+    }))
+    return str(path)
+
+
+#: a value, and one 1/10 away from it
+HALF, OFF = "1/2", "3/5"
+
+VERIFY_CASES = {
+    "non-canonical tokens": (
+        ["1/4", "1/2"], 1,
+        {"0.25,2/4": HALF, "2/4,1/4": HALF, "1/4,0.250": HALF, "0.5,0.5": HALF},
+    ),
+    "a non-canonical token flags a violation": (
+        ["1/4", "1/2"], 1,
+        {"0.25,2/4": HALF, "2/4,1/4": OFF, "1/4,1/4": HALF, "1/2,1/2": HALF},
+    ),
+    "the last key of a tuple wins": (
+        ["1/4", "1/2"], 1,
+        {"1/4,1/2": HALF, "1/2,1/4": HALF, "0.25,0.5": OFF, "1/4,1/4": HALF, "1/2,1/2": HALF},
+    ),
+    "the last key of a tuple wins, the other way": (
+        ["1/4", "1/2"], 1,
+        {"0.25,0.5": OFF, "1/4,1/2": HALF, "1/2,1/4": HALF, "1/4,1/4": HALF, "1/2,1/2": HALF},
+    ),
+    "keys naming other points": (
+        ["1/4", "1/2"], 1,
+        {"1/4,1/2": HALF, "1/2,1/4": HALF, "1/8,1/4": OFF, "7/8,7/8": "0", "1/4,1/2,1/2": "1"},
+    ),
+    "a bad value at a key naming another point": (
+        ["1/4", "1/2"], 1, {"1/4,1/2": HALF, "1/2,1/4": HALF, "1/8,1/4": "2"},
+    ),
+    "a bad token": (["1/4", "1/2"], 1, {"1/4,1/2": HALF, "1/2,x": HALF}),
+    "a missing tuple": (["1/4", "1/2"], 1, {"1/4,1/2": HALF, "1/4,1/4": HALF}),
+    "a missing tuple in part 2": (["1/2", "1/4"], 2, {"1/2,1/4": HALF}),
+    "unsorted points in part 2": (
+        ["3/4", "1/4", "1/2"], 2,
+        {"1/4,1/2": HALF, "1/4,3/4": OFF, "1/2,3/4": HALF},
+    ),
+    "repeated points": (
+        ["1/2", "1/4", "1/2"], 1,
+        {"1/2,1/4": HALF, "1/4,1/2": OFF, "1/2,1/2": HALF, "1/4,1/4": HALF},
+    ),
+    "repeated points in part 2": (
+        ["1/2", "1/4", "0.5", "1/4"], 2, {"1/4,1/2": HALF, "1/2,1/2": HALF, "1/4,1/4": OFF},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["distinct", "multiset"])
+@pytest.mark.parametrize("case", sorted(VERIFY_CASES))
+def test_verify_agrees_with_the_fraction_keyed_reference(tmp_path, monkeypatch, case, mode):
+    points, part, values = VERIFY_CASES[case]
+    kpath = kernel_file(tmp_path, constant_kernel(F(1, 2)))
+    system = ConstraintSystem(2, 2, mode, (EqualityAtom((1, 2), (2, 1)),))
+    cpath = constraint_file(tmp_path, system)
+    rpath = written_report(tmp_path / "report.json", points, values, part)
+    argv = ["verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath]
+    got, want = both_verifies(monkeypatch, argv)
+    assert got == want
+
+
+def spellings(q):
+    """Token spellings of a point: canonical, scaled, and decimal where it ends."""
+    forms = [frac_str(q), f"{3 * q.numerator}/{3 * q.denominator}"]
+    if q.denominator in (1, 2, 4, 8):
+        forms.append(repr(q.numerator / q.denominator))
+    return forms
+
+
+@st.composite
+def metric_reports(draw):
+    pool = [F(0), F(1, 4), F(1, 2), F(3, 4)]
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    part = draw(st.sampled_from((1, 2)))
+    distinct = sorted(set(points))
+    tuples = [
+        (a, b) for a in distinct for b in distinct if part == 1 or a <= b
+    ]
+    texts = st.sampled_from(("0", "1/4", "1/2", "1", "2", "inf"))
+    values = {}
+    for t in tuples:
+        key = ",".join(draw(st.sampled_from(spellings(q))) for q in t)
+        values[key] = draw(texts)
+    if draw(st.booleans()):
+        values["1/8," + frac_str(distinct[0])] = draw(texts)
+    if tuples and draw(st.integers(0, 4)) == 0:
+        del values[draw(st.sampled_from(sorted(values)))]
+    shown = [draw(st.sampled_from(spellings(q))) for q in points]
+    epsilon = draw(st.sampled_from(("0", "1/50", "1/10")))
+    return shown, values, part, epsilon
+
+
+@settings(max_examples=60, deadline=None)
+@given(metric_reports())
+def test_verify_agrees_with_the_reference_on_metric_reports(report):
+    points, values, part, epsilon = report
+    ray = CompactifiedRay()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        kpath, cpath = os.path.join(tmp, "k.json"), os.path.join(tmp, "c.json")
+        save_kernel(StepKernel.from_flat(2, 1, ray, [F(1)]), kpath)
+        save_constraint(metric_system(), ray, cpath)
+        rpath = written_report(Path(tmp) / "r.json", points, values, part, epsilon)
+        argv = ["verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath]
+        got, want = both_verifies(monkeypatch, argv)
+    assert got == want
 
 
 # --- usage and file errors ---

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import reference_violations
+from helpers import reference_affine_satisfied, reference_violations
 from kernel_repair.constraint import (
     AffineAtom,
     ConstraintSystem,
@@ -16,6 +17,7 @@ from kernel_repair.constraint import (
     FiniteValuesAtom,
     TableAtom,
     ZeroProductAtom,
+    _AtomChecker,
     holds_everywhere,
     instantiate_over,
     metric_system,
@@ -139,6 +141,45 @@ def test_affine_rejects_finite_metric_space():
 def test_affine_rejects_zero_coefficient():
     with pytest.raises(ContractError):
         AffineAtom(((F(0), (1, 2)),), F(0))
+
+
+@st.composite
+def affine_case(draw):
+    """An affine atom of 1-6 terms and values at its slots, on an interval or the ray."""
+    space = draw(st.sampled_from((UNIT, BoundedInterval(F(5, 2)), RAY)))
+    slots = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    numerator = st.integers(-9, 9).filter(bool)
+    coeff = st.builds(F, numerator, st.sampled_from((1, 2, 3, 7, 12)))
+    terms = draw(st.lists(st.tuples(coeff, st.sampled_from(slots)), min_size=1, max_size=6))
+    bound = draw(st.builds(F, st.integers(-20, 20), st.sampled_from((1, 2, 5, 9))))
+    top = 4 if space is RAY else space.diameter
+    value = st.one_of(
+        st.fractions(min_value=0, max_value=top, max_denominator=30),
+        st.integers(0, math.floor(top)),
+    )
+    if space is RAY:
+        value = st.one_of(value, st.just(INFINITY), st.integers(5, 1000))
+    vals = {s: draw(value) for _, s in terms}
+    eps = draw(st.sampled_from((F(0), F(1, 50), F(1, 10), F(1, 3))))
+    return AffineAtom(tuple(terms), bound), vals, space, eps
+
+
+@settings(max_examples=400)
+@given(affine_case())
+@example((TRIANGLE, {(1, 3): INFINITY, (1, 2): INFINITY, (2, 3): 0}, RAY, F(0)))
+@example((TRIANGLE, {(1, 3): INFINITY, (1, 2): 1, (2, 3): 0}, RAY, F(1, 3)))
+@example((TRIANGLE, {(1, 3): 1, (1, 2): INFINITY, (2, 3): 0}, RAY, F(1, 50)))
+@example((AffineAtom(((F(-3, 7), (1, 1)),), F(-2)), {(1, 1): 4}, UNIT, F(1, 10)))
+def test_affine_integer_sums_match_the_fraction_reference(case):
+    atom, vals, space, eps = case
+    want = reference_affine_satisfied(atom, fixed(vals), space, eps)
+    assert atom.satisfied(fixed(vals), space, eps) == want
+    # the same atom read through a checker, with its memo of the shift
+    system = ConstraintSystem(arity=2, variables=3, mode="multiset", atoms=(atom,))
+    checker = _AtomChecker(system, space, eps)
+    ids = {s: checker.intern(v) for s, v in vals.items()}
+    failing = list(checker.failing(lambda k: ids[checker.slots[k]]))
+    assert failing == ([] if want else [0])
 
 
 # --- finite values and tables ---

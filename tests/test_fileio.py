@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from helpers import random_exceptions, random_kernel
 from kernel_repair.constraint import (
@@ -21,6 +22,7 @@ from kernel_repair.constraint import (
     symmetry_atoms,
     triangle_free_system,
 )
+from kernel_repair.demos import DEMOS, run_demo
 from kernel_repair.errors import FormatError
 from kernel_repair.fileio import (
     MAX_REPAIR_TABLE,
@@ -455,6 +457,82 @@ def test_to_json_is_canonical():
 def test_to_json_sorts_keys_recursively():
     text = to_json({"z": {"b": 1, "a": 2}})
     assert text.index('"a"') < text.index('"b"')
+
+
+def dumped(doc) -> str:
+    """What ``to_json`` must write: ``json.dumps``' text, or its exception."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
+    except (TypeError, ValueError) as exc:
+        return repr(exc)
+
+
+def written(doc) -> str:
+    try:
+        return to_json(doc)
+    except (TypeError, ValueError) as exc:
+        return repr(exc)
+
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+json_docs = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(json_docs)
+@example({"": [], "\x00\u00e9\U0001f600\n\"\\": {}, "a": [None, True, -0.0, 1e300, 2**70]})
+def test_to_json_writes_the_bytes_of_json_dumps(doc):
+    assert to_json(doc) == dumped(doc)
+
+
+@pytest.mark.parametrize("seed", ["0", "7", "abc"])
+def test_to_json_writes_demo_reports_as_json_dumps(seed):
+    for name in sorted(DEMOS):
+        doc = run_demo(name, seed=seed).to_doc()
+        assert to_json(doc) == dumped(doc)
+
+
+class Text(str):
+    pass
+
+
+class Number(int):
+    def __repr__(self):
+        return "number"
+
+
+def cyclic():
+    doc = {"a": []}
+    doc["a"].append(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a", 2: "b"},
+    {1: "a", "b": 2},
+    {None: 1, True: 2},
+    {"x": math.nan},
+    [math.inf, -math.inf],
+    {"x": Text("y")},
+    {Text("k"): 1},
+    [Number(3)],
+    {"x": F(1, 2)},
+    {"x": {1, 2}},
+    cyclic(),
+])
+def test_to_json_falls_back_to_json_dumps(doc):
+    assert written(doc) == dumped(doc)
 
 
 def test_strip_timing_removes_nested_fields():
