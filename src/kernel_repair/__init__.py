@@ -53,9 +53,7 @@ from .kernel import (
 )
 from .ramsey import (
     all_selections,
-    exhaustive_core,
     extract_core,
-    greedy_core,
     is_monochromatic,
     multi_type_extract,
 )
@@ -108,10 +106,8 @@ __all__ = [
     "density_mass",
     "density_profile",
     "epsilon_partition",
-    "exhaustive_core",
     "extract_core",
     "frac_str",
-    "greedy_core",
     "holds_everywhere",
     "instantiate_over",
     "is_density_tuple",

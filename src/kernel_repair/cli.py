@@ -2,7 +2,7 @@
 
 Subcommands: eval, density, correct, ramsey, demo, audit, verify.  Exit
 codes: 0 for success or a feasible result, 2 for an honest negative
-(escalation cap reached, no core found, infeasible system, failed
+(escalation cap reached, no core exists, infeasible system, failed
 verification), 1 for usage or file-format errors.  Every randomized
 subcommand requires an explicit --seed; identical invocations produce
 byte-identical reports except for timing fields.
@@ -103,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, type=int, help="core size")
     p.add_argument("--colors", required=True, type=int)
     p.add_argument("--seed", required=True)
-    p.add_argument("--method", choices=("greedy", "exhaustive"), default="greedy",
-                   help="former extraction strategy; accepted, no effect")
-    p.add_argument("--budget", type=int, default=32,
-                   help="former restarts per core extraction, at least 1; accepted, no effect")
 
     p = sub.add_parser("demo", help="run a packaged scenario")
     p.add_argument("name", choices=sorted(DEMOS))
@@ -220,9 +216,7 @@ def cmd_ramsey(args) -> int:
         raise ContractError("at least one color is required")
     if args.size > MAX_REPAIR_TABLE:
         raise ContractError(f"refused: {args.size} elements per part, more than {MAX_REPAIR_TABLE}")
-    validate_request(
-        [range(args.size)] * args.parts, args.profile, args.target, args.method, args.budget
-    )
+    validate_request([range(args.size)] * args.parts, args.profile, args.target)
     if estimated_selections(args.size, args.profile) > MAX_REPAIR_TABLE:
         shown = "*".join(f"C({args.size},{t})" for t in args.profile)
         raise ContractError(
@@ -235,18 +229,9 @@ def cmd_ramsey(args) -> int:
         for sel in all_selections(parts, args.profile)
     }
     try:
-        cores = extract_core(
-            parts,
-            args.profile,
-            table.__getitem__,
-            args.target,
-            method=args.method,
-            seed=args.seed,
-            restarts=args.budget,
-        )
-    except ExtractionFailed as exc:
-        verdict = "proven absent" if exc.proven_absent else "not found"
-        print(f"no monochromatic core: {verdict}")
+        cores = extract_core(parts, args.profile, table.__getitem__, args.target)
+    except ExtractionFailed:
+        print("no monochromatic core: proven absent")
         return 2
     doc = {"cores": [list(c) for c in cores]}
     sys.stdout.write(to_json(doc))
@@ -323,6 +308,8 @@ def cmd_verify(args) -> int:
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)
     doc = load_json(args.report, "report")
+    if not isinstance(doc, dict):
+        raise FormatError(f"report file {args.report}: expected an object at the top level")
     result = doc.get("result", doc)
     # a report written by correct names the files it repaired; a bare
     # result document carries no inputs to compare
@@ -345,6 +332,8 @@ def cmd_verify(args) -> int:
         points = tuple(as_fraction(p) for p in listed)
         eps = args.epsilon if args.epsilon is not None else as_fraction(result["epsilon"])
         table = result["values"]
+        if not isinstance(table, dict):
+            raise TypeError("values must be an object")
         if len(table) > MAX_REPAIR_TABLE:
             raise ContractError(
                 f"refused: {len(table)} report values, more than {MAX_REPAIR_TABLE}"

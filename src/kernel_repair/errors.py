@@ -14,14 +14,10 @@ class FormatError(ValueError):
 
 
 class ExtractionFailed(RuntimeError):
-    """No monochromatic core was found.
+    """No monochromatic core exists.
 
-    ``proven_absent`` is True when the search that failed was complete, in
-    which case no such core exists at all.  Core extraction runs one
-    complete search, so its failures always set it; False is left for a
-    search that gives up early.
+    Core extraction runs one complete search, so its failure is a proof.
+    ``proven_absent`` is always True; it is kept for callers that read it.
     """
 
-    def __init__(self, message: str, proven_absent: bool = False):
-        super().__init__(message)
-        self.proven_absent = proven_absent
+    proven_absent = True

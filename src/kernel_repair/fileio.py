@@ -146,9 +146,24 @@ def estimated_selections(size: int, profile) -> int:
 
 
 def _require(doc: dict, key: str, where: str):
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where}: expected an object")
     if key not in doc:
         raise FormatError(f"{where}: missing required key {key!r}")
     return doc[key]
+
+
+def _list(value, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise FormatError(f"{where}: expected a list")
+    return value
+
+
+def _int(value, where: str) -> int:
+    # bool is an int subclass, and JSON true is no index
+    if type(value) is not int:
+        raise FormatError(f"{where}: expected an integer")
+    return value
 
 
 def _fraction(text, where: str) -> Fraction:
@@ -177,10 +192,11 @@ def space_from_doc(doc: dict) -> ValueSpace:
     variant = _require(doc, "variant", where)
     try:
         if variant == "finite_metric":
-            labels = _require(doc, "labels", where)
-            matrix = _require(doc, "dist_matrix", where)
+            labels = _list(_require(doc, "labels", where), f"{where}.labels")
+            matrix = _list(_require(doc, "dist_matrix", where), f"{where}.dist_matrix")
             rows = tuple(
-                tuple(_fraction(d, where) for d in row) for row in matrix
+                tuple(_fraction(d, where) for d in _list(row, f"{where}.dist_matrix[{i}]"))
+                for i, row in enumerate(matrix)
             )
             return FiniteMetric(labels=tuple(labels), distances=rows)
         if variant == "bounded_interval":
@@ -219,32 +235,31 @@ def kernel_to_doc(kernel: StepKernel) -> dict:
 
 def kernel_from_doc(doc: dict) -> StepKernel:
     where = "kernel"
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: expected an object at the top level")
     arity = _require(doc, "arity", where)
     resolution = _require(doc, "resolution", where)
-    if not isinstance(arity, int) or not isinstance(resolution, int):
+    if type(arity) is not int or type(resolution) is not int:
         raise FormatError(f"{where}: arity and resolution must be integers")
     if resolution < 2 and arity > MAX_KERNEL_ARITY:
         raise FormatError(f"{where}: arity {arity} exceeds the cap {MAX_KERNEL_ARITY}")
     space = space_from_doc(_require(doc, "value_space", where))
-    flat_text = _require(doc, "base", where)
+    flat_text = _list(_require(doc, "base", where), f"{where}.base")
     try:
         flat = [value_from_text(space, str(v)) for v in flat_text]
     except DomainError as exc:
         raise FormatError(f"{where}.base: {exc}") from exc
     pieces = []
-    for i, entry in enumerate(doc.get("exceptions", [])):
+    for i, entry in enumerate(_list(doc.get("exceptions", []), f"{where}.exceptions")):
         loc = f"{where}.exceptions[{i}]"
         conds = []
-        for j, atom in enumerate(_require(entry, "atoms", loc)):
-            coord = _require(atom, "coord", f"{loc}.atoms[{j}]")
+        for j, atom in enumerate(_list(_require(entry, "atoms", loc), f"{loc}.atoms")):
+            at = f"{loc}.atoms[{j}]"
+            coord = _int(_require(atom, "coord", at), f"{at}.coord")
             if "const" in atom:
                 conds.append(CoordIs(coord, _fraction(atom["const"], loc)))
             elif "equals" in atom:
-                conds.append(CoordsEqual(coord, atom["equals"]))
+                conds.append(CoordsEqual(coord, _int(atom["equals"], f"{at}.equals")))
             else:
-                raise FormatError(f"{loc}.atoms[{j}]: needs 'const' or 'equals'")
+                raise FormatError(f"{at}: needs 'const' or 'equals'")
         try:
             value = value_from_text(space, str(_require(entry, "value", loc)))
         except DomainError as exc:
@@ -271,7 +286,7 @@ def _slot_doc(slot) -> list:
 
 
 def _slot_from_doc(raw, where: str) -> tuple:
-    if not isinstance(raw, (list, tuple)) or not all(isinstance(v, int) for v in raw):
+    if not isinstance(raw, (list, tuple)) or not all(type(v) is int for v in raw):
         raise FormatError(f"{where}: a slot must be a list of variable indices")
     return tuple(raw)
 
@@ -326,32 +341,35 @@ def constraint_to_doc(system: ConstraintSystem, space: ValueSpace) -> dict:
 
 def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
     where = "constraint"
-    if not isinstance(doc, dict):
-        raise FormatError(f"{where}: expected an object at the top level")
     mode = _require(doc, "mode", where)
     raw_atoms = _require(doc, "atoms", where)
     if not isinstance(raw_atoms, list) or not raw_atoms:
         raise FormatError(f"{where}.atoms: expected a nonempty list")
 
     # arity and variables may be stated or inferred from explicit slots
-    slots_seen = []
-    for entry in raw_atoms:
-        for key in ("left", "right", "slot"):
-            if key in entry:
-                slots_seen.append(entry[key])
-        for key in ("slots", "columns"):
-            if key in entry:
-                slots_seen.extend(entry[key])
     arity = doc.get("arity")
     variables = doc.get("variables")
-    if arity is None:
+    if arity is None or variables is None:
+        slots_seen = []
+        for i, entry in enumerate(raw_atoms):
+            loc = f"{where}.atoms[{i}]"
+            _require(entry, "kind", loc)
+            for key in ("left", "right", "slot"):
+                if key in entry:
+                    slots_seen.append(_slot_from_doc(entry[key], f"{loc}.{key}"))
+            for key in ("slots", "columns"):
+                if key in entry:
+                    slots_seen.extend(
+                        _slot_from_doc(s, f"{loc}.{key}") for s in _list(entry[key], f"{loc}.{key}")
+                    )
         if not slots_seen:
-            raise FormatError(f"{where}: cannot infer arity; state it explicitly")
-        arity = len(slots_seen[0])
-    if variables is None:
-        if not slots_seen:
-            raise FormatError(f"{where}: cannot infer variables; state them explicitly")
-        variables = max(max(s) for s in slots_seen)
+            raise FormatError(f"{where}: cannot infer arity or variables; state them explicitly")
+        if arity is None:
+            arity = len(slots_seen[0])
+        if variables is None:
+            variables = max(max(s, default=0) for s in slots_seen)
+    arity = _int(arity, f"{where}.arity")
+    variables = _int(variables, f"{where}.variables")
 
     def value(text, loc):
         try:
@@ -382,13 +400,14 @@ def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
                 atoms.append(
                     ZeroProductAtom(
                         tuple(
-                            _slot_from_doc(s, loc) for s in _require(entry, "slots", loc)
+                            _slot_from_doc(s, loc)
+                            for s in _list(_require(entry, "slots", loc), f"{loc}.slots")
                         )
                     )
                 )
             elif kind == "linear_ineq":
-                coeffs = _require(entry, "coeffs", loc)
-                slots = _require(entry, "slots", loc)
+                coeffs = _list(_require(entry, "coeffs", loc), f"{loc}.coeffs")
+                slots = _list(_require(entry, "slots", loc), f"{loc}.slots")
                 if len(coeffs) != len(slots):
                     raise FormatError(f"{loc}: coeffs and slots must align")
                 atoms.append(
@@ -405,17 +424,19 @@ def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
                     FiniteValuesAtom(
                         _slot_from_doc(_require(entry, "slot", loc), loc),
                         frozenset(
-                            value(v, loc) for v in _require(entry, "allowed", loc)
+                            value(v, loc)
+                            for v in _list(_require(entry, "allowed", loc), f"{loc}.allowed")
                         ),
                     )
                 )
             elif kind == "table":
                 columns = tuple(
-                    _slot_from_doc(s, loc) for s in _require(entry, "columns", loc)
+                    _slot_from_doc(s, loc)
+                    for s in _list(_require(entry, "columns", loc), f"{loc}.columns")
                 )
                 rows = frozenset(
-                    tuple(value(v, loc) for v in row)
-                    for row in _require(entry, "rows", loc)
+                    tuple(value(v, loc) for v in _list(row, f"{loc}.rows[{j}]"))
+                    for j, row in enumerate(_list(_require(entry, "rows", loc), f"{loc}.rows"))
                 )
                 atoms.append(TableAtom(columns, rows))
             else:
@@ -440,6 +461,10 @@ def load_json(path: str, what: str) -> dict:
         raise FormatError(
             f"{what} file {path} is not valid JSON (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} file {path} is not UTF-8 text: {exc.reason}") from exc
+    except RecursionError:
+        raise FormatError(f"{what} file {path} nests too deeply to read") from None
 
 
 def load_kernel(path: str) -> StepKernel:

@@ -62,16 +62,12 @@ def is_monochromatic(parts, sizes, coloring: Coloring) -> bool:
     return True
 
 
-def validate_request(parts, sizes, goal: int, method: str = "greedy", restarts: int = 32):
+def validate_request(parts, sizes, goal: int):
     """Raise ContractError unless ``extract_core`` accepts these arguments.
 
     Reads only the length of each part, so a caller can check a request
     before it builds the parts or colors anything.
     """
-    if method not in ("greedy", "exhaustive"):
-        raise ContractError(f"unknown extraction method {method!r}")
-    if restarts < 1:
-        raise ContractError("restarts must be at least 1")
     if goal < 1:
         raise ContractError("core size must be at least 1")
     if len(parts) != len(sizes):
@@ -275,36 +271,23 @@ def _search(parts, sizes, coloring: Coloring, goal: int):
     return None
 
 
-def extract_core(parts, sizes, coloring: Coloring, goal: int, method: str = "greedy", seed="0", restarts: int = 32):
+def extract_core(parts, sizes, coloring: Coloring, goal: int, seed=None):
     """First monochromatic core of the given size, in lexicographic order of positions.
 
     Each core lists its elements in part order, so the result is
-    deterministic.  Raises ExtractionFailed with ``proven_absent=True``
-    when the search finishes empty, which proves that no core of this size
-    exists.  The coloring is called at most once per selection; its colors
-    must be hashable and are compared as dict keys, and an unhashable color
-    raises ContractError.  ``method`` ("greedy" or "exhaustive"), ``seed``
-    and ``restarts`` (at least 1) are accepted and checked but have no
-    effect: both former strategies are this one search.
+    deterministic.  Raises ExtractionFailed when the search finishes empty,
+    which proves that no core of this size exists.  The coloring is called
+    at most once per selection; its colors must be hashable and are
+    compared as dict keys, and an unhashable color raises ContractError.
+    ``seed`` is accepted and ignored, for callers written against the
+    former randomized search.
     """
     parts = [tuple(p) for p in parts]
-    validate_request(parts, sizes, goal, method, restarts)
+    validate_request(parts, sizes, goal)
     cores = _search(parts, sizes, coloring, goal)
     if cores is None:
-        raise ExtractionFailed(
-            f"no monochromatic core of size {goal} exists", proven_absent=True
-        )
+        raise ExtractionFailed(f"no monochromatic core of size {goal} exists")
     return cores
-
-
-def exhaustive_core(parts, sizes, coloring: Coloring, goal: int):
-    """``extract_core`` under its former exhaustive name."""
-    return extract_core(parts, sizes, coloring, goal)
-
-
-def greedy_core(parts, sizes, coloring: Coloring, goal: int, seed="0", restarts: int = 32):
-    """``extract_core`` under its former greedy name; ``seed`` and ``restarts`` have no effect."""
-    return extract_core(parts, sizes, coloring, goal, seed=seed, restarts=restarts)
 
 
 def pass_goal(start: int, target: int, step: int, steps: int) -> int:
@@ -323,9 +306,6 @@ def multi_type_extract(
     size_vectors,
     coloring_for: Callable[[tuple[int, ...]], Coloring],
     target: int,
-    method: str = "greedy",
-    seed="0",
-    restarts: int = 32,
 ):
     """Cores of the target size monochromatic for every size vector at once.
 
@@ -334,8 +314,6 @@ def multi_type_extract(
     interpolation of ``pass_goal``.  Because constancy passes to subsets,
     the final cores are simultaneously monochromatic for every vector.
     All parts must start at a common size no smaller than the target.
-    ``method``, ``seed`` and ``restarts`` are passed on to ``extract_core``,
-    which checks them but is not steered by them.
     """
     parts = [tuple(p) for p in parts]
     if not parts:
@@ -353,13 +331,5 @@ def multi_type_extract(
         if len(vec) != len(parts):
             raise ContractError("size vectors must have one entry per part")
         goal = pass_goal(start, target, step, len(vectors))
-        cores = extract_core(
-            cores,
-            vec,
-            coloring_for(vec),
-            goal,
-            method=method,
-            seed=f"{seed}:{step}",
-            restarts=restarts,
-        )
+        cores = extract_core(cores, vec, coloring_for(vec), goal)
     return cores

@@ -130,7 +130,7 @@ def test_criterion_03_ramsey_ground_truth():
             return (mask >> index[sel]) & 1
 
         try:
-            cores = extract_core(parts, (2,), color, 3, method="exhaustive")
+            cores = extract_core(parts, (2,), color, 3)
         except ExtractionFailed:
             every = False
             break
@@ -146,7 +146,7 @@ def test_criterion_03_ramsey_ground_truth():
 
     proven_absent = False
     try:
-        extract_core(pentagon, (2,), pentagon_color, 3, method="exhaustive")
+        extract_core(pentagon, (2,), pentagon_color, 3)
     except ExtractionFailed as exc:
         proven_absent = exc.proven_absent
     elapsed = time.monotonic() - start
@@ -183,9 +183,7 @@ def test_criterion_04_extraction_checker_independence():
             return table[norm(sel)]
 
         try:
-            cores = extract_core(
-                parts, profile, color, target, seed=f"accept4:{i}", restarts=2
-            )
+            cores = extract_core(parts, profile, color, target)
         except ExtractionFailed:
             continue  # an honest miss, nothing to verify
         found += 1

@@ -460,7 +460,7 @@ def test_ramsey_proven_absence_exits_2(capsys):
     code, out, _ = run(
         capsys,
         "ramsey", "--size", "2", "--profile", "1", "--target", "2",
-        "--colors", "2", "--seed", "0", "--method", "exhaustive",
+        "--colors", "2", "--seed", "0",
     )
     assert code == 2
     assert out == "no monochromatic core: proven absent\n"
@@ -480,7 +480,7 @@ def test_ramsey_default_search_proves_absence(capsys):
 def test_ramsey_same_seed_same_core(capsys):
     argv = (
         "ramsey", "--size", "4", "--profile", "2", "--target", "3",
-        "--colors", "2", "--seed", "7", "--method", "exhaustive",
+        "--colors", "2", "--seed", "7",
     )
     first = run(capsys, *argv)
     second = run(capsys, *argv)
@@ -504,7 +504,6 @@ def test_ramsey_profile_must_match_parts(capsys):
         (("--size", "150", "--profile", "3", "--target", "1"), "subset size 3 exceeds the core size 1"),
         (("--size", "4", "--profile", "1", "--target", "5"), "core size 5 exceeds a part of 4 elements"),
         (("--size", "4", "--profile", "1", "--target", "0"), "core size must be at least 1"),
-        (("--size", "150", "--profile", "3", "--target", "4", "--budget", "0"), "restarts must be at least 1"),
     ],
 )
 def test_ramsey_validates_before_coloring(capsys, monkeypatch, argv, message):
@@ -1017,3 +1016,160 @@ def test_corrupted_kernel_file_exits_1(tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--kernel", str(path), "--point", "1/2")
     assert code == 1
     assert "not valid JSON" in err
+
+
+# --- hostile files ---
+
+
+def hostile_docs():
+    """A kernel, a finite-metric kernel and a constraint document that load,
+    with every field the malformed-field cases below replace."""
+    kernel = {
+        "arity": 2,
+        "resolution": 1,
+        "value_space": {"variant": "bounded_interval", "diameter": "1"},
+        "base": ["0"],
+        "exceptions": [
+            {"atoms": [{"coord": 1, "const": "1/2"}], "value": "1"},
+            {"atoms": [{"coord": 1, "equals": 2}], "value": "0"},
+        ],
+    }
+    metric = {
+        "arity": 1,
+        "resolution": 1,
+        "value_space": {
+            "variant": "finite_metric",
+            "labels": ["a", "b"],
+            "dist_matrix": [["0", "1"], ["1", "0"]],
+        },
+        "base": ["a"],
+    }
+    constraint = {
+        "mode": "distinct",
+        "arity": 2,
+        "variables": 3,
+        "atoms": [
+            {"kind": "equality", "left": [1, 2], "right": [2, 1]},
+            {"kind": "zero_product", "slots": [[1, 2], [2, 3]]},
+            {"kind": "linear_ineq", "coeffs": ["1", "-1"], "slots": [[1, 3], [1, 2]], "bound": "1"},
+            {"kind": "finite", "slot": [1, 2], "allowed": ["0", "1"]},
+            {"kind": "table", "columns": [[1, 2]], "rows": [["0"], ["1"]]},
+        ],
+    }
+    return {"kernel": kernel, "metric": metric, "constraint": constraint}
+
+
+def run_on_docs(capsys, tmp_path, docs, kernel="kernel"):
+    paths = {}
+    for name in (kernel, "constraint"):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(docs[name]))
+    if kernel == "metric":
+        return run(capsys, "eval", "--kernel", str(paths["metric"]), "--point", "1/4")
+    return run(
+        capsys, "audit", "--kernel", str(paths["kernel"]),
+        "--constraint", str(paths["constraint"]), "--trials", "5", "--seed", "0",
+    )
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kernel", ["kernel", "metric"])
+def test_the_hostile_documents_load_unchanged(tmp_path, capsys, kernel):
+    code, _, err = run_on_docs(capsys, tmp_path, hostile_docs(), kernel)
+    assert code == 0, err
+
+
+MALFORMED_FIELDS = [
+    ("kernel", ("arity",), True, "kernel: arity and resolution must be integers"),
+    ("kernel", ("base",), 5, "kernel.base: expected a list"),
+    ("kernel", ("exceptions",), 5, "kernel.exceptions: expected a list"),
+    ("kernel", ("exceptions", 0), 5, "kernel.exceptions[0]: expected an object"),
+    ("kernel", ("exceptions", 0), "atoms", "kernel.exceptions[0]: expected an object"),
+    ("kernel", ("exceptions", 0, "atoms"), 5, "kernel.exceptions[0].atoms: expected a list"),
+    ("kernel", ("exceptions", 0, "atoms", 0), 5, "kernel.exceptions[0].atoms[0]: expected an object"),
+    ("kernel", ("exceptions", 0, "atoms", 0, "coord"), "1", "kernel.exceptions[0].atoms[0].coord: expected an integer"),
+    ("kernel", ("exceptions", 0, "atoms", 0, "coord"), True, "kernel.exceptions[0].atoms[0].coord: expected an integer"),
+    ("kernel", ("exceptions", 1, "atoms", 0, "equals"), [2], "kernel.exceptions[1].atoms[0].equals: expected an integer"),
+    ("kernel", ("value_space",), 5, "value_space: expected an object"),
+    ("metric", ("value_space", "labels"), 5, "value_space.labels: expected a list"),
+    ("metric", ("value_space", "dist_matrix"), 5, "value_space.dist_matrix: expected a list"),
+    ("metric", ("value_space", "dist_matrix", 1), 5, "value_space.dist_matrix[1]: expected a list"),
+    ("constraint", ("atoms", 2), 5, "constraint.atoms[2]: expected an object"),
+    ("constraint", ("arity",), "2", "constraint.arity: expected an integer"),
+    ("constraint", ("arity",), True, "constraint.arity: expected an integer"),
+    ("constraint", ("variables",), 3.0, "constraint.variables: expected an integer"),
+    ("constraint", ("atoms", 0, "left"), [1, True], "constraint.atoms[0]: a slot must be a list"),
+    ("constraint", ("atoms", 1, "slots"), 5, "constraint.atoms[1].slots: expected a list"),
+    ("constraint", ("atoms", 2, "coeffs"), 5, "constraint.atoms[2].coeffs: expected a list"),
+    ("constraint", ("atoms", 2, "slots"), 5, "constraint.atoms[2].slots: expected a list"),
+    ("constraint", ("atoms", 3, "allowed"), 5, "constraint.atoms[3].allowed: expected a list"),
+    ("constraint", ("atoms", 4, "columns"), 5, "constraint.atoms[4].columns: expected a list"),
+    ("constraint", ("atoms", 4, "rows"), 5, "constraint.atoms[4].rows: expected a list"),
+    ("constraint", ("atoms", 4, "rows", 0), 5, "constraint.atoms[4].rows[0]: expected a list"),
+    # with arity and variables left out, they are inferred from the slots
+    ("inferred", ("atoms", 0, "left"), 5, "constraint.atoms[0].left: a slot must be a list"),
+    ("inferred", ("atoms", 1, "slots"), 5, "constraint.atoms[1].slots: expected a list"),
+    ("inferred", ("atoms", 1, "slots", 0), 5, "constraint.atoms[1].slots: a slot must be a list"),
+    ("inferred", ("atoms", 4, "columns", 0), [], "constraint.atoms[4]: a slot needs at least one variable"),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, path, value, message",
+    MALFORMED_FIELDS,
+    ids=[f"{doc}.{'.'.join(map(str, path))}={value!r}" for doc, path, value, _ in MALFORMED_FIELDS],
+)
+def test_a_malformed_field_is_named_not_a_traceback(tmp_path, capsys, doc, path, value, message):
+    docs = hostile_docs()
+    if doc == "inferred":
+        doc = "constraint"
+        del docs[doc]["arity"], docs[doc]["variables"]
+    node = docs[doc]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code, out, err = run_on_docs(capsys, tmp_path, docs, "metric" if doc == "metric" else "kernel")
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
+HOSTILE_BYTES = {
+    "not-utf8": b"\xff\xfe{}",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", sorted(HOSTILE_BYTES))
+@pytest.mark.parametrize("role", ["kernel", "constraint", "report"])
+def test_hostile_bytes_exit_1_with_an_error_line(tmp_path, capsys, role, content):
+    docs = hostile_docs()
+    paths = {}
+    for name in ("kernel", "constraint"):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(docs[name]))
+    paths["report"] = tmp_path / "report.json"
+    written_report(paths["report"], ["1/2"], {"1/2,1/2": "0"})
+    paths[role].write_bytes(HOSTILE_BYTES[content])
+    code, out, err = run(
+        capsys, "verify", "--kernel", str(paths["kernel"]),
+        "--constraint", str(paths["constraint"]), "--report", str(paths["report"]),
+    )
+    assert_one_error_line(code, out, err)
+    assert f"{role} file {paths[role]}" in err
+
+
+@pytest.mark.parametrize("report", [[], {"part": 1, "points": ["1/2"], "epsilon": "0", "values": []}])
+def test_a_report_of_the_wrong_shape_exits_1(tmp_path, capsys, report):
+    docs = hostile_docs()
+    for name in ("kernel", "constraint"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(docs[name]))
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    code, out, err = run(
+        capsys, "verify", "--kernel", str(tmp_path / "kernel.json"),
+        "--constraint", str(tmp_path / "constraint.json"), "--report", str(tmp_path / "report.json"),
+    )
+    assert_one_error_line(code, out, err)

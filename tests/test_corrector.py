@@ -13,7 +13,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     draw_pools,
@@ -1177,6 +1177,36 @@ def test_repair_equals_the_attempt_loop(case):
         assert outcome.corrected is None
     else:
         assert outcome.corrected.values == want.corrected.values
+
+
+#: report fields that name the seed, hold the drawn witnesses or time the run
+WITNESS_FIELDS = ("seed", "samples", "pools", "cores", "timing")
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_case(), st.integers(min_value=0, max_value=3), st.text(max_size=4), st.text(max_size=4))
+def test_only_the_witnesses_depend_on_the_seed(case, escalations, seed_a, seed_b):
+    # status, values, verdicts and escalations are the same for every seed
+    kernel, system, points, eps, _ = case
+    assume(2 <= len(points) <= 6)
+    outcomes = []
+    for seed in (seed_a, seed_b):
+        config = RepairConfig(epsilon=eps, seed=seed, max_escalations=escalations)
+        try:
+            outcomes.append(repair(kernel, system, points, config))
+        except ContractError as exc:
+            outcomes.append(str(exc))
+    first, second = outcomes
+    if isinstance(first, str):
+        assert first == second
+        return
+    assert {k: v for k, v in first.report.items() if k not in WITNESS_FIELDS} == {
+        k: v for k, v in second.report.items() if k not in WITNESS_FIELDS
+    }
+    assert first.status == second.status
+    assert (first.corrected is None) == (second.corrected is None)
+    if first.corrected is not None:
+        assert first.corrected.values == second.corrected.values
 
 
 def test_an_atom_plan_is_compiled_once_per_system(monkeypatch):

@@ -1,4 +1,4 @@
-"""Monochromatic core extraction: the complete search, its aliases, type passes."""
+"""Monochromatic core extraction: the complete search and its type passes."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ from helpers import reference_core
 from kernel_repair.errors import ContractError, ExtractionFailed
 from kernel_repair.ramsey import (
     all_selections,
-    exhaustive_core,
     extract_core,
-    greedy_core,
     is_monochromatic,
     multi_type_extract,
     pass_goal,
@@ -65,27 +63,27 @@ def test_singletons_always_extract_by_pigeonhole():
     """nu=1, k=1, two colors, 3 elements: some pair shares a color."""
     for bits in range(8):
         coloring = lambda sel: (bits >> sel[0][0]) & 1
-        (core,) = exhaustive_core([[0, 1, 2]], [1], coloring, 2)
+        (core,) = extract_core([[0, 1, 2]], [1], coloring, 2)
         assert is_monochromatic([core], [1], coloring)
 
 
 def test_exhaustive_finds_k6_core():
     # one explicit two-coloring of the 6-element pair hypergraph
     coloring = lambda sel: 1 if sum(sel[0]) % 2 else 2
-    (core,) = exhaustive_core([list(range(6))], [2], coloring, 3)
+    (core,) = extract_core([list(range(6))], [2], coloring, 3)
     assert len(core) == 3
     assert is_monochromatic([core], [2], coloring)
 
 
 def test_pentagon_has_no_triangle_and_that_is_proven():
     with pytest.raises(ExtractionFailed) as exc:
-        exhaustive_core([list(range(5))], [2], pentagon_coloring, 3)
+        extract_core([list(range(5))], [2], pentagon_coloring, 3)
     assert exc.value.proven_absent
 
 
 def test_greedy_on_pentagon_fails_with_proof():
     with pytest.raises(ExtractionFailed) as exc:
-        greedy_core([list(range(5))], [2], pentagon_coloring, 3, seed="s", restarts=4)
+        extract_core([list(range(5))], [2], pentagon_coloring, 3, seed="s")
     assert exc.value.proven_absent
 
 
@@ -106,7 +104,7 @@ def test_pentagon_proof_colors_few_selections():
 
 def test_constant_coloring_greedy_takes_first_elements():
     parts = [list("abcdef"), list("uvwxyz")]
-    cores = greedy_core(parts, [1, 1], lambda sel: 0, 3, seed="0")
+    cores = extract_core(parts, [1, 1], lambda sel: 0, 3)
     assert [list(c) for c in cores] == [["a", "b", "c"], ["u", "v", "w"]]
 
 
@@ -122,7 +120,7 @@ def test_exhaustive_completeness_against_brute_force():
             for trio in itertools.combinations(elements, 3)
         )
         try:
-            (core,) = exhaustive_core([elements], [2], coloring, 3)
+            (core,) = extract_core([elements], [2], coloring, 3)
             assert exists
             assert is_monochromatic([core], [2], coloring)
         except ExtractionFailed as exc:
@@ -130,7 +128,7 @@ def test_exhaustive_completeness_against_brute_force():
             assert not exists
 
 
-# --- randomized strategy ---
+# --- seeded colorings ---
 
 
 def test_greedy_outputs_verify_and_mutations_fail():
@@ -145,9 +143,7 @@ def test_greedy_outputs_verify_and_mutations_fail():
         }
         coloring = lambda sel: table[sel[0]]
         try:
-            (core,) = greedy_core(
-                [list(range(n))], [2], coloring, 3, seed=f"t{trial}", restarts=16
-            )
+            (core,) = extract_core([list(range(n))], [2], coloring, 3, seed=f"t{trial}")
         except ExtractionFailed:
             continue
         found += 1
@@ -166,28 +162,9 @@ def test_greedy_is_deterministic():
         pair: rng.randrange(2) for pair in itertools.combinations(range(8), 2)
     }
     coloring = lambda sel: table[sel[0]]
-    a = greedy_core([list(range(8))], [2], coloring, 3, seed="fixed", restarts=8)
-    b = greedy_core([list(range(8))], [2], coloring, 3, seed="fixed", restarts=8)
+    a = extract_core([list(range(8))], [2], coloring, 3, seed="fixed")
+    b = extract_core([list(range(8))], [2], coloring, 3, seed="fixed")
     assert a == b
-
-
-def test_extract_core_dispatch():
-    parts = [list(range(4))]
-    constant = lambda sel: 0
-    exhaustive = extract_core(parts, [1], constant, 2, method="exhaustive")
-    greedy = extract_core(parts, [1], constant, 2, method="greedy")
-    assert [list(c) for c in exhaustive] == [[0, 1]]
-    assert [list(c) for c in greedy] == [[0, 1]]
-    with pytest.raises(ContractError):
-        extract_core(parts, [1], constant, 2, method="magic")
-
-
-def test_extract_core_checks_the_ignored_arguments():
-    parts = [list(range(4))]
-    constant = lambda sel: 0
-    assert extract_core(parts, [1], constant, 2, seed="other", restarts=1) == ([0, 1],)
-    with pytest.raises(ContractError):
-        extract_core(parts, [1], constant, 2, restarts=0)
 
 
 def coloring_case(data):
@@ -343,7 +320,7 @@ def test_pass_goal_range_check():
 def test_multi_type_constant_coloring_takes_first_elements():
     parts = [list(range(10, 16)), list(range(20, 26))]
     vectors = [(0, 2), (1, 1), (2, 0)]
-    cores = multi_type_extract(parts, vectors, lambda vec: (lambda sel: 0), 3, seed="0")
+    cores = multi_type_extract(parts, vectors, lambda vec: (lambda sel: 0), 3)
     assert [list(c) for c in cores] == [[10, 11, 12], [20, 21, 22]]
 
 
@@ -368,9 +345,7 @@ def test_multi_type_color_depends_only_on_type():
         return lambda sel: (vec, noisy.get(sel, 0))
 
     colorings = {vec: coloring_for(vec) for vec in vectors}
-    cores = multi_type_extract(
-        parts, vectors, colorings.__getitem__, 4, seed="mt", restarts=16
-    )
+    cores = multi_type_extract(parts, vectors, colorings.__getitem__, 4)
     assert all(len(c) == 4 for c in cores)
     for vec in vectors:
         shrunk = [c for c in cores]
@@ -383,4 +358,4 @@ def test_multi_type_reports_failure():
     parts = [list(range(4))]
     coloring = lambda vec: (lambda sel: 0 if sel[0][0] < 2 else 1)
     with pytest.raises(ExtractionFailed):
-        multi_type_extract(parts, [(1,)], coloring, 3, method="exhaustive", seed="0")
+        multi_type_extract(parts, [(1,)], coloring, 3)
