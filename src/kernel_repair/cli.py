@@ -2,7 +2,7 @@
 
 Subcommands: eval, density, correct, ramsey, demo, audit, verify.  Exit
 codes: 0 for success or a feasible result, 2 for an honest negative
-(escalation cap reached, no core exists, infeasible system, failed
+(failed repair, no core exists, infeasible system, failed
 verification), 1 for usage or file-format errors.  Every randomized
 subcommand requires an explicit --seed; identical invocations produce
 byte-identical reports except for timing fields.
@@ -91,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True, type=_points_arg)
     p.add_argument("--epsilon", type=_fraction_arg, default=Fraction(0))
     p.add_argument("--seed", required=True)
-    p.add_argument("--max-escalations", type=int, default=3)
-    p.add_argument("--m", type=int, help="cap on the refinement level")
-    p.add_argument("--R", type=int, help="samples per point in multiset mode")
     p.add_argument("--out", help="write the full report here")
 
     p = sub.add_parser("ramsey", help="extract a monochromatic core from a seeded random coloring")
@@ -138,7 +135,7 @@ def _refuse_large_system_sweep(system, n: int):
     _refuse_large_sweep(estimated_assignments(system.mode, n, v), shown)
 
 
-def _refuse_large_repair(system, n: int, config: RepairConfig):
+def _refuse_large_repair(system, n: int):
     """Refuse, before any draw, a value table or sample pools above ``MAX_REPAIR_TABLE``."""
     a = system.arity
     if estimated_table_tuples(system.mode, n, a) > MAX_REPAIR_TABLE:
@@ -146,7 +143,7 @@ def _refuse_large_repair(system, n: int, config: RepairConfig):
         raise ContractError(
             f"refused: estimated {shown} value-table tuples, more than {MAX_REPAIR_TABLE}"
         )
-    samples = n * samples_per_point(system, config)
+    samples = n * samples_per_point(system)
     if samples > MAX_REPAIR_TABLE:
         raise ContractError(
             f"refused: {samples} guarded samples per attempt, more than {MAX_REPAIR_TABLE}"
@@ -175,14 +172,8 @@ def cmd_correct(args) -> int:
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)
     _refuse_large_system_sweep(system, len(args.points))
-    config = RepairConfig(
-        epsilon=args.epsilon,
-        seed=args.seed,
-        max_escalations=args.max_escalations,
-        pool_size=args.R,
-        max_refinement=args.m,
-    )
-    _refuse_large_repair(system, len(args.points), config)
+    _refuse_large_repair(system, len(args.points))
+    config = RepairConfig(epsilon=args.epsilon, seed=args.seed)
     outcome = repair(kernel, system, args.points, config)
     doc = {
         "inputs": {
@@ -198,12 +189,7 @@ def cmd_correct(args) -> int:
         write_report(doc, args.out)
     else:
         sys.stdout.write(to_json(doc))
-    rep = outcome.report
-    print(
-        f"status: {outcome.status} (m={rep['final_m']},"
-        f" escalations={len(rep['escalations'])})",
-        file=sys.stderr,
-    )
+    print(f"status: {outcome.status} (m={outcome.report['m']})", file=sys.stderr)
     return 0 if outcome.ok else 2
 
 

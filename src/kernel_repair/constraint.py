@@ -641,7 +641,7 @@ def proven_infeasible(
     matches a repair that is forced to produce a symmetric function.  If
     under any pattern no assignment of values to the collapsed slots
     satisfies every atom, no function whatsoever can satisfy the quantified
-    system, so the search can stop escalating.
+    system, and the repair reports it infeasible.
 
     Candidate values per unknown come from finite-values atoms, or from the
     label set of a finite metric; patterns with an unbounded unknown, or

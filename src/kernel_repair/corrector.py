@@ -25,14 +25,13 @@ indices (positions in the sorted points), so the sweep, the report and the
 closeness table hash and sort small ints; only a successful repair builds
 the ``Fraction``-keyed ``CorrectedKernel.values``.  The closeness table
 computes one row per closeness class of tuples (see ``_closeness_table``).
-On verification failure the refinement doubles, a bounded number of times.
-The closed form depends on neither the refinement level nor the samples,
-so an escalation would re-read the table it already checked: ``repair``
-reads, sweeps and compares the table once, runs a bounded-budget
-satisfiability probe once if the sweep fails (so genuinely infeasible
-systems surface as such instead of burning the escalation budget), counts
-the escalations the budget allows, and then draws the witness samples of
-the last attempt only, on floats.  The almost-everywhere audit
+The construction doubles the refinement when verification fails, but the
+closed form depends on neither the refinement level nor the samples, so a
+doubled level would re-read the table it already checked.  So ``repair``
+decides in one attempt: it reads, sweeps and compares the table once, runs
+a bounded-budget satisfiability probe once if the sweep fails (so genuinely
+infeasible systems surface as such), and then draws the witness samples at
+the separating level, on floats.  The almost-everywhere audit
 draws its floats in rounds, places them in base blocks by exact float cuts,
 counts its trials per block vector and decides each vector of slot values
 once (see ``audit_ae_hypothesis``).
@@ -82,36 +81,20 @@ _STATUS_INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class RepairConfig:
-    """Tuning knobs for a repair run.
+    """The inputs of a repair run besides the kernel, system and points.
 
     epsilon: relaxation tolerance; must be positive in multiset mode.
     seed: any string; every random choice derives from it.
-    max_escalations: how many times a failed repair may double the
-        refinement level.  The table does not depend on the level, so an
-        escalation cannot change the status; it moves ``final_m`` and the
-        witnesses drawn there.
-    pool_size: samples per point in multiset mode (default twice the core
-        size); the cores are the first core-size samples of each pool, by
-        proof, so the rest are reported as witnesses only.
-    max_refinement: optional cap on the refinement level; values below the
-        kernel resolution are raised to it.
     """
 
     epsilon: Fraction = Fraction(0)
     seed: str = "0"
-    max_escalations: int = 3
-    pool_size: Optional[int] = None
-    max_refinement: Optional[int] = None
 
     def __post_init__(self):
         eps = as_fraction(self.epsilon)
         if eps < 0:
             raise ContractError("epsilon must be nonnegative")
         object.__setattr__(self, "epsilon", eps)
-        if self.max_escalations < 0:
-            raise ContractError("max_escalations must be nonnegative")
-        if self.pool_size is not None and self.pool_size < 1:
-            raise ContractError("pool_size must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,15 +136,11 @@ class RepairOutcome:
         return self.status == _STATUS_OK
 
 
-def separating_refinement(points, resolution: int, cap: Optional[int] = None) -> int:
+def separating_refinement(points, resolution: int) -> int:
     """Smallest level resolution * 2^j putting the points in distinct cells."""
     m = resolution
     while len({block_of(x, m) for x in points}) < len(points):
         m *= 2
-        if cap is not None and m > cap:
-            raise ContractError(
-                f"refinement cap {cap} cannot separate the given points"
-            )
     return m
 
 
@@ -174,27 +153,14 @@ def _report_violations(viols, names: list) -> list:
     return [{"tuple": _point_key(v.assignment, names), "atom": v.detail} for v in viols[:10]]
 
 
-def _count_vectors(parts: int, total: int) -> list[tuple[int, ...]]:
-    """All nonnegative integer vectors of the given length summing to total."""
-    vecs = []
-    for combo in itertools.combinations_with_replacement(range(parts), total):
-        vec = [0] * parts
-        for i in combo:
-            vec[i] += 1
-        vecs.append(tuple(vec))
-    return sorted(vecs)
-
-
-def samples_per_point(system: ConstraintSystem, config: RepairConfig) -> int:
+def samples_per_point(system: ConstraintSystem) -> int:
     """How many guarded samples ``repair`` draws per point.
 
-    Distinct mode draws one; multiset mode draws a pool, by default twice
-    the core size ``max(variables, arity)``.
+    Distinct mode draws one; multiset mode draws a pool of twice the core
+    size ``max(variables, arity)``.
     """
     if system.mode != "multiset":
         return 1
-    if config.pool_size is not None:
-        return config.pool_size
     return 2 * max(system.variables, system.arity)
 
 
@@ -212,17 +178,14 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     systems the pool-and-core construction.  The outcome's report is
     identical across runs with the same inputs except for its timing entry.
 
-    Everything is decided before a witness is drawn.  The closed-form table
-    depends on neither the refinement level, the seed nor the samples (see
-    ``_read_samples``), so an escalation could only redraw the witnesses and
-    re-read it: the table is read, swept and compared with the kernel once,
-    the probe runs once if the sweep fails, and the escalations the budget
-    and the cap allow are then only counted.  Attempt a draws from its own
-    generator, seeded ``{seed}:p{part}:{a}``, and the report keeps the last
-    attempt's witnesses only, so only those are drawn.  So an earlier
-    attempt's guarded draw can no longer fail with "could not draw a sample
-    clear of the guarded values", which takes ``_GUARD_TRIES`` exact clashes
-    in a row.
+    The repair is one attempt, decided before a witness is drawn.  The
+    closed-form table depends on neither the refinement level, the seed nor
+    the samples (see ``_read_samples``), so a doubled level would re-read
+    the same table and reach the same status: the table is read, swept and
+    compared with the kernel once, the probe runs once if the sweep fails,
+    and the witnesses are then drawn at the separating level ``m`` from a
+    generator seeded ``{seed}:p{part}:0``.  The report's ``escalations`` is
+    always empty; it stays for readers that count attempts from it.
     """
     cfg = config or RepairConfig()
     start = time.perf_counter()
@@ -236,30 +199,34 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
             raise ContractError(f"point {x} outside [0, 1)")
     _check_arity(kernel, system)
     system.validate_for_space(kernel.space)
-    cap = cfg.max_refinement
-    if cap is not None and cap < kernel.resolution:
-        cap = kernel.resolution
     space = kernel.space
     eps = cfg.epsilon
     symmetric = system.mode == "multiset"
-    pool = samples_per_point(system, cfg)
     if symmetric:
         if eps <= 0:
             raise ContractError("multiset-mode repair needs a positive epsilon")
         if not kernel.symmetric_base:
             raise ContractError("multiset-mode repair needs a symmetric base grid")
-        core_size = max(system.variables, kernel.arity)
-        if pool < core_size:
-            raise ContractError(f"pool_size {pool} is below the core size {core_size}")
-    m = separating_refinement(pts, kernel.resolution, cap)
+    m = separating_refinement(pts, kernel.resolution)
     partition = epsilon_partition(space, eps) if eps > 0 else None
     part = 2 if symmetric else 1
-    report = _base_report(part, system, pts, cfg, m)
     names = [frac_str(x) for x in pts]
+    report = {
+        "part": part,
+        "mode": system.mode,
+        "status": None,
+        "epsilon": frac_str(eps),
+        "seed": str(cfg.seed),
+        "points": names,
+        "m": m,
+        "escalations": [],
+        "probe": {"ran": False, "proven_infeasible": False},
+    }
     # keyed by index tuples into pts
     if symmetric:
+        core_size = max(system.variables, kernel.arity)
         report["core_size"] = core_size
-        values = _read_cores(kernel, pts, _count_vectors(len(pts), kernel.arity))
+        values = _read_cores(kernel, pts)
     else:
         values = _read_samples(kernel, pts)
     # pts is sorted, so sorting indices sorts the points they stand for
@@ -290,16 +257,8 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
             report["probe"]["proven_infeasible"] = True
             status = _STATUS_INFEASIBLE
-    attempt = 0
-    if status == _STATUS_FAILED:
-        reason = "constraints" if viols else "agreement"
-        while attempt < cfg.max_escalations and (cap is None or m * 2 <= cap):
-            attempt += 1
-            m *= 2
-            report["escalations"].append({"reason": reason, "m": m})
-    report["final_m"] = m
-    rng = random.Random(f"{cfg.seed}:p{part}:{attempt}")
-    drawn = _draw_witnesses(rng, kernel, pts, pool, m)
+    pool = samples_per_point(system)
+    drawn = _draw_witnesses(random.Random(f"{cfg.seed}:p{part}:0"), kernel, pts, pool, m)
     if symmetric:
         report["pool_size"] = pool
         report["pools"] = {z: [text for _, text in d] for z, d in zip(names, drawn)}
@@ -311,21 +270,6 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     report["status"] = status
     report["timing"] = time.perf_counter() - start
     return RepairOutcome(status=status, corrected=corrected, report=report)
-
-
-def _base_report(part: int, system, pts, cfg, m_init: int) -> dict:
-    return {
-        "part": part,
-        "mode": system.mode,
-        "status": None,
-        "epsilon": frac_str(cfg.epsilon),
-        "seed": str(cfg.seed),
-        "points": [frac_str(x) for x in pts],
-        "initial_m": m_init,
-        "final_m": m_init,
-        "escalations": [],
-        "probe": {"ran": False, "proven_infeasible": False},
-    }
 
 
 def _draw_witnesses(rng: random.Random, kernel, pts, pool: int, m: int) -> list[list[tuple[float, str]]]:
@@ -383,7 +327,7 @@ def _read_samples(kernel, pts) -> dict:
     }
 
 
-def _read_cores(kernel, pts, vectors) -> dict:
+def _read_cores(kernel, pts) -> dict:
     """Multiset mode: the table read at sorted representatives of the cores.
 
     The cores are the first ``core_size`` samples of each pool, which is
@@ -406,13 +350,10 @@ def _read_cores(kernel, pts, vectors) -> dict:
     """
     blocks = [block_of(z, kernel.resolution) for z in pts]
     distinct = tuple(range(kernel.arity))
-    values = {}
-    for vec in vectors:
-        key = tuple(
-            itertools.chain.from_iterable(itertools.repeat(i, n) for i, n in enumerate(vec))
-        )
-        values[key] = kernel.generic_value(tuple([blocks[i] for i in key]), distinct)
-    return values
+    return {
+        key: kernel.generic_value(tuple([blocks[i] for i in key]), distinct)
+        for key in itertools.combinations_with_replacement(range(len(pts)), kernel.arity)
+    }
 
 
 def _verdicts(system, viols) -> list:

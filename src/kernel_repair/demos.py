@@ -120,7 +120,6 @@ def triangle_demo(seed: str = "0", audit_samples: int = 10_000) -> DemoReport:
     summary = {
         "name": "triangle_free",
         "status": outcome.status,
-        "escalations": len(outcome.report["escalations"]),
         "f_triangles": f_triangles,
         "g_triangles": g_triangles,
         "audit_violations": audit.violations,
@@ -203,7 +202,6 @@ def metric_demo(seed: str = "0") -> DemoReport:
     summary = {
         "name": "metric_repair",
         "status": outcome.status,
-        "escalations": len(outcome.report["escalations"]),
         "f_violations": f_violations,
         "g_violations": g_violations,
         "zero_diagonal_violations": zero_diag_violations,

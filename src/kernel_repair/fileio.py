@@ -1,9 +1,9 @@
 """JSON interchange for kernels, constraint systems, and reports.
 
 All coordinates, constants, and numeric values travel as exact decimal or
-rational strings ("0.3", "3/10", "inf"), never as binary floats: cell
-membership must be decided bit-exactly, and a float in the file would make
-box boundaries ambiguous.  Value labels of finite metric spaces are plain
+rational strings ("0.3", "3/10", "inf") or integers, never as binary floats:
+cell membership must be decided bit-exactly, and a float in the file would
+make box boundaries ambiguous, so the loaders refuse one.  Value labels of finite metric spaces are plain
 strings.  Malformed documents raise FormatError with the offending field.
 """
 
@@ -55,11 +55,11 @@ MAX_KERNEL_ARITY = 1_000
 MAX_SWEEP_ASSIGNMENTS = 10_000_000
 
 #: Most value-table tuples one ``correct`` may read, and most guarded
-#: samples it may draw per attempt.  The table has ``points ** arity``
-#: tuples in distinct mode and C(points + arity - 1, arity) in multiset
-#: mode, whatever the sweep's size; the samples are points times the pool
-#: size.  The tables of the tests, demos and benchmark hold at most 6^3 =
-#: 216 tuples, and their attempts draw a few dozen samples.
+#: samples it may draw.  The table has ``points ** arity`` tuples in
+#: distinct mode and C(points + arity - 1, arity) in multiset mode, whatever
+#: the sweep's size; the samples are points times the pool size.  The
+#: tables of the tests, demos and benchmark hold at most 6^3 = 216 tuples,
+#: and their repairs draw a few dozen samples.
 MAX_REPAIR_TABLE = 1_000_000
 
 
@@ -166,11 +166,29 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _not_float(value, where: str):
+    # a JSON float is already rounded to binary; 0.1 would load as 0.1000...0555
+    if type(value) is float:
+        raise FormatError(
+            f"{where}: expected an exact rational string or integer, not the float {value!r}"
+        )
+
+
 def _fraction(text, where: str) -> Fraction:
+    _not_float(text, where)
     try:
         return as_fraction(text)
     except (TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"{where}: not an exact rational: {text!r}") from exc
+
+
+def _value(space: ValueSpace, text, where: str):
+    """A value of the space from its text form (an integer is read as its text)."""
+    _not_float(text, where)
+    try:
+        return value_from_text(space, str(text))
+    except DomainError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def space_to_doc(space: ValueSpace) -> dict:
@@ -195,12 +213,15 @@ def space_from_doc(doc: dict) -> ValueSpace:
             labels = _list(_require(doc, "labels", where), f"{where}.labels")
             matrix = _list(_require(doc, "dist_matrix", where), f"{where}.dist_matrix")
             rows = tuple(
-                tuple(_fraction(d, where) for d in _list(row, f"{where}.dist_matrix[{i}]"))
+                tuple(
+                    _fraction(d, f"{where}.dist_matrix[{i}]")
+                    for d in _list(row, f"{where}.dist_matrix[{i}]")
+                )
                 for i, row in enumerate(matrix)
             )
             return FiniteMetric(labels=tuple(labels), distances=rows)
         if variant == "bounded_interval":
-            return BoundedInterval(_fraction(_require(doc, "diameter", where), where))
+            return BoundedInterval(_fraction(_require(doc, "diameter", where), f"{where}.diameter"))
         if variant == "compactified_ray":
             return CompactifiedRay()
     except ContractError as exc:
@@ -243,10 +264,10 @@ def kernel_from_doc(doc: dict) -> StepKernel:
         raise FormatError(f"{where}: arity {arity} exceeds the cap {MAX_KERNEL_ARITY}")
     space = space_from_doc(_require(doc, "value_space", where))
     flat_text = _list(_require(doc, "base", where), f"{where}.base")
-    try:
-        flat = [value_from_text(space, str(v)) for v in flat_text]
-    except DomainError as exc:
-        raise FormatError(f"{where}.base: {exc}") from exc
+    flat = [_value(space, v, f"{where}.base") for v in flat_text]
+    symmetric = doc.get("symmetric_base", False)
+    if type(symmetric) is not bool:
+        raise FormatError(f"{where}.symmetric_base: expected true or false")
     pieces = []
     for i, entry in enumerate(_list(doc.get("exceptions", []), f"{where}.exceptions")):
         loc = f"{where}.exceptions[{i}]"
@@ -255,15 +276,12 @@ def kernel_from_doc(doc: dict) -> StepKernel:
             at = f"{loc}.atoms[{j}]"
             coord = _int(_require(atom, "coord", at), f"{at}.coord")
             if "const" in atom:
-                conds.append(CoordIs(coord, _fraction(atom["const"], loc)))
+                conds.append(CoordIs(coord, _fraction(atom["const"], f"{at}.const")))
             elif "equals" in atom:
                 conds.append(CoordsEqual(coord, _int(atom["equals"], f"{at}.equals")))
             else:
                 raise FormatError(f"{at}: needs 'const' or 'equals'")
-        try:
-            value = value_from_text(space, str(_require(entry, "value", loc)))
-        except DomainError as exc:
-            raise FormatError(f"{loc}.value: {exc}") from exc
+        value = _value(space, _require(entry, "value", loc), f"{loc}.value")
         try:
             pieces.append(ExceptionPiece(tuple(conds), value))
         except ContractError as exc:
@@ -275,7 +293,7 @@ def kernel_from_doc(doc: dict) -> StepKernel:
             space=space,
             flat_values=flat,
             exceptions=tuple(pieces),
-            symmetric_base=bool(doc.get("symmetric_base", False)),
+            symmetric_base=symmetric,
         )
     except ContractError as exc:
         raise FormatError(f"{where}: {exc}") from exc
@@ -371,12 +389,6 @@ def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
     arity = _int(arity, f"{where}.arity")
     variables = _int(variables, f"{where}.variables")
 
-    def value(text, loc):
-        try:
-            return value_from_text(space, str(text))
-        except DomainError as exc:
-            raise FormatError(f"{loc}: {exc}") from exc
-
     atoms = []
     for i, entry in enumerate(raw_atoms):
         loc = f"{where}.atoms[{i}]"
@@ -413,10 +425,10 @@ def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
                 atoms.append(
                     AffineAtom(
                         tuple(
-                            (_fraction(c, loc), _slot_from_doc(s, loc))
-                            for c, s in zip(coeffs, slots)
+                            (_fraction(c, f"{loc}.coeffs[{k}]"), _slot_from_doc(s, loc))
+                            for k, (c, s) in enumerate(zip(coeffs, slots))
                         ),
-                        _fraction(_require(entry, "bound", loc), loc),
+                        _fraction(_require(entry, "bound", loc), f"{loc}.bound"),
                     )
                 )
             elif kind == "finite":
@@ -424,7 +436,7 @@ def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
                     FiniteValuesAtom(
                         _slot_from_doc(_require(entry, "slot", loc), loc),
                         frozenset(
-                            value(v, loc)
+                            _value(space, v, f"{loc}.allowed")
                             for v in _list(_require(entry, "allowed", loc), f"{loc}.allowed")
                         ),
                     )
@@ -435,7 +447,10 @@ def constraint_from_doc(doc: dict, space: ValueSpace) -> ConstraintSystem:
                     for s in _list(_require(entry, "columns", loc), f"{loc}.columns")
                 )
                 rows = frozenset(
-                    tuple(value(v, loc) for v in _list(row, f"{loc}.rows[{j}]"))
+                    tuple(
+                        _value(space, v, f"{loc}.rows[{j}]")
+                        for v in _list(row, f"{loc}.rows[{j}]")
+                    )
                     for j, row in enumerate(_list(_require(entry, "rows", loc), f"{loc}.rows"))
                 )
                 atoms.append(TableAtom(columns, rows))

@@ -359,21 +359,32 @@ def sampled_table(kernel, mode, pools, core_size):
     }
 
 
-def reference_repair(kernel, system, points, config):
+def reference_repair(
+    kernel, system, points, config, *, max_escalations=3, max_refinement=None, pool_size=None
+):
     """Oracle repair: the attempt loop, each attempt drawn, read and checked anew.
 
-    Returns a ``RepairOutcome`` whose report has no timing entry.  Inputs
-    are assumed valid.
+    A failed attempt doubles the refinement, at most ``max_escalations``
+    times and never past ``max_refinement`` (raised to the kernel
+    resolution); the points must separate below that cap.  Multiset mode
+    draws ``pool_size`` samples per point, by default ``repair``'s pool.
+    Returns a ``RepairOutcome`` whose report has no timing entry and keeps
+    the attempt loop's ``initial_m``, ``final_m`` and ``escalations``.
+    Inputs are assumed valid.
     """
     pts = tuple(sorted(as_fraction(x) for x in points))
-    cap = config.max_refinement
+    cap = max_refinement
     if cap is not None and cap < kernel.resolution:
         cap = kernel.resolution
     space, eps = kernel.space, config.epsilon
     symmetric = system.mode == "multiset"
-    pool = samples_per_point(system, config)
+    pool = samples_per_point(system)
+    if symmetric and pool_size is not None:
+        pool = pool_size
     core_size = max(system.variables, kernel.arity)
-    m = separating_refinement(pts, kernel.resolution, cap)
+    m = separating_refinement(pts, kernel.resolution)
+    if cap is not None and m > cap:
+        raise ContractError(f"refinement cap {cap} cannot separate the given points")
     partition = epsilon_partition(space, eps) if eps > 0 else None
     part = 2 if symmetric else 1
     names = [frac_str(x) for x in pts]
@@ -396,7 +407,7 @@ def reference_repair(kernel, system, points, config):
     if symmetric:
         report["core_size"] = core_size
     status, corrected = "failed", None
-    for attempt in range(config.max_escalations + 1):
+    for attempt in range(max_escalations + 1):
         report["final_m"] = m
         rng = random.Random(f"{config.seed}:p{part}:{attempt}")
         pools = draw_pools(rng, kernel, pts, pool, m)
@@ -449,7 +460,7 @@ def reference_repair(kernel, system, points, config):
                 report["probe"]["proven_infeasible"] = True
                 status = "infeasible"
                 break
-        if attempt == config.max_escalations or (cap is not None and m * 2 > cap):
+        if attempt == max_escalations or (cap is not None and m * 2 > cap):
             break
         m *= 2
         report["escalations"].append({"reason": "constraints" if viols else "agreement", "m": m})

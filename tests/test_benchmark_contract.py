@@ -95,3 +95,32 @@ def test_traced_ramsey_ops_install_count_and_restore():
     assert t.span_stats["ramsey.extract"][0] == len(problems)
     assert t.counts["ramsey.coloring_calls"] > 0
     assert t.counts["ramsey.extract.proven_absent"] == absent
+
+
+def test_traced_small_batch_ops_check_and_restore(tmp_path):
+    # one op of each family, so a report field or config the workload or the
+    # tracer reads cannot go missing unnoticed
+    workload = workloads.SmallBatch()
+    problems = workload.generate("contract", len(workload.families), str(tmp_path))
+    original = package_module("corrector").repair
+    t = tracer.Tracer()
+    for i, p in enumerate(problems):
+        res = workload.finish(p, t.run_op(i, workload.run, p))
+        assert workload.check(p, res), p["family"]
+    assert package_module("corrector").repair is original
+    assert t.span_stats["corrector.repair"][0] == len(problems)
+    # every repair is one attempt
+    assert t.counts["corrector.attempts"] == len(problems)
+
+
+def test_traced_metric_cli_ops_check_and_restore(tmp_path):
+    workload = workloads.MetricCli()
+    problems = workload.generate("contract", 12, str(tmp_path))
+    cli = package_module("cli")
+    original = cli.cmd_correct, cli.cmd_verify
+    t = tracer.Tracer()
+    for i, p in enumerate(problems):
+        res = workload.finish(p, t.run_op(i, workload.run, p))
+        assert workload.check(p, res), res["report"]["result"]["status"]
+    assert (cli.cmd_correct, cli.cmd_verify) == original
+    assert t.span_stats["cli.correct"][0] == t.span_stats["cli.verify"][0] == len(problems)

@@ -24,7 +24,7 @@ from kernel_repair.constraint import (
     metric_system,
     triangle_free_system,
 )
-from kernel_repair.corrector import AuditResult, RepairConfig
+from kernel_repair.corrector import AuditResult
 from kernel_repair.errors import ContractError
 from kernel_repair.fileio import (
     MAX_KERNEL_ARITY,
@@ -228,13 +228,20 @@ def test_sample_pools_above_the_cap_are_refused_quickly(tmp_path, capsys):
 
 
 def test_the_repair_caps_refuse_only_past_the_cap():
-    system = triangle_free_system(mode="multiset")  # arity 2
-    # C(1414, 2) = 999,691 tuples and 1413 x 707 = 998,991 samples
-    cli._refuse_large_repair(system, 1413, RepairConfig(pool_size=707))
+    system = triangle_free_system(mode="multiset")  # arity 2, pools of 6
+    # C(1414, 2) = 999,691 tuples
+    cli._refuse_large_repair(system, 1413)
     with pytest.raises(ContractError, match=r"C\(1415\+2-1,2\) value-table tuples"):
-        cli._refuse_large_repair(system, 1415, RepairConfig(pool_size=1))
-    with pytest.raises(ContractError, match="1000404 guarded samples"):
-        cli._refuse_large_repair(system, 1413, RepairConfig(pool_size=708))
+        cli._refuse_large_repair(system, 1415)
+
+    def wide(variables):
+        # arity 1, so one point reads one tuple but draws 2 x variables samples
+        atoms = (EqualityAtom((1,), (2,)),)
+        return ConstraintSystem(arity=1, variables=variables, mode="multiset", atoms=atoms)
+
+    cli._refuse_large_repair(wide(500_000), 1)
+    with pytest.raises(ContractError, match="1000002 guarded samples"):
+        cli._refuse_large_repair(wide(500_001), 1)
 
 
 def test_audit_refuses_trials_above_the_cap(tmp_path, capsys):
@@ -436,7 +443,7 @@ def test_correct_reports_honest_failure_with_exit_2(tmp_path, capsys):
         "--out", str(tmp_path / "report.json"),
     )
     assert code == 2
-    assert "status: failed" in err
+    assert err == "status: failed (m=8)\n"  # 1/16 and 3/16 separate at level 8
     doc = load_json(str(tmp_path / "report.json"), "report")
     assert doc["result"]["status"] == "failed"
 
@@ -1115,6 +1122,20 @@ MALFORMED_FIELDS = [
     ("inferred", ("atoms", 1, "slots"), 5, "constraint.atoms[1].slots: expected a list"),
     ("inferred", ("atoms", 1, "slots", 0), 5, "constraint.atoms[1].slots: a slot must be a list"),
     ("inferred", ("atoms", 4, "columns", 0), [], "constraint.atoms[4]: a slot needs at least one variable"),
+    # a flag is a JSON boolean; any non-empty string was once read as true
+    ("kernel", ("symmetric_base",), "false", "kernel.symmetric_base: expected true or false"),
+    ("kernel", ("symmetric_base",), "true", "kernel.symmetric_base: expected true or false"),
+    ("kernel", ("symmetric_base",), 0, "kernel.symmetric_base: expected true or false"),
+    # a JSON float is a rounded binary number, never an exact one
+    ("kernel", ("exceptions", 0, "atoms", 0, "const"), 0.1, "kernel.exceptions[0].atoms[0].const: expected an exact rational string or integer, not the float 0.1"),
+    ("kernel", ("base", 0), 0.5, "kernel.base: expected an exact rational string or integer, not the float 0.5"),
+    ("kernel", ("exceptions", 1, "value"), 1.0, "kernel.exceptions[1].value: expected an exact rational string or integer, not the float 1.0"),
+    ("kernel", ("value_space", "diameter"), 1.0, "value_space.diameter: expected an exact rational"),
+    ("metric", ("value_space", "dist_matrix", 1, 0), 1.0, "value_space.dist_matrix[1]: expected an exact rational"),
+    ("constraint", ("atoms", 2, "coeffs", 1), -1.0, "constraint.atoms[2].coeffs[1]: expected an exact rational"),
+    ("constraint", ("atoms", 2, "bound"), 0.1, "constraint.atoms[2].bound: expected an exact rational"),
+    ("constraint", ("atoms", 3, "allowed", 0), 0.0, "constraint.atoms[3].allowed: expected an exact rational"),
+    ("constraint", ("atoms", 4, "rows", 1, 0), 1.0, "constraint.atoms[4].rows[1]: expected an exact rational"),
 ]
 
 
@@ -1135,6 +1156,30 @@ def test_a_malformed_field_is_named_not_a_traceback(tmp_path, capsys, doc, path,
     code, out, err = run_on_docs(capsys, tmp_path, docs, "metric" if doc == "metric" else "kernel")
     assert_one_error_line(code, out, err)
     assert message in err
+
+
+@pytest.mark.parametrize("flag", [True, False, None])
+def test_a_boolean_or_absent_symmetric_base_loads(tmp_path, capsys, flag):
+    docs = hostile_docs()
+    if flag is not None:
+        docs["kernel"]["symmetric_base"] = flag
+    code, _, err = run_on_docs(capsys, tmp_path, docs)
+    assert code == 0, err
+
+
+def test_integers_load_wherever_an_exact_number_belongs(tmp_path, capsys):
+    docs = hostile_docs()
+    kernel, constraint = docs["kernel"], docs["constraint"]
+    kernel["value_space"]["diameter"] = 1
+    kernel["base"] = [0]
+    kernel["exceptions"][0] = {"atoms": [{"coord": 1, "const": 0}], "value": 1}
+    constraint["atoms"][2].update(coeffs=[1, -1], bound=1)
+    constraint["atoms"][3]["allowed"] = [0, 1]
+    constraint["atoms"][4]["rows"] = [[0], [1]]
+    docs["metric"]["value_space"]["dist_matrix"] = [[0, 1], [1, 0]]
+    for kind in ("kernel", "metric"):
+        code, _, err = run_on_docs(capsys, tmp_path, docs, kind)
+        assert code == 0, err
 
 
 HOSTILE_BYTES = {

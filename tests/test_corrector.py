@@ -1,4 +1,4 @@
-"""The repair pipeline: sampling, extraction, verification, escalation."""
+"""The repair pipeline: sampling, extraction, verification, the probe."""
 
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ from kernel_repair.corrector import (
     repair,
     separating_refinement,
     wilson_interval,
-    _count_vectors,
 )
 from kernel_repair.density import is_density_tuple
 from kernel_repair.demos import (
@@ -90,10 +89,6 @@ def bipartite_kernel(exceptions=()):
 def test_config_validation():
     with pytest.raises(ContractError):
         RepairConfig(epsilon=F(-1, 10))
-    with pytest.raises(ContractError):
-        RepairConfig(max_escalations=-1)
-    with pytest.raises(ContractError):
-        RepairConfig(pool_size=0)
 
 
 def test_separating_refinement():
@@ -101,13 +96,6 @@ def test_separating_refinement():
     assert separating_refinement((F(1, 10), F(3, 10)), 2) == 4
     assert separating_refinement((F(1, 10), F(1, 5)), 2) == 8
     assert separating_refinement((F(1, 10),), 2) == 2
-    with pytest.raises(ContractError):
-        separating_refinement((F(1, 10), F(1, 5)), 2, cap=4)
-
-
-def test_count_vectors():
-    assert _count_vectors(2, 2) == [(0, 2), (1, 1), (2, 0)]
-    assert len(_count_vectors(4, 3)) == 20  # C(4+3-1, 3)
 
 
 def test_corrected_kernel_lookup():
@@ -163,8 +151,7 @@ def test_distinct_repair_recovers_base_values():
     assert outcome.ok
     assert outcome.corrected.value_at((F(1, 5), F(7, 10))) == 1
     assert outcome.corrected.value_at((F(7, 10), F(1, 5))) == 1
-    assert outcome.report["final_m"] == 2
-    assert outcome.report["escalations"] == []
+    assert outcome.report["m"] == 2
     assert kernel.value_at((F(1, 5), F(7, 10))) == 0  # the defect was real
 
 
@@ -189,8 +176,8 @@ def test_distinct_repair_with_zero_epsilon_skips_density_check():
     assert all(row["density"] is None for row in outcome.report["density_closeness"].values())
 
 
-def test_distinct_honest_failure_after_escalations():
-    """A satisfiable demand the kernel never meets burns the cap honestly."""
+def test_distinct_honest_failure_in_one_attempt():
+    """A satisfiable demand the kernel never meets fails honestly."""
     kernel = StepKernel.from_flat(
         arity=2,
         resolution=2,
@@ -208,7 +195,7 @@ def test_distinct_honest_failure_after_escalations():
     )
     assert outcome.status == "failed"
     assert outcome.corrected is None
-    assert len(outcome.report["escalations"]) == 3
+    assert outcome.report["m"] == 2
     assert outcome.report["probe"] == {"ran": True, "proven_infeasible": False}
     assert outcome.report["violations"]
     verdicts = outcome.report["verdicts"]
@@ -226,7 +213,6 @@ def test_infeasible_system_stops_at_the_probe():
     )
     assert outcome.status == "infeasible"
     assert outcome.report["probe"] == {"ran": True, "proven_infeasible": True}
-    assert outcome.report["escalations"] == []  # no budget wasted
 
 
 # --- multiset mode ---
@@ -238,8 +224,7 @@ def test_multiset_repair_clears_diagonal_defect():
     points = (F(1, 10), F(3, 10), F(7, 10))
     outcome = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
     assert outcome.ok
-    assert outcome.report["final_m"] == 4
-    assert outcome.report["escalations"] == []
+    assert outcome.report["m"] == 4
     g = outcome.corrected
     for z in points:
         assert kernel.value_at((z, z)) == 1  # the loop defect
@@ -282,19 +267,13 @@ def test_multiset_pool_and_core_sizes_reported():
     kernel = loopy_bipartite_kernel()
     system = triangle_free_system(mode="multiset")
     points = (F(1, 10), F(3, 10), F(7, 10))
-    outcome = repair(
-        kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0", pool_size=5)
-    )
+    outcome = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
     assert outcome.ok
     rep = outcome.report
     assert rep["core_size"] == 3
-    assert rep["pool_size"] == 5
-    assert all(len(p) == 5 for p in rep["pools"].values())
+    assert rep["pool_size"] == 6  # twice the core size
+    assert all(len(p) == 6 for p in rep["pools"].values())
     assert all(len(c) == 3 for c in rep["cores"].values())
-    with pytest.raises(ContractError):
-        repair(
-            kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0", pool_size=2)
-        )
 
 
 # --- determinism ---
@@ -632,7 +611,10 @@ def old_coloring_cores(kernel, report, eps):
 
         return color
 
-    vectors = _count_vectors(len(pts), kernel.arity)
+    vectors = sorted(
+        tuple(t.count(i) for i in range(len(pts)))
+        for t in itertools.combinations_with_replacement(range(len(pts)), kernel.arity)
+    )
     cores = multi_type_extract(pools, vectors, coloring_for, report["core_size"])
     return {frac_str(z): [frac_str(y) for y in sorted(c)] for z, c in zip(pts, cores)}
 
@@ -647,15 +629,14 @@ def test_cores_are_what_extraction_returns(index, seed):
     assert outcome.report["cores"] == old_coloring_cores(kernel, outcome.report, eps)
 
 
-def test_escalated_cores_are_what_extraction_returns():
-    # the all-ones kernel fails every attempt; the last pools sit at 8x m
+def test_a_failed_repairs_cores_are_what_extraction_returns():
+    # the all-ones kernel fails; its pools are drawn at the separating level
     system = triangle_free_system(mode="multiset")
     points = (F(1, 10), F(3, 10), F(7, 10))
-    config = RepairConfig(epsilon=F(1, 10), seed="0", pool_size=7)
-    outcome = repair(all_ones_kernel(), system, points, config)
+    outcome = repair(all_ones_kernel(), system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
     report = outcome.report
     assert outcome.status == "failed"
-    assert report["final_m"] == 8 * report["initial_m"]
+    assert report["m"] == separating_refinement(points, 2) == 4
     assert report["cores"] == old_coloring_cores(all_ones_kernel(), report, F(1, 10))
 
 
@@ -722,11 +703,19 @@ def test_audit_equals_the_plain_audit_on_random_kernels(case):
     )
 
 
-# --- the escalation loop checks each table once ---
+# --- a failing repair decides once ---
+
+
+def one_attempt(report):
+    """An attempt-loop report in ``repair``'s format: one ``m`` for its
+    ``initial_m`` and ``final_m``."""
+    out = {k: v for k, v in report.items() if k not in ("initial_m", "final_m")}
+    out["m"] = report["initial_m"]
+    return out
 
 
 def escalating_problem(mode):
-    """A repair that fails every attempt and escalates three times."""
+    """A repair that fails, and that the attempt loop escalates three times."""
     if mode == "multiset":
         system = triangle_free_system(mode="multiset")
         return all_ones_kernel(), system, (F(1, 10), F(3, 10), F(7, 10)), F(1, 10)
@@ -796,17 +785,18 @@ def test_an_escalating_repair_sweeps_its_table_once(monkeypatch, mode):
     outcome = repair(kernel, system, points, RepairConfig(epsilon=eps, seed="0"))
     report = outcome.report
     assert outcome.status == "failed"
-    assert len(report["escalations"]) == 3
     assert len(calls) == 1
     want = rechecked(kernel, system, report, eps)
     assert {key: report[key] for key in want} == want
 
 
 @pytest.mark.parametrize("mode", ["distinct", "multiset"])
-def test_an_escalating_repair_decides_once_and_draws_the_last_attempt(monkeypatch, mode):
+def test_a_failing_repair_decides_once_and_draws_one_attempt(monkeypatch, mode):
     kernel, system, points, eps = escalating_problem(mode)
     config = RepairConfig(epsilon=eps, seed="0")
-    want = reference_repair(kernel, system, points, config)
+    looped = reference_repair(kernel, system, points, config)
+    assert looped.status == "failed" and len(looped.report["escalations"]) == 3
+    want = reference_repair(kernel, system, points, config, max_escalations=0)
     reads = counting(monkeypatch, corrector, "_read_cores" if mode == "multiset" else "_read_samples")
     sweeps = counting_sweeps(monkeypatch)
     probes = counting(monkeypatch, corrector, "proven_infeasible")
@@ -820,11 +810,10 @@ def test_an_escalating_repair_decides_once_and_draws_the_last_attempt(monkeypatc
     monkeypatch.setattr(corrector, "random", types.SimpleNamespace(Random=Recording))
     outcome = repair(kernel, system, points, config)
     assert outcome.status == want.status == "failed"
-    assert len(outcome.report["escalations"]) == 3
     assert (len(reads), len(sweeps), len(probes)) == (1, 1, 1)
     part = 2 if mode == "multiset" else 1
-    assert seeds == [f"0:p{part}:3"]
-    assert strip_timing(outcome.report) == want.report
+    assert seeds == [f"0:p{part}:0"]
+    assert strip_timing(outcome.report) == one_attempt(want.report)
 
 
 # --- index-keyed tables, closeness classes and float cuts against plain references ---
@@ -1032,7 +1021,7 @@ def test_audit_equals_the_plain_audit_off_dyadic_resolutions(resolution, seed):
 
 def test_a_repeated_constant_point_under_a_diagonal_piece_fails_agreement():
     # the table reads the diagonal piece at (1/2, 1/2), where value_at reads
-    # the piece of the constant 1/2 first; no escalation changes the table
+    # the piece of the constant 1/2 first; no refinement level changes the table
     kernel = StepKernel.from_flat(
         arity=2,
         resolution=1,
@@ -1053,11 +1042,14 @@ def test_a_repeated_constant_point_under_a_diagonal_piece_fails_agreement():
     outcome = repair(kernel, system, (F(1, 4), F(1, 2)), config)
     report = outcome.report
     assert outcome.status == "failed"
-    assert [e["reason"] for e in report["escalations"]] == ["agreement"] * 3
     assert report["agreement_failures"] == ["1/2,1/2"]
     assert report["values"]["1/2,1/2"] == "1"
     assert kernel.value_at((F(1, 2), F(1, 2))) == 0
-    assert strip_timing(report) == reference_repair(kernel, system, (F(1, 4), F(1, 2)), config).report
+    looped = reference_repair(kernel, system, (F(1, 4), F(1, 2)), config)
+    assert [e["reason"] for e in looped.report["escalations"]] == ["agreement"] * 3
+    assert looped.status == "failed"
+    want = reference_repair(kernel, system, (F(1, 4), F(1, 2)), config, max_escalations=0)
+    assert strip_timing(report) == one_attempt(want.report)
 
 
 class ScriptedDraws(random.Random):
@@ -1148,35 +1140,53 @@ def test_witnesses_on_floats_equal_the_fraction_draws(case, seed):
     assert first.script == second.script and first.random() == second.random()
 
 
-@st.composite
-def escalating_table_case(draw):
-    kernel, system, points, eps, seed = draw(table_case())
-    config = RepairConfig(
-        epsilon=eps,
-        seed=seed,
-        max_escalations=draw(st.integers(min_value=0, max_value=3)),
-        max_refinement=draw(st.sampled_from([None, 8, 64])),
-    )
-    return kernel, system, points, config
+#: report fields that the attempt loop reaches anew in every attempt
+DECIDED_FIELDS = (
+    "values", "violations", "verdicts", "density_closeness", "agreement_failures", "probe"
+)
 
 
 @settings(max_examples=150, deadline=None)
-@given(escalating_table_case())
-def test_repair_equals_the_attempt_loop(case):
-    kernel, system, points, config = case
+@given(
+    table_case(),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([None, 8, 64]),
+    st.data(),
+)
+def test_repair_equals_the_attempt_loop(case, budget, cap, data):
+    # one attempt is the loop without escalations, and neither a budget, a
+    # cap on the refinement nor a pool size moves what the loop decides
+    kernel, system, points, eps, seed = case
+    config = RepairConfig(epsilon=eps, seed=seed)
     try:
-        want = reference_repair(kernel, system, points, config)
+        want = reference_repair(kernel, system, points, config, max_escalations=0)
     except ContractError as exc:
         with pytest.raises(ContractError, match=re.escape(str(exc))):
             repair(kernel, system, points, config)
         return
     outcome = repair(kernel, system, points, config)
-    assert strip_timing(outcome.report) == want.report
+    assert strip_timing(outcome.report) == one_attempt(want.report)
     assert outcome.status == want.status
     if want.corrected is None:
         assert outcome.corrected is None
     else:
         assert outcome.corrected.values == want.corrected.values
+    core_size = max(system.variables, system.arity)
+    pool = data.draw(st.integers(min_value=core_size, max_value=2 * core_size + 1))
+    try:
+        looped = reference_repair(
+            kernel, system, points, config,
+            max_escalations=budget, max_refinement=cap, pool_size=pool,
+        )
+    except ContractError as exc:
+        assert "cannot separate" in str(exc)
+        return
+    assert looped.status == outcome.status
+    assert (looped.corrected is None) == (outcome.corrected is None)
+    if looped.corrected is not None:
+        assert looped.corrected.values == outcome.corrected.values
+    for key in DECIDED_FIELDS:
+        assert looped.report[key] == outcome.report[key], key
 
 
 #: report fields that name the seed, hold the drawn witnesses or time the run
@@ -1184,14 +1194,14 @@ WITNESS_FIELDS = ("seed", "samples", "pools", "cores", "timing")
 
 
 @settings(max_examples=100, deadline=None)
-@given(table_case(), st.integers(min_value=0, max_value=3), st.text(max_size=4), st.text(max_size=4))
-def test_only_the_witnesses_depend_on_the_seed(case, escalations, seed_a, seed_b):
-    # status, values, verdicts and escalations are the same for every seed
+@given(table_case(), st.text(max_size=4), st.text(max_size=4))
+def test_only_the_witnesses_depend_on_the_seed(case, seed_a, seed_b):
+    # status, values and verdicts are the same for every seed
     kernel, system, points, eps, _ = case
     assume(2 <= len(points) <= 6)
     outcomes = []
     for seed in (seed_a, seed_b):
-        config = RepairConfig(epsilon=eps, seed=seed, max_escalations=escalations)
+        config = RepairConfig(epsilon=eps, seed=seed)
         try:
             outcomes.append(repair(kernel, system, points, config))
         except ContractError as exc:

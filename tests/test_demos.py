@@ -59,7 +59,6 @@ def test_triangle_demo_summary():
     report = triangle_demo(seed="0", audit_samples=800)
     s = report.summary
     assert s["status"] == "ok"
-    assert s["escalations"] == 0
     assert s["f_triangles"] == 60
     assert s["g_triangles"] == 0
     assert s["audit_violations"] == 0
