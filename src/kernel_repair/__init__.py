@@ -16,7 +16,6 @@ from .constraint import (
     TableAtom,
     Violation,
     ZeroProductAtom,
-    holds_everywhere,
     instantiate_over,
     metric_system,
     proven_infeasible,
@@ -38,7 +37,6 @@ from .demos import DEMOS, DemoReport, run_demo
 from .density import (
     axis_segments,
     density_mass,
-    density_profile,
     is_density_tuple,
 )
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
@@ -65,8 +63,6 @@ from .values import (
     CompactifiedRay,
     FiniteMetric,
     epsilon_partition,
-    merge_zero_distance_labels,
-    tuple_dist,
     value_from_text,
     value_to_text,
 )
@@ -104,15 +100,12 @@ __all__ = [
     "axis_segments",
     "block_of",
     "density_mass",
-    "density_profile",
     "epsilon_partition",
     "extract_core",
     "frac_str",
-    "holds_everywhere",
     "instantiate_over",
     "is_density_tuple",
     "is_monochromatic",
-    "merge_zero_distance_labels",
     "metric_system",
     "multi_type_extract",
     "proven_infeasible",
@@ -123,7 +116,6 @@ __all__ = [
     "separating_refinement",
     "symmetry_atoms",
     "triangle_free_system",
-    "tuple_dist",
     "value_from_text",
     "value_to_text",
     "violations",

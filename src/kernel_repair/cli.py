@@ -317,6 +317,8 @@ def cmd_verify(args) -> int:
         _refuse_large_system_sweep(system, len(listed))
         points = tuple(as_fraction(p) for p in listed)
         eps = args.epsilon if args.epsilon is not None else as_fraction(result["epsilon"])
+        if eps < 0:
+            raise ContractError("epsilon must be nonnegative")
         table = result["values"]
         if not isinstance(table, dict):
             raise TypeError("values must be an object")

@@ -458,7 +458,6 @@ def violations(
     space: ValueSpace,
     points: Iterable,
     eps: Fraction = Fraction(0),
-    limit: int | None = None,
 ) -> list[Violation]:
     """All (assignment, atom) pairs on which the system fails.
 
@@ -469,11 +468,7 @@ def violations(
     decides it, since every verdict is a function of those values, so the
     atoms are checked once per distinct vector and the verdicts are reused
     at every later assignment with that vector (see ``_AtomChecker``).
-    Violations come in assignment order, atoms in system order, and the
-    sweep stops after ``limit`` violations when given.  Because an
-    assignment reads all its slots before it is decided, the last
-    assignment reached under ``limit`` may read, and decide, slots and
-    atoms past the violation that stops the sweep.
+    Violations come in assignment order, atoms in system order.
     """
     eps = as_fraction(eps)
     pts = tuple(points)
@@ -509,13 +504,7 @@ def violations(
             if n not in details:
                 details[n] = atom.describe()
             found.append(Violation(assignment, atom, details[n]))
-            if limit is not None and len(found) >= limit:
-                return found
     return found
-
-
-def holds_everywhere(system, evaluate, space, points, eps=Fraction(0)) -> bool:
-    return not violations(system, evaluate, space, points, eps, limit=1)
 
 
 def instantiate_over(atoms: Iterable[ConstraintAtom], schema_vars: int, variables: int):
@@ -624,12 +613,16 @@ def _set_partitions(items: tuple[int, ...]):
         yield [[first]] + part
 
 
+#: How many value combinations ``proven_infeasible`` scans per tuple
+#: pattern; a pattern with more is skipped rather than decided.
+_PROBE_BUDGET = 200_000
+
+
 def proven_infeasible(
     system: ConstraintSystem,
     space: ValueSpace,
     num_points: int,
     symmetrize: bool = False,
-    budget: int = 200_000,
 ) -> bool:
     """True when some forced tuple pattern admits no satisfying values.
 
@@ -645,7 +638,8 @@ def proven_infeasible(
 
     Candidate values per unknown come from finite-values atoms, or from the
     label set of a finite metric; patterns with an unbounded unknown, or
-    with too many combinations to scan, are skipped rather than decided.
+    with more than ``_PROBE_BUDGET`` combinations to scan, are skipped
+    rather than decided.
     """
     if num_points < 1:
         return False
@@ -686,7 +680,7 @@ def proven_infeasible(
                 menus.setdefault(k, list(space.labels))
         if any(k not in menus for k in keys):
             continue
-        if math.prod(len(menus[k]) for k in keys) > budget:
+        if math.prod(len(menus[k]) for k in keys) > _PROBE_BUDGET:
             continue
         zero = Fraction(0)
         satisfiable = False

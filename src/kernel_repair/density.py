@@ -86,7 +86,7 @@ def adjacent_blocks(x, resolution: int) -> tuple[int, ...]:
     return (t,)
 
 
-def is_density_tuple(kernel: StepKernel, partition: CellPartition, point, value=None) -> bool:
+def is_density_tuple(kernel: StepKernel, partition: CellPartition, point) -> bool:
     """Whether the level-m mass of the point's own cell tends to 1.
 
     Exact for step kernels: the limit is 1 precisely when every base block
@@ -94,14 +94,11 @@ def is_density_tuple(kernel: StepKernel, partition: CellPartition, point, value=
     there.  A coordinate sitting on an interior grid cut doubles the blocks
     to check on that axis; a point on an override piece compares the
     override value's cell against the surrounding base blocks and so almost
-    never passes.  ``value``, when given, must be ``kernel.value_at(point)``;
-    a caller that has already read it passes it to spare the second read.
+    never passes.
     """
     pt = tuple(as_fraction(x) for x in point)
-    if value is None:
-        value = kernel.value_at(pt)
     per_axis = [adjacent_blocks(x, kernel.resolution) for x in pt]
-    return base_in_cell(kernel, partition, per_axis, partition.cell_of(value))
+    return base_in_cell(kernel, partition, per_axis, partition.cell_of(kernel.value_at(pt)))
 
 
 def base_in_cell(kernel: StepKernel, partition: CellPartition, per_axis, target: int) -> bool:
@@ -115,15 +112,3 @@ def base_in_cell(kernel: StepKernel, partition: CellPartition, per_axis, target:
     cell_of = partition.cell_of
     base = kernel.base
     return all(cell_of(base[blocks]) == target for blocks in itertools.product(*per_axis))
-
-
-def density_profile(
-    kernel: StepKernel, partition: CellPartition, point, levels
-) -> list[tuple[int, Fraction]]:
-    """(m, mass) pairs for a sequence of refinement levels."""
-    return [(m, density_mass(kernel, partition, point, m)) for m in levels]
-
-
-def aligned_levels(resolution: int, count: int) -> list[int]:
-    """The dyadic refinements resolution * 2^j for j = 0..count-1."""
-    return [resolution * 2**j for j in range(count)]

@@ -169,11 +169,6 @@ class StepKernel:
                 raise DomainError(f"coordinate {x} outside [0, 1)")
         return pt
 
-    def base_value_at(self, point):
-        """Value of the base grid at the point, ignoring all overrides."""
-        pt = self._check_point(point)
-        return self.base[tuple(block_of(x, self.resolution) for x in pt)]
-
     def value_at(self, point):
         """Pointwise value: first matching exception piece, else the base."""
         pt = self._check_point(point)

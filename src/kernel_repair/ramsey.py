@@ -249,9 +249,6 @@ def _search(parts, sizes, coloring: Coloring, goal: int):
             core.pop()
         return False
 
-    if not blind:
-        # the parts before M all have subset size zero: one empty prefix
-        return tuple(cores) if fill(0, None, [({}, ((),) * m)]) else None
     rows_by_prefix = {}  # by the positions picked from the parts before M
     for picked in itertools.product(*(itertools.combinations(range(len(parts[i])), goal) for i in blind)):
         picks = dict(zip(blind, picked))

@@ -41,8 +41,7 @@ class FiniteMetric:
 
     The matrix must have zero diagonal, strictly positive off-diagonal
     entries, and satisfy the triangle inequality for every label triple.
-    Pseudo-metric inputs (zero distance between distinct labels) are rejected
-    here; use :func:`merge_zero_distance_labels` first to collapse them.
+    Pseudo-metric inputs (zero distance between distinct labels) are rejected.
     """
 
     labels: tuple[str, ...]
@@ -90,16 +89,6 @@ class FiniteMetric:
 
     def dist(self, a, b) -> Fraction:
         return self.distances[self.index_of(a)][self.index_of(b)]
-
-    def min_positive_distance(self) -> Fraction:
-        if len(self.labels) == 1:
-            raise ContractError("one-point space has no positive distances")
-        return min(
-            self.distances[i][j]
-            for i in range(len(self.labels))
-            for j in range(len(self.labels))
-            if i != j
-        )
 
     def zero_value(self):
         """The label written "0", if present (used by product constraints)."""
@@ -186,16 +175,6 @@ class CompactifiedRay:
 ValueSpace = Union[FiniteMetric, BoundedInterval, CompactifiedRay]
 
 
-def tuple_dist(space: ValueSpace, u, v) -> Fraction:
-    """Max-coordinate distance between equal-length value tuples."""
-    u, v = tuple(u), tuple(v)
-    if len(u) != len(v):
-        raise ContractError(f"tuple length mismatch: {len(u)} vs {len(v)}")
-    if not u:
-        raise ContractError("tuples must have at least one coordinate")
-    return max(space.dist(a, b) for a, b in zip(u, v))
-
-
 @dataclass(frozen=True, eq=False)
 class CellPartition:
     """Partition of a value space into cells of diameter strictly below epsilon.
@@ -242,12 +221,6 @@ class CellPartition:
             raise DomainError(f"label {value!r} is not in this space")
         idx = int(self._chart(value) // self.width)
         return min(idx, self.bins - 1)
-
-    def describe_cell(self, idx: int) -> str:
-        if self.kind == "labels":
-            return "{" + ",".join(self.cells[idx]) + "}"
-        lo, hi = idx * self.width, min((idx + 1) * self.width, _chart_span(self.space))
-        return f"[{lo},{hi})"
 
 
 def _chart_span(space: ValueSpace) -> Fraction:
@@ -312,36 +285,3 @@ def value_from_text(space: ValueSpace, text: str):
     if not space.contains(v):
         raise DomainError(f"value {text} outside the space")
     return v
-
-
-def merge_zero_distance_labels(labels, rows):
-    """Collapse a pseudo-metric matrix by merging labels at distance zero.
-
-    Returns ``(labels, rows, mapping)`` where ``mapping`` sends each original
-    label to its surviving representative (the first label of its class).
-    """
-    labels = [str(l) for l in labels]
-    rows = [[as_fraction(d) for d in row] for row in rows]
-    n = len(labels)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] == 0:
-                parent[find(j)] = find(i)
-
-    rep_index = {}
-    for i in range(n):
-        root = find(i)
-        rep_index[root] = min(rep_index.get(root, i), i)
-    reps = sorted(set(rep_index.values()))
-    mapping = {labels[i]: labels[rep_index[find(i)]] for i in range(n)}
-    new_labels = tuple(labels[r] for r in reps)
-    new_rows = tuple(tuple(rows[a][b] for b in reps) for a in reps)
-    return new_labels, new_rows, mapping

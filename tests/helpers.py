@@ -215,7 +215,8 @@ def midpoint_mass(kernel, partition, point, m, cell_index=None):
         )
     total = F(0)
     for mids in itertools.product(*per_axis):
-        if partition.cell_of(kernel.base_value_at(mids)) == cell_index:
+        blocks = tuple(block_of(x, kernel.resolution) for x in mids)
+        if partition.cell_of(kernel.base[blocks]) == cell_index:
             total += F(1, level) ** len(pt)
     return total * F(m) ** len(pt)
 
@@ -256,7 +257,7 @@ def reference_satisfied(atom, val, space, eps):
     return atom.satisfied(val, space, eps)
 
 
-def reference_violations(system, evaluate, space, points, eps=F(0), limit=None):
+def reference_violations(system, evaluate, space, points, eps=F(0)):
     """Oracle sweep: every assignment, every atom, values cached per assignment."""
     eps = as_fraction(eps)
     found = []
@@ -271,8 +272,6 @@ def reference_violations(system, evaluate, space, points, eps=F(0), limit=None):
         for atom in system.atoms:
             if not reference_satisfied(atom, val, space, eps):
                 found.append(Violation(assignment, atom, atom.describe()))
-                if limit is not None and len(found) >= limit:
-                    return found
     return found
 
 

@@ -855,6 +855,28 @@ def test_verify_refuses_a_large_table_before_parsing_a_value(tmp_path, capsys, m
     assert f"refused: 5 report values, more than {len(values) - 1}" in err
 
 
+@pytest.mark.parametrize(
+    "space", [BoundedInterval(F(1)), CompactifiedRay()], ids=lambda s: type(s).__name__
+)
+@pytest.mark.parametrize("source", ["flag", "report"])
+def test_verify_refuses_a_negative_epsilon_before_sweeping(
+    tmp_path, capsys, monkeypatch, space, source
+):
+    kernel = StepKernel.from_flat(arity=2, resolution=1, space=space, flat_values=[F(1, 2)])
+    _, cpath = equality_files(tmp_path)
+    kpath = kernel_file(tmp_path, kernel)
+    if source == "flag":
+        rpath, flag = report_file(tmp_path, symmetric_values()), ["--epsilon=-1/10"]
+    else:
+        rpath, flag = report_file(tmp_path, symmetric_values(), epsilon="-1/50"), []
+    monkeypatch.setattr(cli, "violations", lambda *args: pytest.fail("swept"))
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath, *flag
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: epsilon must be nonnegative\n"
+
+
 def test_verify_reads_a_table_at_the_cap(tmp_path, capsys, monkeypatch):
     kpath, cpath = equality_files(tmp_path)
     rpath = report_file(tmp_path, symmetric_values())

@@ -18,7 +18,6 @@ from kernel_repair.constraint import (
     TableAtom,
     ZeroProductAtom,
     _AtomChecker,
-    holds_everywhere,
     instantiate_over,
     metric_system,
     proven_infeasible,
@@ -294,7 +293,7 @@ def test_instantiate_over_drops_canonical_duplicates():
 def test_violations_on_triangle_free():
     system = triangle_free_system(mode="distinct")
     pts = (F(1, 10), F(1, 2), F(9, 10))
-    assert holds_everywhere(system, lambda t: F(0), UNIT, pts)
+    assert not violations(system, lambda t: F(0), UNIT, pts)
     found = violations(system, lambda t: F(1), UNIT, pts)
     assert found and all(isinstance(v.atom, ZeroProductAtom) for v in found)
 
@@ -306,20 +305,12 @@ def test_violations_on_metric_distances():
     for a in pts:
         for b in pts:
             table[(a, b)] = F(0) if a == b else F(3, 10)
-    assert holds_everywhere(system, lambda t: table[t], UNIT, pts)
+    assert not violations(system, lambda t: table[t], UNIT, pts)
     # stretch one symmetric pair to 1.0: 1.0 > 0.3 + 0.3
     table[(pts[0], pts[2])] = table[(pts[2], pts[0])] = F(1)
     found = violations(system, lambda t: table[t], UNIT, pts)
     assert found
     assert {type(v.atom) for v in found} == {AffineAtom}
-
-
-def test_violations_respects_limit():
-    system = triangle_free_system(mode="multiset")
-    found = violations(
-        system, lambda t: F(1), UNIT, (F(1, 4), F(1, 2), F(3, 4)), limit=5
-    )
-    assert len(found) == 5
 
 
 # --- memoised sweep against the plain one ---
@@ -373,16 +364,15 @@ def sweep_case(draw):
     points = draw(st.lists(grid, min_size=1, max_size=4, unique=True))
     table = {t: draw(value) for t in itertools.product(points, repeat=arity)}
     eps = draw(st.sampled_from((F(0), F(1, 10), F(1, 3))))
-    limit = draw(st.sampled_from((None, 1, 3)))
-    return system, table, space, points, eps, limit
+    return system, table, space, points, eps
 
 
 @given(sweep_case())
 def test_memoised_sweep_matches_the_plain_sweep(case):
-    system, table, space, points, eps, limit = case
+    system, table, space, points, eps = case
     evaluate = table.__getitem__
-    got = violations(system, evaluate, space, points, eps, limit=limit)
-    want = reference_violations(system, evaluate, space, points, eps, limit=limit)
+    got = violations(system, evaluate, space, points, eps)
+    want = reference_violations(system, evaluate, space, points, eps)
     as_rows = lambda vs: [(v.assignment, v.atom, v.detail) for v in vs]
     assert as_rows(got) == as_rows(want)
 
@@ -426,7 +416,7 @@ def renamed_sweep_case(draw):
     shapes collide; the atoms that read one slot twice must keep shapes of
     their own.
     """
-    system, table, space, points, eps, _ = draw(sweep_case())
+    system, table, space, points, eps = draw(sweep_case())
     slot = st.tuples(*[st.integers(1, system.variables)] * system.arity)
     s, t = draw(slot), draw(slot)
     menu = sorted(set(table.values()), key=repr)
@@ -450,11 +440,10 @@ def renamed_sweep_case(draw):
 def test_sweep_with_shared_shapes_matches_the_plain_sweep(case):
     system, table, space, points, eps = case
     evaluate = table.__getitem__
+    got = violations(system, evaluate, space, points, eps)
+    want = reference_violations(system, evaluate, space, points, eps)
     as_rows = lambda vs: [(v.assignment, v.atom, v.detail) for v in vs]
-    for limit in (None, 1, 3):
-        got = violations(system, evaluate, space, points, eps, limit=limit)
-        want = reference_violations(system, evaluate, space, points, eps, limit=limit)
-        assert as_rows(got) == as_rows(want)
+    assert as_rows(got) == as_rows(want)
 
 
 @settings(deadline=None)

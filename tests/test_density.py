@@ -9,11 +9,9 @@ from helpers import midpoint_mass, random_exceptions, random_kernel
 
 from kernel_repair.density import (
     adjacent_blocks,
-    aligned_levels,
     axis_segments,
     box_bounds,
     density_mass,
-    density_profile,
     is_density_tuple,
 )
 from kernel_repair.kernel import CoordIs, CoordsEqual, ExceptionPiece, StepKernel
@@ -126,8 +124,7 @@ def test_aligned_levels_give_constant_profile():
         k = random_kernel(rng, 2, rng.choice((2, 3)), [F(0), F(1)])
         part = epsilon_partition(k.space, F(1, 10))
         pt = (F(rng.randrange(0, 12), 12), F(rng.randrange(0, 12), 12))
-        levels = aligned_levels(k.resolution, 4)
-        masses = [mass for _, mass in density_profile(k, part, pt, levels)]
+        masses = [density_mass(k, part, pt, k.resolution * 2**j) for j in range(4)]
         assert len(set(masses)) == 1
         assert masses[0] in (F(0), F(1))
 

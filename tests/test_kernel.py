@@ -156,7 +156,7 @@ def test_eval_agrees_with_base_off_overrides():
     for _ in range(500):
         pt = (F(rng.random()), F(rng.random()))
         # float-backed draws never hit the null pieces
-        assert k.value_at(pt) == k.base_value_at(pt)
+        assert k.value_at(pt) == k.base[tuple(block_of(x, k.resolution) for x in pt)]
 
 
 def test_symmetric_base_eval_is_permutation_invariant():

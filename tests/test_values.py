@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from kernel_repair.errors import ContractError, DomainError
 from kernel_repair.values import (
@@ -15,8 +14,6 @@ from kernel_repair.values import (
     CompactifiedRay,
     FiniteMetric,
     epsilon_partition,
-    merge_zero_distance_labels,
-    tuple_dist,
     value_from_text,
     value_to_text,
 )
@@ -128,29 +125,6 @@ def test_ray_contains_infinity():
     assert not ray.contains(F(-1))
 
 
-# --- tuple distance ---
-
-
-@given(
-    st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=4),
-    st.lists(st.fractions(min_value=0, max_value=1), min_size=1, max_size=4),
-    st.fractions(min_value=0, max_value=1),
-)
-def test_tuple_dist_is_coordinatewise_max(u, v, eps):
-    space = BoundedInterval(F(1))
-    n = min(len(u), len(v))
-    u, v = u[:n], v[:n]
-    d = tuple_dist(space, u, v)
-    assert d == max(space.dist(a, b) for a, b in zip(u, v))
-    # within eps exactly when every coordinate pair is
-    assert (d <= eps) == all(space.dist(a, b) <= eps for a, b in zip(u, v))
-
-
-def test_tuple_dist_length_mismatch():
-    with pytest.raises(ContractError):
-        tuple_dist(BoundedInterval(F(1)), (F(0),), (F(0), F(1)))
-
-
 # --- partitions ---
 
 
@@ -202,13 +176,6 @@ def test_cell_of_is_total(space):
         assert 0 <= idx < part.cell_count
 
 
-def test_describe_cell_smoke():
-    part = epsilon_partition(BoundedInterval(F(1)), F(1, 2))
-    assert part.describe_cell(0) == "[0,1/4)"
-    labels = epsilon_partition(TWO_POINT, F(1, 2))
-    assert labels.describe_cell(0) == "{0}"
-
-
 # --- text round trips ---
 
 
@@ -231,21 +198,3 @@ def test_value_text_rejects_out_of_space():
         value_from_text(BoundedInterval(F(1)), "3/2")
     with pytest.raises(DomainError):
         value_from_text(TWO_POINT, "nope")
-
-
-# --- label merging ---
-
-
-def test_merge_zero_distance_labels():
-    labels = ("a", "b", "c")
-    rows = (
-        (F(0), F(0), F(1)),
-        (F(0), F(0), F(1)),
-        (F(1), F(1), F(0)),
-    )
-    merged_labels, merged_rows, mapping = merge_zero_distance_labels(labels, rows)
-    assert merged_labels == ("a", "c")
-    assert merged_rows == ((F(0), F(1)), (F(1), F(0)))
-    assert mapping == {"a": "a", "b": "a", "c": "c"}
-    # merged matrix is now a legal finite metric
-    FiniteMetric(labels=merged_labels, distances=merged_rows)
