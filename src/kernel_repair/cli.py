@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .constraint import violations
-from .corrector import RepairConfig, audit_ae_hypothesis, repair, samples_per_point
+from .corrector import CorrectedKernel, RepairConfig, audit_ae_hypothesis, repair, samples_per_point
 from .demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from .density import density_mass
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
@@ -335,17 +335,14 @@ def cmd_verify(args) -> int:
         raise
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
-    symmetric = part == 2
+    lookup = CorrectedKernel(tuple(distinct), kernel.arity, part == 2, values)
     canon = [rank[p] for p in points]
 
     def evaluate(t):
-        key = tuple([canon[i] for i in t])
-        if symmetric:
-            key = tuple(sorted(key))
         try:
-            return values[key]
-        except KeyError:
-            shown = tuple(distinct[i] for i in key)
+            return lookup.at(tuple([canon[i] for i in t]))
+        except KeyError as exc:
+            shown = tuple(distinct[i] for i in exc.args[0])
             raise FormatError(f"report has no value for tuple {shown}") from None
 
     viols = violations(system, evaluate, kernel.space, range(len(points)), eps)
@@ -375,10 +372,7 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ContractError, DomainError) as exc:
+    except (FormatError, ContractError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

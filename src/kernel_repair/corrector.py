@@ -15,15 +15,15 @@ Two regimes, selected by the constraint mode:
   result.  The cores are the pool prefixes, by proof: the kernel reads its
   base grid at every sorted sample tuple, so every coloring of the core
   extraction is constant and the extraction returns the first elements of
-  each pool (see ``_read_cores``).
+  each pool (see ``_read_table``).
 
 Both regimes read the kernel in closed form through
 ``StepKernel.generic_value`` at the points' own base blocks: every sample
 lies in its point's base block, and the samples are pairwise distinct and
 avoid every override constant.  The value table is keyed by tuples of point
 indices (positions in the sorted points), so the sweep, the report and the
-closeness table hash and sort small ints; only a successful repair builds
-the ``Fraction``-keyed ``CorrectedKernel.values``.  The closeness table
+closeness table hash and sort small ints, and a successful repair returns
+that table as its ``CorrectedKernel``.  The closeness table
 computes one row per closeness class of tuples (see ``_closeness_table``).
 The construction doubles the refinement when verification fails, but the
 closed form depends on neither the refinement level nor the samples, so a
@@ -101,9 +101,9 @@ class RepairConfig:
 class CorrectedKernel:
     """Repaired values on the tuples of a finite point set.
 
-    Symmetric results store one value per sorted tuple and look up
-    arbitrary orderings through sorting, so symmetry is exact by
-    construction.
+    ``values`` is keyed by tuples of indices into ``points``.  Symmetric
+    results store one value per sorted index tuple and look up arbitrary
+    orderings through sorting, so symmetry is exact by construction.
     """
 
     points: tuple[Fraction, ...]
@@ -111,14 +111,20 @@ class CorrectedKernel:
     symmetric: bool
     values: dict
 
+    def __post_init__(self):
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.points)})
+
+    def at(self, t):
+        """The value at a tuple of point indices; raises ``KeyError`` with
+        the looked-up key when the table has none."""
+        return self.values[tuple(sorted(t)) if self.symmetric else t]
+
     def value_at(self, point_tuple):
         key = tuple(as_fraction(x) for x in point_tuple)
         if len(key) != self.arity:
             raise ContractError(f"expected {self.arity} points, got {len(key)}")
-        if self.symmetric:
-            key = tuple(sorted(key))
         try:
-            return self.values[key]
+            return self.at(tuple([self._index[x] for x in key]))
         except KeyError:
             raise ContractError(f"no corrected value for tuple {key}") from None
 
@@ -180,7 +186,7 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
 
     The repair is one attempt, decided before a witness is drawn.  The
     closed-form table depends on neither the refinement level, the seed nor
-    the samples (see ``_read_samples``), so a doubled level would re-read
+    the samples (see ``_read_table``), so a doubled level would re-read
     the same table and reach the same status: the table is read, swept and
     compared with the kernel once, the probe runs once if the sweep fails,
     and the witnesses are then drawn at the separating level ``m`` from a
@@ -222,22 +228,12 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         "escalations": [],
         "probe": {"ran": False, "proven_infeasible": False},
     }
-    # keyed by index tuples into pts
     if symmetric:
         core_size = max(system.variables, kernel.arity)
         report["core_size"] = core_size
-        values = _read_cores(kernel, pts)
-    else:
-        values = _read_samples(kernel, pts)
-    # pts is sorted, so sorting indices sorts the points they stand for
-    viols = violations(
-        system,
-        lambda t: values[tuple(sorted(t)) if symmetric else t],
-        space,
-        range(len(pts)),
-        eps,
-    )
-    texts, closeness, agree = _closeness_table(kernel, partition, pts, values, eps, names)
+    table = CorrectedKernel(pts, kernel.arity, symmetric, _read_table(kernel, pts, symmetric))
+    viols = violations(system, table.at, space, range(len(pts)), eps)
+    texts, closeness, agree = _closeness_table(kernel, partition, pts, table.values, eps, names)
     report["values"] = texts
     report["violations"] = _report_violations(viols, names)
     report["verdicts"] = _verdicts(system, viols)
@@ -245,13 +241,7 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     report["agreement_failures"] = [_point_key(t, names) for t in agree]
     status, corrected = _STATUS_FAILED, None
     if not viols and not agree:
-        status = _STATUS_OK
-        corrected = CorrectedKernel(
-            points=pts,
-            arity=kernel.arity,
-            symmetric=symmetric,
-            values={tuple([pts[i] for i in t]): v for t, v in values.items()},
-        )
+        status, corrected = _STATUS_OK, table
     elif viols:
         report["probe"]["ran"] = True
         if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
@@ -308,51 +298,42 @@ def _draw_witnesses(rng: random.Random, kernel, pts, pool: int, m: int) -> list[
     return drawn
 
 
-def _read_samples(kernel, pts) -> dict:
-    """Distinct mode: the table read off one guarded sample per point.
+def _read_table(kernel, pts, symmetric: bool) -> dict:
+    """The value table, keyed by tuples of positions in ``pts``.
 
-    Returns ``{index tuple: value}``, keyed by positions in ``pts``.  The
-    value at a sample tuple is ``generic_value`` at the points' own base
-    blocks.  Proof: the level m is the kernel resolution times a power of
-    two, so every sample lies in its point's base block; the samples are
-    pairwise distinct and avoid every override constant, so a sample tuple
-    repeats exactly where its index tuple does and ``generic_value`` gives
-    ``value_at`` at it.  So the table depends on neither m, the seed nor the
-    samples; ``repair`` draws them afterwards as the witness.
+    Distinct mode reads the kernel at the tuple of one guarded sample per
+    point, for every index tuple.  Multiset mode reads it at a sorted tuple
+    of core samples, for every sorted index tuple; the cores are the first
+    ``core_size`` samples of each pool.  Either value is ``generic_value``
+    at the points' own base blocks, at the tuple's ``repeat_pattern`` in
+    distinct mode and at the all-distinct pattern in multiset mode.  Proof: the level m is the kernel resolution
+    times a power of two, so every sample lies in its point's base block,
+    and it separates the points.  The samples are pairwise distinct and
+    avoid every override constant.  So in distinct mode a sample tuple
+    repeats exactly where its index tuple does, and ``generic_value`` gives
+    ``value_at`` at it.  In multiset mode sorting a selection keeps the
+    samples of each point together in point order, no override condition
+    holds at a sorted selection, and the kernel reads its base grid there,
+    at the blocks of the points repeated as the vector says.  The cores
+    are what ``multi_type_extract`` returns for the coloring of a size
+    vector by the value cell of ``value_at`` at the sorted selected
+    samples: each coloring is constant, so the search of ``extract_core``
+    accepts every element it tries and each pass keeps the first elements
+    of each part.  So the table depends on neither m, the seed nor the
+    samples; ``repair`` draws them afterwards and reports them as the
+    witness.
     """
     blocks = [block_of(z, kernel.resolution) for z in pts]
+    indices = range(len(pts))
+    if symmetric:
+        distinct = tuple(range(kernel.arity))
+        return {
+            t: kernel.generic_value(tuple([blocks[i] for i in t]), distinct)
+            for t in itertools.combinations_with_replacement(indices, kernel.arity)
+        }
     return {
         t: kernel.generic_value(tuple([blocks[i] for i in t]), repeat_pattern(t))
-        for t in itertools.product(range(len(pts)), repeat=kernel.arity)
-    }
-
-
-def _read_cores(kernel, pts) -> dict:
-    """Multiset mode: the table read at sorted representatives of the cores.
-
-    The cores are the first ``core_size`` samples of each pool, which is
-    what ``multi_type_extract`` returns for the coloring of a size vector
-    by the value cell of ``value_at`` at the sorted selected samples.
-    Proof: the level m is the kernel resolution times a power of two, so
-    every sample lies in its point's base block, and it separates the
-    points, so sorting a selection keeps the samples of each point together
-    in point order.  The samples are pairwise distinct and avoid every
-    override constant, so no override condition holds at a sorted selection
-    (``generic_value``) and the kernel reads its base grid there, at the
-    blocks of the points repeated as the vector says.  Each coloring is
-    therefore constant, and the search of ``extract_core`` accepts every
-    element it tries: each pass keeps the first elements of each part.  The
-    value of a vector is read at those blocks of the points, so the table
-    depends on neither m, the seed nor the pools; ``repair`` draws the pools
-    afterwards and reports them and the cores as the witness.
-
-    Returns ``{sorted index tuple: value}``, keyed by positions in ``pts``.
-    """
-    blocks = [block_of(z, kernel.resolution) for z in pts]
-    distinct = tuple(range(kernel.arity))
-    return {
-        key: kernel.generic_value(tuple([blocks[i] for i in key]), distinct)
-        for key in itertools.combinations_with_replacement(range(len(pts)), kernel.arity)
+        for t in itertools.product(indices, repeat=kernel.arity)
     }
 
 
@@ -379,16 +360,15 @@ def _closeness_table(kernel, partition, pts, values: dict, eps, names: list):
     class, and reused at the others.  The class of a tuple is each
     coordinate's ``adjacent_blocks`` and the override constant it equals
     (if any), and its ``repeat_pattern``.  Precondition: the repaired value
-    is a function of the class.  The tables of ``_read_samples`` and
-    ``_read_cores`` meet it: they read ``generic_value`` at the tuple's base
-    blocks, the last of each coordinate's adjacent blocks, and at its
-    pattern or the all-distinct one.  A ``CoordIs`` condition holds exactly
-    where its coordinate equals its constant and a ``CoordsEqual`` condition
-    exactly where the pattern repeats, so ``value_at`` is one value on the
-    class, ``generic_value`` when no coordinate equals a constant.  The
-    texts are computed once per pair of values, and the density flag
-    reads only the cell of ``value_at`` and the base at the adjacent blocks
-    (``base_in_cell``).
+    is a function of the class.  The table of ``_read_table`` meets it: it
+    reads ``generic_value`` at the tuple's base blocks, the last of each
+    coordinate's adjacent blocks, and at its pattern or the all-distinct
+    one.  A ``CoordIs`` condition holds exactly where its coordinate equals
+    its constant and a ``CoordsEqual`` condition exactly where the pattern
+    repeats, so ``value_at`` is one value on the class, ``generic_value``
+    when no coordinate equals a constant.  The texts are computed once per
+    pair of values, and the density flag reads only the cell of
+    ``value_at`` and the base at the adjacent blocks (``base_in_cell``).
     """
     r = kernel.resolution
     space = kernel.space
@@ -442,13 +422,14 @@ def _closeness_table(kernel, partition, pts, values: dict, eps, names: list):
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95% coverage."""
     if trials < 1:
         raise ContractError("the interval needs at least one trial")
     if not 0 <= successes <= trials:
         raise ContractError("successes must lie in 0..trials")
     p = successes / trials
+    z = _Z95
     denom = 1 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom

@@ -9,7 +9,7 @@ functions of their seed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -68,6 +68,18 @@ def count_triangles(value_at, points) -> int:
     return count
 
 
+def _unit_kernel(flat, *pieces, symmetric=True) -> StepKernel:
+    """A 2x2 kernel of pair values in [0, 1] with the given override pieces."""
+    return StepKernel.from_flat(
+        arity=2,
+        resolution=2,
+        space=BoundedInterval(F(1)),
+        flat_values=flat,
+        exceptions=pieces,
+        symmetric_base=symmetric,
+    )
+
+
 def loopy_bipartite_kernel() -> StepKernel:
     """Complete bipartite edge indicator with a spurious loop on the diagonal.
 
@@ -76,17 +88,10 @@ def loopy_bipartite_kernel() -> StepKernel:
     through repeated points form triangles even though the defect is a null
     set.
     """
-    return StepKernel.from_flat(
-        arity=2,
-        resolution=2,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(0), F(1), F(1), F(0)],
-        exceptions=(ExceptionPiece((CoordsEqual(1, 2),), F(1)),),
-        symmetric_base=True,
-    )
+    return _unit_kernel([F(0), F(1), F(1), F(0)], ExceptionPiece((CoordsEqual(1, 2),), F(1)))
 
 
-def triangle_demo(seed: str = "0", audit_samples: int = 10_000) -> DemoReport:
+def triangle_demo(seed: str = "0") -> DemoReport:
     """Remove the diagonal loops from the bipartite kernel.
 
     The repaired values keep every cross-half edge yet admit no triangle at
@@ -100,22 +105,16 @@ def triangle_demo(seed: str = "0", audit_samples: int = 10_000) -> DemoReport:
     points = (F(1, 10), F(1, 5), F(3, 10), F(3, 5), F(7, 10), F(4, 5))
     config = RepairConfig(epsilon=F(1, 10), seed=seed)
     outcome = repair(kernel, system, points, config)
-    audit = audit_ae_hypothesis(kernel, system, samples=audit_samples, seed=seed)
+    audit = audit_ae_hypothesis(kernel, system, samples=10_000, seed=seed)
 
     f_triangles = count_triangles(kernel.value_at, points)
     g_triangles = (
         count_triangles(outcome.corrected.value_at, points) if outcome.ok else None
     )
 
-    all_ones = StepKernel.from_flat(
-        arity=2,
-        resolution=2,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(1)] * 4,
-        symmetric_base=True,
-    )
+    all_ones = _unit_kernel([F(1)] * 4)
     ones_outcome = repair(all_ones, system, points, config)
-    ones_audit = audit_ae_hypothesis(all_ones, system, samples=audit_samples, seed=seed)
+    ones_audit = audit_ae_hypothesis(all_ones, system, samples=10_000, seed=seed)
 
     summary = {
         "name": "triangle_free",
@@ -184,17 +183,10 @@ def metric_demo(seed: str = "0") -> DemoReport:
             violations(system, outcome.corrected.value_at, space, points, eps)
         )
         zeroed = dict(outcome.corrected.values)
-        for z in outcome.corrected.points:
-            zeroed[(z, z)] = F(0)
-        zero_diag_violations = len(
-            violations(
-                system,
-                lambda t: zeroed[tuple(sorted(t))],
-                space,
-                points,
-                eps,
-            )
-        )
+        for i in range(len(outcome.corrected.points)):
+            zeroed[(i, i)] = F(0)
+        zero_diag = replace(outcome.corrected, values=zeroed)
+        zero_diag_violations = len(violations(system, zero_diag.value_at, space, points, eps))
     else:
         g_violations = None
         zero_diag_violations = None
@@ -217,12 +209,7 @@ _OPPOSITE = frozenset({(F(0), F(1)), (F(1), F(0))})
 
 def oriented_kernel() -> StepKernel:
     """Edges oriented from the lower half to the upper half, nothing else."""
-    return StepKernel.from_flat(
-        arity=2,
-        resolution=2,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(0), F(1), F(0), F(0)],
-    )
+    return _unit_kernel([F(0), F(1), F(0), F(0)], symmetric=False)
 
 
 def antisymmetry_system(symmetrized: bool) -> ConstraintSystem:
@@ -243,14 +230,7 @@ def antisymmetry_system(symmetrized: bool) -> ConstraintSystem:
 
 def diagonal_contrast_kernel() -> StepKernel:
     """Value 1 off the diagonal, 0 on it."""
-    return StepKernel.from_flat(
-        arity=2,
-        resolution=2,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(1)] * 4,
-        exceptions=(ExceptionPiece((CoordsEqual(1, 2),), F(0)),),
-        symmetric_base=True,
-    )
+    return _unit_kernel([F(1)] * 4, ExceptionPiece((CoordsEqual(1, 2),), F(0)))
 
 
 def diagonal_contrast_system() -> ConstraintSystem:
@@ -268,7 +248,7 @@ def diagonal_contrast_system() -> ConstraintSystem:
     )
 
 
-def remark_demo(seed: str = "0", audit_samples: int = 2_000) -> DemoReport:
+def remark_demo(seed: str = "0") -> DemoReport:
     """Two honest infeasibilities and the feasible variant between them.
 
     Symmetrizing an orientation contradicts the one-direction rule, so that
@@ -297,9 +277,7 @@ def remark_demo(seed: str = "0", audit_samples: int = 2_000) -> DemoReport:
         points,
         RepairConfig(epsilon=F(1, 10), seed=seed),
     )
-    contrast_audit = audit_ae_hypothesis(
-        contrast_kernel, contrast_system, samples=audit_samples, seed=seed
-    )
+    contrast_audit = audit_ae_hypothesis(contrast_kernel, contrast_system, samples=2_000, seed=seed)
 
     summary = {
         "name": "remark",
@@ -321,7 +299,7 @@ def remark_demo(seed: str = "0", audit_samples: int = 2_000) -> DemoReport:
     return DemoReport("remark", summary, symmetrized, objects)
 
 
-def audit_demo(seed: str = "0", audit_samples: int = 10_000) -> DemoReport:
+def audit_demo(seed: str = "0") -> DemoReport:
     """Audit three kernels against the triangle-free demand.
 
     The bipartite kernel's defects are null, so it audits at zero; the
@@ -330,24 +308,12 @@ def audit_demo(seed: str = "0", audit_samples: int = 10_000) -> DemoReport:
     """
     system = triangle_free_system(mode="multiset")
     bipartite = loopy_bipartite_kernel()
-    all_ones = StepKernel.from_flat(
-        arity=2,
-        resolution=2,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(1)] * 4,
-        symmetric_base=True,
-    )
-    all_zero = StepKernel.from_flat(
-        arity=2,
-        resolution=2,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(0)] * 4,
-        symmetric_base=True,
-    )
+    all_ones = _unit_kernel([F(1)] * 4)
+    all_zero = _unit_kernel([F(0)] * 4)
     results = {
-        "bipartite": audit_ae_hypothesis(bipartite, system, audit_samples, seed),
-        "all_ones": audit_ae_hypothesis(all_ones, system, audit_samples, seed),
-        "all_zero": audit_ae_hypothesis(all_zero, system, audit_samples, seed),
+        "bipartite": audit_ae_hypothesis(bipartite, system, 10_000, seed),
+        "all_ones": audit_ae_hypothesis(all_ones, system, 10_000, seed),
+        "all_zero": audit_ae_hypothesis(all_zero, system, 10_000, seed),
     }
     summary = {"name": "audit"}
     for label, res in results.items():

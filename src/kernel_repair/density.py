@@ -15,6 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .errors import ContractError
 from .kernel import StepKernel, block_of
 from .rational import as_fraction
 from .values import CellPartition
@@ -55,11 +56,16 @@ def density_mass(
     With ``cell_index`` omitted the cell is the one holding the kernel value
     at the point itself (overrides included, since that is the observed
     value).  The result lies in [0, 1] and equals 1 exactly when the whole
-    box maps into the cell.
+    box maps into the cell.  A level below 1 or a point of the wrong arity
+    raises ``ContractError``, a point outside [0, 1)^k ``DomainError``; the
+    point is checked by ``value_at``, whatever the cell.
     """
+    if m < 1:
+        raise ContractError("refinement level m must be at least 1")
     pt = tuple(as_fraction(x) for x in point)
+    value = kernel.value_at(pt)
     if cell_index is None:
-        cell_index = partition.cell_of(kernel.value_at(pt))
+        cell_index = partition.cell_of(value)
     per_axis = [axis_segments(x, m, kernel.resolution) for x in pt]
     total = Fraction(0)
     for combo in itertools.product(*per_axis):

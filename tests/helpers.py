@@ -450,7 +450,7 @@ def reference_repair(
                 points=pts,
                 arity=kernel.arity,
                 symmetric=symmetric,
-                values={tuple(pts[i] for i in t): v for t, v in values.items()},
+                values=values,
             )
             break
         if viols and not report["probe"]["ran"]:

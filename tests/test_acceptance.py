@@ -277,7 +277,7 @@ def test_criterion_06_corrector_multiset_suite():
 
 
 def test_criterion_07_triangle_removal_reproduction():
-    report = triangle_demo(seed="0", audit_samples=10_000)
+    report = triangle_demo(seed="0")
     s = report.summary
     points = report.objects["points"]
     g = report.outcome.corrected

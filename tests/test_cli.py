@@ -380,6 +380,29 @@ def test_density_with_explicit_target_value(tmp_path, capsys):
     assert (code, out) == (0, "0\n")
 
 
+@pytest.mark.parametrize("target", [(), ("--target-value", "0")])
+@pytest.mark.parametrize(
+    "point, m, message",
+    [
+        ("1/4,1/2", "0", "refinement level m must be at least 1"),
+        ("1/4,1/2", "-1", "refinement level m must be at least 1"),
+        ("1/4,1/2", "-2", "refinement level m must be at least 1"),
+        ("1/4", "2", "expected 2 coordinates, got 1"),
+        ("5/4,1/2", "2", "coordinate 5/4 outside [0, 1)"),
+    ],
+)
+def test_density_refuses_a_bad_level_or_point(tmp_path, capsys, target, point, m, message):
+    kernel = StepKernel.from_flat(
+        arity=2, resolution=2, space=BoundedInterval(F(1)), flat_values=[F(0), F(1), F(1), F(0)]
+    )
+    path = kernel_file(tmp_path, kernel)
+    code, out, err = run(
+        capsys,
+        "density", "--kernel", path, "--point", point, "--epsilon", "3/10", f"--m={m}", *target,
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # --- correct ---
 
 

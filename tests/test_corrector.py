@@ -103,9 +103,10 @@ def test_corrected_kernel_lookup():
         points=(F(1, 4), F(3, 4)),
         arity=2,
         symmetric=True,
-        values={(F(1, 4), F(3, 4)): F(1), (F(1, 4), F(1, 4)): F(0), (F(3, 4), F(3, 4)): F(0)},
+        values={(0, 1): F(1), (0, 0): F(0), (1, 1): F(0)},
     )
     assert g.value_at((F(3, 4), F(1, 4))) == 1  # sorted lookup
+    assert g.at((1, 0)) == 1 and g.at((1, 1)) == 0
     with pytest.raises(ContractError):
         g.value_at((F(1, 4),))
     with pytest.raises(ContractError):
@@ -797,7 +798,7 @@ def test_a_failing_repair_decides_once_and_draws_one_attempt(monkeypatch, mode):
     looped = reference_repair(kernel, system, points, config)
     assert looped.status == "failed" and len(looped.report["escalations"]) == 3
     want = reference_repair(kernel, system, points, config, max_escalations=0)
-    reads = counting(monkeypatch, corrector, "_read_cores" if mode == "multiset" else "_read_samples")
+    reads = counting(monkeypatch, corrector, "_read_table")
     sweeps = counting_sweeps(monkeypatch)
     probes = counting(monkeypatch, corrector, "proven_infeasible")
     seeds = []
@@ -855,11 +856,11 @@ def check_against_references(kernel, system, points, eps, seed):
         if row["density"] and as_fraction(row["dist"]) > eps
     ]
     if outcome.ok:
-        # the corrected kernel is keyed by point tuples, not index tuples
-        assert outcome.corrected.values == values
-        for t in values:
-            assert all(type(x) is Fraction for x in t)
-            assert outcome.corrected.value_at(t) == values[t]
+        # every ordering of every tuple reads the reference's value
+        pts = [as_fraction(z) for z in report["points"]]
+        for t in itertools.product(pts, repeat=kernel.arity):
+            key = tuple(sorted(t)) if system.mode == "multiset" else t
+            assert outcome.corrected.value_at(t) == values[key]
     return outcome
 
 

@@ -56,7 +56,7 @@ def test_loopy_kernel_defect_census():
 
 
 def test_triangle_demo_summary():
-    report = triangle_demo(seed="0", audit_samples=800)
+    report = triangle_demo(seed="0")
     s = report.summary
     assert s["status"] == "ok"
     assert s["f_triangles"] == 60
@@ -106,7 +106,7 @@ def test_metric_demo_exactness_of_repair():
 
 
 def test_remark_demo_summary():
-    report = remark_demo(seed="0", audit_samples=400)
+    report = remark_demo(seed="0")
     s = report.summary
     assert s["symmetrized_status"] == "infeasible"
     assert s["symmetrized_proven_infeasible"] is True
@@ -117,7 +117,7 @@ def test_remark_demo_summary():
 
 
 def test_remark_feasible_variant_produces_oriented_values():
-    report = remark_demo(seed="0", audit_samples=400)
+    report = remark_demo(seed="0")
     plain = report.objects["antisymmetry"]
     assert plain.ok
     a, b = report.objects["points"]
@@ -126,17 +126,17 @@ def test_remark_feasible_variant_produces_oriented_values():
 
 
 def test_audit_demo_summary():
-    report = audit_demo(seed="0", audit_samples=600)
+    report = audit_demo(seed="0")
     s = report.summary
     assert s["bipartite"]["violations"] == 0
     assert s["all_zero"]["violations"] == 0
-    assert s["all_ones"]["violations"] == 600
+    assert s["all_ones"]["violations"] == 10_000
     assert s["all_ones"]["interval"][1] == 1.0
 
 
 def test_demos_are_pure_functions_of_the_seed():
-    a = triangle_demo(seed="x", audit_samples=200).summary
-    b = triangle_demo(seed="x", audit_samples=200).summary
+    a = triangle_demo(seed="x").summary
+    b = triangle_demo(seed="x").summary
     assert a == b
 
 

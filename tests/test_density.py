@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from helpers import midpoint_mass, random_exceptions, random_kernel
 
 from kernel_repair.density import (
@@ -14,6 +15,7 @@ from kernel_repair.density import (
     density_mass,
     is_density_tuple,
 )
+from kernel_repair.errors import ContractError, DomainError
 from kernel_repair.kernel import CoordIs, CoordsEqual, ExceptionPiece, StepKernel
 from kernel_repair.values import BoundedInterval, epsilon_partition
 
@@ -56,6 +58,19 @@ def test_mass_of_absent_cell_is_zero():
     part = epsilon_partition(k.space, F(1, 10))
     cell_b = part.cell_of(F(1))
     assert density_mass(k, part, (F(1, 4),), 2, cell_b) == 0
+
+
+@pytest.mark.parametrize("cell_index", [None, 0])
+def test_density_mass_refuses_a_bad_level_or_point(cell_index):
+    k = halves_kernel()
+    part = epsilon_partition(k.space, F(1, 10))
+    for m in (0, -1, -2):
+        with pytest.raises(ContractError, match="refinement level m must be at least 1"):
+            density_mass(k, part, (F(1, 4),), m, cell_index)
+    with pytest.raises(ContractError, match="expected 1 coordinates, got 2"):
+        density_mass(k, part, (F(1, 4), F(1, 2)), 2, cell_index)
+    with pytest.raises(DomainError, match=r"coordinate 5/4 outside \[0, 1\)"):
+        density_mass(k, part, (F(5, 4),), 2, cell_index)
 
 
 def test_null_override_contributes_no_mass():
