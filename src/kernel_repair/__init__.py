@@ -30,7 +30,6 @@ from .corrector import (
     RepairOutcome,
     audit_ae_hypothesis,
     repair,
-    separating_refinement,
     wilson_interval,
 )
 from .demos import DEMOS, DemoReport, run_demo
@@ -113,7 +112,6 @@ __all__ = [
     "repeat_pattern",
     "run_demo",
     "sample_in_cell",
-    "separating_refinement",
     "symmetry_atoms",
     "triangle_free_system",
     "value_from_text",

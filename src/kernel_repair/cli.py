@@ -4,8 +4,9 @@ Subcommands: eval, density, correct, ramsey, demo, audit, verify.  Exit
 codes: 0 for success or a feasible result, 2 for an honest negative
 (failed repair, no core exists, infeasible system, failed
 verification), 1 for usage or file-format errors.  Every randomized
-subcommand requires an explicit --seed; identical invocations produce
-byte-identical reports except for timing fields.
+subcommand, and correct (which only records it), requires an explicit
+--seed; identical invocations produce byte-identical reports except for
+timing fields.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .constraint import violations
-from .corrector import CorrectedKernel, RepairConfig, audit_ae_hypothesis, repair, samples_per_point
+from .corrector import CorrectedKernel, RepairConfig, audit_ae_hypothesis, repair
 from .demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from .density import density_mass
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
@@ -136,17 +137,12 @@ def _refuse_large_system_sweep(system, n: int):
 
 
 def _refuse_large_repair(system, n: int):
-    """Refuse, before any draw, a value table or sample pools above ``MAX_REPAIR_TABLE``."""
+    """Refuse, before any read, a value table above ``MAX_REPAIR_TABLE``."""
     a = system.arity
     if estimated_table_tuples(system.mode, n, a) > MAX_REPAIR_TABLE:
         shown = f"C({n}+{a}-1,{a})" if system.mode == "multiset" else f"{n}^{a}"
         raise ContractError(
             f"refused: estimated {shown} value-table tuples, more than {MAX_REPAIR_TABLE}"
-        )
-    samples = n * samples_per_point(system)
-    if samples > MAX_REPAIR_TABLE:
-        raise ContractError(
-            f"refused: {samples} guarded samples per attempt, more than {MAX_REPAIR_TABLE}"
         )
 
 
@@ -189,7 +185,7 @@ def cmd_correct(args) -> int:
         write_report(doc, args.out)
     else:
         sys.stdout.write(to_json(doc))
-    print(f"status: {outcome.status} (m={outcome.report['m']})", file=sys.stderr)
+    print(f"status: {outcome.status}", file=sys.stderr)
     return 0 if outcome.ok else 2
 
 
@@ -335,7 +331,12 @@ def cmd_verify(args) -> int:
         raise
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
-    lookup = CorrectedKernel(tuple(distinct), kernel.arity, part == 2, values)
+    # the constraint's mode, not the report, decides whether lookups sort
+    symmetric = system.mode == "multiset"
+    if type(part) is not int or part != (2 if symmetric else 1):
+        raise FormatError(f"report file {args.report}: its part {part!r} does not match "
+                          f"the constraint's {system.mode} mode")
+    lookup = CorrectedKernel(tuple(distinct), kernel.arity, symmetric, values)
     canon = [rank[p] for p in points]
 
     def evaluate(t):

@@ -5,7 +5,7 @@ produces values on all needed tuples of a finite point set so the
 constraints hold for every tuple, while agreeing with the kernel wherever
 the point tuple sits at a density point of its own value cell.
 
-Two regimes, selected by the constraint mode:
+The paper's construction has two regimes, selected by the constraint mode:
 
 * distinct mode draws one fresh sample per point inside its refinement
   cell and reads the kernel off the sampled tuples;
@@ -17,25 +17,18 @@ Two regimes, selected by the constraint mode:
   extraction is constant and the extraction returns the first elements of
   each pool (see ``_read_table``).
 
-Both regimes read the kernel in closed form through
-``StepKernel.generic_value`` at the points' own base blocks: every sample
-lies in its point's base block, and the samples are pairwise distinct and
-avoid every override constant.  The value table is keyed by tuples of point
-indices (positions in the sorted points), so the sweep, the report and the
+``repair`` reads both in closed form through ``StepKernel.generic_value``
+at the points' own base blocks, proven equal to the sampled construction
+(see ``_read_table``), so it draws no sample and decides in one attempt
+(see ``repair``).  The value table is keyed by tuples of point indices
+(positions in the sorted points), so the sweep, the report and the
 closeness table hash and sort small ints, and a successful repair returns
-that table as its ``CorrectedKernel``.  The closeness table
-computes one row per closeness class of tuples (see ``_closeness_table``).
-The construction doubles the refinement when verification fails, but the
-closed form depends on neither the refinement level nor the samples, so a
-doubled level would re-read the table it already checked.  So ``repair``
-decides in one attempt: it reads, sweeps and compares the table once, runs
-a bounded-budget satisfiability probe once if the sweep fails (so genuinely
-infeasible systems surface as such), and then draws the witness samples at
-the separating level, on floats.  The almost-everywhere audit
-draws its floats in rounds, places them in base blocks by exact float cuts,
-counts its trials per block vector and decides each vector of slot values
-once (see ``audit_ae_hypothesis``).
-Every run is a pure function of the configuration seed.
+that table as its ``CorrectedKernel``.  The closeness table computes one
+row per closeness class of tuples (see ``_closeness_table``).  The
+almost-everywhere audit draws its floats in rounds, places them in base
+blocks by exact float cuts, counts its trials per block vector and decides
+each vector of slot values once (see ``audit_ae_hypothesis``).  A repair is
+a pure function of its inputs and an audit of its seed.
 """
 
 from __future__ import annotations
@@ -64,11 +57,6 @@ from .kernel import StepKernel, block_of, repeat_pattern
 from .rational import as_fraction, frac_str
 from .values import epsilon_partition, value_to_text
 
-#: How many guarded redraws to attempt before giving up on a sample.  The
-#: guard only rejects exact rational coincidences, which a float-backed
-#: generator essentially never produces, so the cap is a formality.
-_GUARD_TRIES = 64
-
 #: About how many floats the audit draws per round: enough trials per round
 #: to count block vectors in bulk, few enough to bound the memory of any
 #: ``samples``.  A round always draws at least one whole trial.
@@ -84,7 +72,7 @@ class RepairConfig:
     """The inputs of a repair run besides the kernel, system and points.
 
     epsilon: relaxation tolerance; must be positive in multiset mode.
-    seed: any string; every random choice derives from it.
+    seed: any string; recorded in the report, drives nothing.
     """
 
     epsilon: Fraction = Fraction(0)
@@ -142,14 +130,6 @@ class RepairOutcome:
         return self.status == _STATUS_OK
 
 
-def separating_refinement(points, resolution: int) -> int:
-    """Smallest level resolution * 2^j putting the points in distinct cells."""
-    m = resolution
-    while len({block_of(x, m) for x in points}) < len(points):
-        m *= 2
-    return m
-
-
 def _point_key(t, names: list) -> str:
     """The report key of an index tuple; ``names[i]`` is the ``frac_str`` of point i."""
     return ",".join([names[i] for i in t])
@@ -157,17 +137,6 @@ def _point_key(t, names: list) -> str:
 
 def _report_violations(viols, names: list) -> list:
     return [{"tuple": _point_key(v.assignment, names), "atom": v.detail} for v in viols[:10]]
-
-
-def samples_per_point(system: ConstraintSystem) -> int:
-    """How many guarded samples ``repair`` draws per point.
-
-    Distinct mode draws one; multiset mode draws a pool of twice the core
-    size ``max(variables, arity)``.
-    """
-    if system.mode != "multiset":
-        return 1
-    return 2 * max(system.variables, system.arity)
 
 
 def _check_arity(kernel: StepKernel, system: ConstraintSystem):
@@ -180,17 +149,19 @@ def _check_arity(kernel: StepKernel, system: ConstraintSystem):
 def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optional[RepairConfig] = None) -> RepairOutcome:
     """Repair the kernel's values over the given points for the system.
 
-    Distinct-mode systems use the one-sample construction, multiset-mode
-    systems the pool-and-core construction.  The outcome's report is
-    identical across runs with the same inputs except for its timing entry.
+    Distinct-mode systems get the table of the one-sample construction,
+    multiset-mode systems that of the pool-and-core construction, both read
+    in closed form (see ``_read_table``).  The outcome's report is identical
+    across runs with the same inputs except for its timing entry and the
+    seed it records.
 
-    The repair is one attempt, decided before a witness is drawn.  The
-    closed-form table depends on neither the refinement level, the seed nor
-    the samples (see ``_read_table``), so a doubled level would re-read
-    the same table and reach the same status: the table is read, swept and
-    compared with the kernel once, the probe runs once if the sweep fails,
-    and the witnesses are then drawn at the separating level ``m`` from a
-    generator seeded ``{seed}:p{part}:0``.  The report's ``escalations`` is
+    The repair is one attempt.  The construction doubles the refinement
+    when verification fails, but the closed-form table depends on neither
+    the refinement level, the seed nor the samples, so a doubled level would
+    re-read the same table and reach the same status: the table is read,
+    swept and compared with the kernel once, and a bounded-budget
+    satisfiability probe runs once if the sweep fails (so genuinely
+    infeasible systems surface as such).  The report's ``escalations`` is
     always empty; it stays for readers that count attempts from it.
     """
     cfg = config or RepairConfig()
@@ -213,24 +184,18 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
             raise ContractError("multiset-mode repair needs a positive epsilon")
         if not kernel.symmetric_base:
             raise ContractError("multiset-mode repair needs a symmetric base grid")
-    m = separating_refinement(pts, kernel.resolution)
     partition = epsilon_partition(space, eps) if eps > 0 else None
-    part = 2 if symmetric else 1
     names = [frac_str(x) for x in pts]
     report = {
-        "part": part,
+        "part": 2 if symmetric else 1,
         "mode": system.mode,
         "status": None,
         "epsilon": frac_str(eps),
         "seed": str(cfg.seed),
         "points": names,
-        "m": m,
         "escalations": [],
         "probe": {"ran": False, "proven_infeasible": False},
     }
-    if symmetric:
-        core_size = max(system.variables, kernel.arity)
-        report["core_size"] = core_size
     table = CorrectedKernel(pts, kernel.arity, symmetric, _read_table(kernel, pts, symmetric))
     viols = violations(system, table.at, space, range(len(pts)), eps)
     texts, closeness, agree = _closeness_table(kernel, partition, pts, table.values, eps, names)
@@ -247,81 +212,36 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
             report["probe"]["proven_infeasible"] = True
             status = _STATUS_INFEASIBLE
-    pool = samples_per_point(system)
-    drawn = _draw_witnesses(random.Random(f"{cfg.seed}:p{part}:0"), kernel, pts, pool, m)
-    if symmetric:
-        report["pool_size"] = pool
-        report["pools"] = {z: [text for _, text in d] for z, d in zip(names, drawn)}
-        report["cores"] = {
-            z: [text for _, text in sorted(d[:core_size])] for z, d in zip(names, drawn)
-        }
-    else:
-        report["samples"] = {z: d[0][1] for z, d in zip(names, drawn)}
     report["status"] = status
     report["timing"] = time.perf_counter() - start
     return RepairOutcome(status=status, corrected=corrected, report=report)
 
 
-def _draw_witnesses(rng: random.Random, kernel, pts, pool: int, m: int) -> list[list[tuple[float, str]]]:
-    """Guarded samples per point, pairwise distinct and clear of the points
-    and the override constants, as (float, ``frac_str`` text) pairs.
-
-    Point z lies in the level-m cell s; its sample is (s + f)/m for one draw
-    f = ``rng.random()``, as in ``sample_in_cell``, redrawn when the sample
-    equals a point, a constant or an earlier sample.  The guard tests f
-    exactly: (s + f)/m == c holds exactly when f == c·m − s, and the other
-    points and their samples lie in other cells, since m separates the
-    points.  Floats hash and compare exactly like the ``Fraction``s they
-    denote, and a point's samples sort by their floats as by their values.
-    """
-    constants = kernel.exception_constants()
-    drawn = []
-    for z in pts:
-        s = block_of(z, m)
-        guard = {c * m - s for c in constants if block_of(c, m) == s}
-        guard.add(z * m - s)
-        witnesses = []
-        for _ in range(pool):
-            for _ in range(_GUARD_TRIES):
-                f = rng.random()
-                if f not in guard:
-                    break
-            else:
-                raise ContractError("could not draw a sample clear of the guarded values")
-            guard.add(f)
-            a, b = f.as_integer_ratio()
-            num, den = s * b + a, m * b
-            g = math.gcd(num, den)
-            num, den = num // g, den // g
-            witnesses.append((f, str(num) if den == 1 else f"{num}/{den}"))
-        drawn.append(witnesses)
-    return drawn
-
-
 def _read_table(kernel, pts, symmetric: bool) -> dict:
     """The value table, keyed by tuples of positions in ``pts``.
 
-    Distinct mode reads the kernel at the tuple of one guarded sample per
-    point, for every index tuple.  Multiset mode reads it at a sorted tuple
-    of core samples, for every sorted index tuple; the cores are the first
-    ``core_size`` samples of each pool.  Either value is ``generic_value``
-    at the points' own base blocks, at the tuple's ``repeat_pattern`` in
-    distinct mode and at the all-distinct pattern in multiset mode.  Proof: the level m is the kernel resolution
-    times a power of two, so every sample lies in its point's base block,
-    and it separates the points.  The samples are pairwise distinct and
-    avoid every override constant.  So in distinct mode a sample tuple
-    repeats exactly where its index tuple does, and ``generic_value`` gives
-    ``value_at`` at it.  In multiset mode sorting a selection keeps the
-    samples of each point together in point order, no override condition
-    holds at a sorted selection, and the kernel reads its base grid there,
-    at the blocks of the points repeated as the vector says.  The cores
-    are what ``multi_type_extract`` returns for the coloring of a size
-    vector by the value cell of ``value_at`` at the sorted selected
-    samples: each coloring is constant, so the search of ``extract_core``
-    accepts every element it tries and each pass keeps the first elements
-    of each part.  So the table depends on neither m, the seed nor the
-    samples; ``repair`` draws them afterwards and reports them as the
-    witness.
+    The paper's construction draws guarded samples in each point's cell at
+    a level m that separates the points.  Distinct mode reads the kernel at
+    the tuple of one sample per point, for every index tuple.  Multiset mode
+    reads it at a sorted tuple of core samples, for every sorted index
+    tuple; the cores are the first ``core_size`` samples of each point's
+    pool.  Either value is ``generic_value`` at the points' own base blocks,
+    at the tuple's ``repeat_pattern`` in distinct mode and at the
+    all-distinct pattern in multiset mode.  Proof: the level m is the kernel
+    resolution times a power of two, so every sample lies in its point's
+    base block, and it separates the points.  The samples are pairwise
+    distinct and avoid every override constant.  So in distinct mode a
+    sample tuple repeats exactly where its index tuple does, and
+    ``generic_value`` gives ``value_at`` at it.  In multiset mode sorting a
+    selection keeps the samples of each point together in point order, no
+    override condition holds at a sorted selection, and the kernel reads
+    its base grid there, at the blocks of the points repeated as the vector
+    says.  The cores are what ``multi_type_extract`` returns for the
+    coloring of a size vector by the value cell of ``value_at`` at the
+    sorted selected samples: each coloring is constant, so the search of
+    ``extract_core`` accepts every element it tries and each pass keeps the
+    first elements of each part.  So the table depends on neither m, the
+    seed nor the samples.
     """
     blocks = [block_of(z, kernel.resolution) for z in pts]
     indices = range(len(pts))

@@ -559,8 +559,11 @@ def to_json(doc: dict) -> str:
 
 
 def write_report(doc: dict, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(doc))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(to_json(doc))
+    except OSError as exc:
+        raise FormatError(f"cannot write report file {path}: {exc}") from exc
 
 
 def strip_timing(doc):

@@ -81,6 +81,11 @@ def validate_request(parts, sizes, goal: int):
             raise ContractError(f"core size {goal} exceeds a part of {len(p)} elements")
 
 
+#: Plans of at most this many subsets stay cached; a larger one is built per
+#: call and freed with it, at little cost next to coloring its subsets.
+_CACHED_PLAN_SUBSETS = 4096
+
+
 @functools.lru_cache(maxsize=16)
 def _plan(n: int, s: int):
     """Row plan for the s-subsets of n positions, in lexicographic order.
@@ -139,7 +144,9 @@ def _search(parts, sizes, coloring: Coloring, goal: int):
         return tuple(cores)
     *earlier, last = positive
     s = sizes[last]
-    heads, head_index, row_of, bit_of = _plan(len(parts[last]), s)
+    n = len(parts[last])
+    plan = _plan if math.comb(n, s) <= _CACHED_PLAN_SUBSETS else _plan.__wrapped__
+    heads, head_index, row_of, bit_of = plan(n, s)
     suffix = ((),) * (p - 1 - last)
     tails = ((sub,) + suffix for sub in itertools.combinations(parts[last], s))
     if earlier:

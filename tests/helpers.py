@@ -9,9 +9,11 @@ every atom checked at every assignment, affine atoms by
 reference_affine_satisfied, the ``Fraction`` arithmetic that the integer
 sums of ``AffineAtom.satisfied`` replaced.  reference_core is the candidate
 scan that core extraction's pruned search replaced.  reference_repair is the
-attempt loop that the one-pass repair replaced: every attempt draws its
-witnesses as ``Fraction``s (draw_pools), reads the kernel with ``value_at``
-at them, and sweeps and compares its table anew.  reference_verify is the
+paper's sampled construction in the attempt loop that the one-pass,
+closed-form repair replaced: every attempt draws guarded ``Fraction``
+samples at a level that separates the points (draw_pools), reads the kernel
+with ``value_at`` at them, sweeps and compares its table anew, and reports
+the samples, pools and cores it drew.  reference_verify is the
 ``verify`` command that the index-keyed one replaced: it keys the report's
 table by tuples of ``Fraction`` points.
 """
@@ -40,8 +42,6 @@ from kernel_repair.corrector import (
     AuditResult,
     CorrectedKernel,
     RepairOutcome,
-    samples_per_point,
-    separating_refinement,
     wilson_interval,
 )
 from kernel_repair.density import is_density_tuple
@@ -316,6 +316,25 @@ def reference_core(parts, sizes, coloring, goal):
     return None
 
 
+def separating_refinement(points, resolution: int) -> int:
+    """Smallest level resolution * 2^j putting the points in distinct cells."""
+    m = resolution
+    while len({block_of(x, m) for x in points}) < len(points):
+        m *= 2
+    return m
+
+
+def samples_per_point(system: ConstraintSystem) -> int:
+    """How many guarded samples the paper's construction draws per point.
+
+    Distinct mode draws one; multiset mode draws a pool of twice the core
+    size ``max(variables, arity)``.
+    """
+    if system.mode != "multiset":
+        return 1
+    return 2 * max(system.variables, system.arity)
+
+
 def draw_guarded(rng, point, m, forbidden):
     """Sample the point's level-m cell, redrawing exact hits on forbidden values."""
     for _ in range(64):
@@ -338,6 +357,13 @@ def draw_pools(rng, kernel, pts, pool, m):
             drawn.append(y)
         pools.append(drawn)
     return pools
+
+
+def separated_pools(rng, kernel, system, pts):
+    """``draw_pools`` for the sorted points ``pts`` at the level that
+    separates them, ``samples_per_point`` samples per point."""
+    m = separating_refinement(pts, kernel.resolution)
+    return draw_pools(rng, kernel, pts, samples_per_point(system), m)
 
 
 def sampled_table(kernel, mode, pools, core_size):
@@ -366,10 +392,13 @@ def reference_repair(
     A failed attempt doubles the refinement, at most ``max_escalations``
     times and never past ``max_refinement`` (raised to the kernel
     resolution); the points must separate below that cap.  Multiset mode
-    draws ``pool_size`` samples per point, by default ``repair``'s pool.
-    Returns a ``RepairOutcome`` whose report has no timing entry and keeps
-    the attempt loop's ``initial_m``, ``final_m`` and ``escalations``.
-    Inputs are assumed valid.
+    draws ``pool_size`` samples per point, by default ``samples_per_point``.
+    Each attempt draws from a generator seeded ``{seed}:p{part}:{attempt}``.
+    Returns a ``RepairOutcome`` whose report has no timing entry, keeps the
+    attempt loop's ``initial_m``, ``final_m`` and ``escalations``, and holds
+    the last attempt's witness: ``samples`` in distinct mode, ``pools``,
+    ``cores``, ``pool_size`` and ``core_size`` in multiset mode.  Inputs are
+    assumed valid.
     """
     pts = tuple(sorted(as_fraction(x) for x in points))
     cap = max_refinement
@@ -502,7 +531,12 @@ def reference_verify(args) -> int:
         }
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
-    symmetric = part == 2
+    symmetric = system.mode == "multiset"
+    if type(part) is not int or part != (2 if symmetric else 1):
+        raise FormatError(
+            f"report file {args.report}: its part {part!r} does not match "
+            f"the constraint's {system.mode} mode"
+        )
     _refuse_large_system_sweep(system, len(points))
 
     def evaluate(t):

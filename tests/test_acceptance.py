@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import random_exceptions, random_kernel, suite_problem
+from helpers import random_exceptions, random_kernel, separated_pools, suite_problem
 from kernel_repair.cli import main as cli_main
 from kernel_repair.constraint import metric_system, violations
 from kernel_repair.corrector import RepairConfig, repair
@@ -28,7 +28,7 @@ from kernel_repair.fileio import (
 )
 from kernel_repair.kernel import StepKernel
 from kernel_repair.ramsey import all_selections, extract_core, is_monochromatic
-from kernel_repair.rational import as_fraction, frac_str
+from kernel_repair.rational import frac_str
 from kernel_repair.values import INFINITY, BoundedInterval, epsilon_partition
 
 F = Fraction
@@ -255,11 +255,12 @@ def test_criterion_06_corrector_multiset_suite():
                 symmetric &= g.value_at(perm) == g.value_at(t)
         atoms_hold &= not violations(system, g.value_at, space, points, eps)
 
-        # swapping which core elements represent a point moves nothing by eps
-        cores = {
-            as_fraction(z): [as_fraction(y) for y in c]
-            for z, c in outcome.report["cores"].items()
-        }
+        # swapping which core elements represent a point moves nothing by
+        # eps; the cores are the paper's, the sorted prefixes of guarded pools
+        pts = sorted(points)
+        pools = separated_pools(random.Random(f"accept6:{i}"), kernel, system, pts)
+        core_size = max(system.variables, kernel.arity)
+        cores = {z: sorted(p[:core_size]) for z, p in zip(pts, pools)}
         for key in itertools.combinations_with_replacement(points, kernel.arity):
             alt = sorted(
                 itertools.chain.from_iterable(

@@ -190,13 +190,6 @@ HUGE_TABLE = (
     '"atoms":[{"kind":"finite","slot":[1,1,1,1,1,1,1,1],"allowed":["1/2"]}]}'
 )
 
-#: 103 bytes: one point sweeps one assignment, but multiset mode draws a pool of
-#: 2 x 10,000,000 guarded samples for it
-HUGE_POOLS = (
-    '{"mode":"multiset","arity":1,"variables":10000000,'
-    '"atoms":[{"kind":"equality","left":[1],"right":[2]}]}'
-)
-
 
 def refused_correct(tmp_path, capsys, constraint_text, kernel, points):
     cpath = tmp_path / "constraint.json"
@@ -218,30 +211,12 @@ def test_a_value_table_above_the_cap_is_refused_quickly(tmp_path, capsys):
     assert f"refused: estimated 30^8 value-table tuples, more than {MAX_REPAIR_TABLE}" in err
 
 
-def test_sample_pools_above_the_cap_are_refused_quickly(tmp_path, capsys):
-    kernel = StepKernel.from_flat(
-        arity=1, resolution=1, space=BoundedInterval(F(1)), flat_values=[F(1, 2)],
-        symmetric_base=True,
-    )
-    err = refused_correct(tmp_path, capsys, HUGE_POOLS, kernel, "1/2")
-    assert f"refused: 20000000 guarded samples per attempt, more than {MAX_REPAIR_TABLE}" in err
-
-
 def test_the_repair_caps_refuse_only_past_the_cap():
-    system = triangle_free_system(mode="multiset")  # arity 2, pools of 6
+    system = triangle_free_system(mode="multiset")  # arity 2
     # C(1414, 2) = 999,691 tuples
     cli._refuse_large_repair(system, 1413)
     with pytest.raises(ContractError, match=r"C\(1415\+2-1,2\) value-table tuples"):
         cli._refuse_large_repair(system, 1415)
-
-    def wide(variables):
-        # arity 1, so one point reads one tuple but draws 2 x variables samples
-        atoms = (EqualityAtom((1,), (2,)),)
-        return ConstraintSystem(arity=1, variables=variables, mode="multiset", atoms=atoms)
-
-    cli._refuse_large_repair(wide(500_000), 1)
-    with pytest.raises(ContractError, match="1000002 guarded samples"):
-        cli._refuse_large_repair(wide(500_001), 1)
 
 
 def test_audit_refuses_trials_above_the_cap(tmp_path, capsys):
@@ -466,9 +441,23 @@ def test_correct_reports_honest_failure_with_exit_2(tmp_path, capsys):
         "--out", str(tmp_path / "report.json"),
     )
     assert code == 2
-    assert err == "status: failed (m=8)\n"  # 1/16 and 3/16 separate at level 8
+    assert err == "status: failed\n"
     doc = load_json(str(tmp_path / "report.json"), "report")
     assert doc["result"]["status"] == "failed"
+
+
+@pytest.mark.parametrize("command", ["correct", "demo"])
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, command):
+    out_path = tmp_path / "no-such-dir" / "r.json"
+    if command == "correct":
+        argv = correct_argv(tmp_path, "unused.json")
+        argv[argv.index("--out") + 1] = str(out_path)
+    else:
+        argv = ["demo", "remark", "--seed", "0", "--out", str(out_path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write report file {out_path}: ")
+    assert err.count("\n") == 1
 
 
 # --- ramsey ---
@@ -648,12 +637,12 @@ def test_audit_counts_every_violation_of_an_all_ones_kernel(tmp_path, capsys):
 # --- verify ---
 
 
-def equality_files(tmp_path):
+def equality_files(tmp_path, mode="distinct"):
     kpath = kernel_file(tmp_path, constant_kernel(F(1, 2)))
     cpath = str(tmp_path / "equality.json")
     with open(cpath, "w") as fh:
         fh.write(to_json({
-            "mode": "distinct",
+            "mode": mode,
             "arity": 2,
             "variables": 2,
             "atoms": [{"kind": "equality", "left": [1, 2], "right": [2, 1]}],
@@ -720,7 +709,7 @@ def test_verify_epsilon_override_forgives_small_tampering(tmp_path, capsys):
 
 
 def test_verify_part_two_reads_sorted_keys(tmp_path, capsys):
-    kpath, cpath = equality_files(tmp_path)
+    kpath, cpath = equality_files(tmp_path, "multiset")
     values = {"1/4,1/4": "1/2", "1/4,3/4": "3/5", "3/4,3/4": "1/2"}
     rpath = report_file(tmp_path, values, part=2)
     code, out, _ = run(
@@ -745,7 +734,7 @@ def test_verify_counts_the_assignments_it_sweeps(tmp_path, capsys, mode, checked
     rpath = tmp_path / "report.json"
     rpath.write_text(to_json({
         "result": {
-            "part": 1,
+            "part": 2 if mode == "multiset" else 1,
             "points": points,
             "epsilon": "0",
             "values": {f"{a},{b}": "1/2" for a in points for b in points},
@@ -795,6 +784,30 @@ def test_verify_end_to_end_on_a_real_report(tmp_path, capsys):
     )
     assert code == 0
     assert "all atoms hold" in out
+
+
+def test_verify_takes_the_lookup_from_the_constraint_not_the_part(tmp_path, capsys):
+    rpath, kpath, cpath = real_report_and_files(tmp_path, capsys)
+    doc = load_json(rpath, "report")
+    values = doc["result"]["values"]
+    points = doc["result"]["points"]
+    # break symmetry at an unsorted key, which a sorted lookup never reads
+    key = f"{points[1]},{points[0]}"
+    values[key] = "1" if values[key] == "0" else "0"
+    argv = ["verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath]
+    # part 1: the distinct-mode sweep reads the broken value
+    doc["result"]["part"] = 1
+    Path(rpath).write_text(to_json(doc))
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and "violated:" in out
+    # part 2 claims sorted lookups for a distinct-mode constraint: refused
+    doc["result"]["part"] = 2
+    Path(rpath).write_text(to_json(doc))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: report file {rpath}: its part 2 does not match the constraint's distinct mode\n"
+    )
 
 
 def real_report_and_files(tmp_path, capsys):
@@ -986,10 +999,12 @@ def test_verify_agrees_with_the_fraction_keyed_reference(tmp_path, monkeypatch, 
     kpath = kernel_file(tmp_path, constant_kernel(F(1, 2)))
     system = ConstraintSystem(2, 2, mode, (EqualityAtom((1, 2), (2, 1)),))
     cpath = constraint_file(tmp_path, system)
-    rpath = written_report(tmp_path / "report.json", points, values, part)
-    argv = ["verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath]
-    got, want = both_verifies(monkeypatch, argv)
-    assert got == want
+    # the case's part, and the part of the constraint's mode
+    for written in {part, 2 if mode == "multiset" else 1}:
+        rpath = written_report(tmp_path / "report.json", points, values, written)
+        argv = ["verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath]
+        got, want = both_verifies(monkeypatch, argv)
+        assert got == want
 
 
 def spellings(q):
@@ -1032,10 +1047,12 @@ def test_verify_agrees_with_the_reference_on_metric_reports(report):
         kpath, cpath = os.path.join(tmp, "k.json"), os.path.join(tmp, "c.json")
         save_kernel(StepKernel.from_flat(2, 1, ray, [F(1)]), kpath)
         save_constraint(metric_system(), ray, cpath)
-        rpath = written_report(Path(tmp) / "r.json", points, values, part, epsilon)
-        argv = ["verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath]
-        got, want = both_verifies(monkeypatch, argv)
-    assert got == want
+        # the drawn part, and part 2 of the multiset metric system
+        for written in {part, 2}:
+            rpath = written_report(Path(tmp) / "r.json", points, values, written, epsilon)
+            argv = ["verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath]
+            got, want = both_verifies(monkeypatch, argv)
+            assert got == want
 
 
 # --- usage and file errors ---

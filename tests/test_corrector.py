@@ -16,10 +16,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
-    draw_pools,
     reference_audit,
     reference_repair,
     reference_violations,
+    sampled_table,
+    separated_pools,
+    separating_refinement,
     suite_problem,
 )
 from kernel_repair import constraint, corrector
@@ -40,7 +42,6 @@ from kernel_repair.corrector import (
     RepairConfig,
     audit_ae_hypothesis,
     repair,
-    separating_refinement,
     wilson_interval,
 )
 from kernel_repair.density import is_density_tuple
@@ -152,21 +153,7 @@ def test_distinct_repair_recovers_base_values():
     assert outcome.ok
     assert outcome.corrected.value_at((F(1, 5), F(7, 10))) == 1
     assert outcome.corrected.value_at((F(7, 10), F(1, 5))) == 1
-    assert outcome.report["m"] == 2
     assert kernel.value_at((F(1, 5), F(7, 10))) == 0  # the defect was real
-
-
-def test_distinct_repair_samples_avoid_guarded_values():
-    piece = ExceptionPiece((CoordIs(1, F(1, 5)),), F(1))
-    kernel = bipartite_kernel((piece,))
-    system = triangle_free_system(mode="distinct")
-    points = (F(1, 5), F(7, 10), F(9, 10))
-    outcome = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="7"))
-    assert outcome.ok
-    samples = {as_fraction(v) for v in outcome.report["samples"].values()}
-    assert F(1, 5) not in samples
-    assert not samples & set(points)
-    assert len(samples) == len(points)
 
 
 def test_distinct_repair_with_zero_epsilon_skips_density_check():
@@ -196,7 +183,6 @@ def test_distinct_honest_failure_in_one_attempt():
     )
     assert outcome.status == "failed"
     assert outcome.corrected is None
-    assert outcome.report["m"] == 2
     assert outcome.report["probe"] == {"ran": True, "proven_infeasible": False}
     assert outcome.report["violations"]
     verdicts = outcome.report["verdicts"]
@@ -225,7 +211,6 @@ def test_multiset_repair_clears_diagonal_defect():
     points = (F(1, 10), F(3, 10), F(7, 10))
     outcome = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
     assert outcome.ok
-    assert outcome.report["m"] == 4
     g = outcome.corrected
     for z in points:
         assert kernel.value_at((z, z)) == 1  # the loop defect
@@ -264,19 +249,6 @@ def test_multiset_repair_passes_independent_verification():
             assert kernel.space.dist(g.value_at(t), kernel.value_at(t)) <= eps
 
 
-def test_multiset_pool_and_core_sizes_reported():
-    kernel = loopy_bipartite_kernel()
-    system = triangle_free_system(mode="multiset")
-    points = (F(1, 10), F(3, 10), F(7, 10))
-    outcome = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
-    assert outcome.ok
-    rep = outcome.report
-    assert rep["core_size"] == 3
-    assert rep["pool_size"] == 6  # twice the core size
-    assert all(len(p) == 6 for p in rep["pools"].values())
-    assert all(len(c) == 3 for c in rep["cores"].values())
-
-
 # --- determinism ---
 
 
@@ -290,7 +262,7 @@ def test_repair_report_is_deterministic_modulo_timing():
     assert strip_timing(a.report) == strip_timing(b.report)
     assert a.corrected.values == b.corrected.values
     c = repair(kernel, system, points, RepairConfig(epsilon=F(1, 10), seed="other"))
-    assert strip_timing(c.report) != strip_timing(a.report)  # seed reaches the samples
+    assert strip_timing(c.report) != strip_timing(a.report)  # the report records the seed
 
 
 # --- wilson interval ---
@@ -591,18 +563,17 @@ def test_distinct_values_are_value_at_at_the_samples(index):
     # the suite's kernels carry diagonal pieces and sevenths-valued constants
     kernel, system, points, eps = suite_problem(index, "distinct")
     report = repair(kernel, system, points, RepairConfig(epsilon=eps, seed="s")).report
-    samples = {as_fraction(z): as_fraction(y) for z, y in report["samples"].items()}
+    pools = separated_pools(random.Random("s"), kernel, system, sorted(points))
+    samples = {z: p[0] for z, p in zip(sorted(points), pools)}
     for key, text in report["values"].items():
         t = tuple(as_fraction(tok) for tok in key.split(","))
         want = kernel.value_at(tuple(samples[z] for z in t))
         assert text == value_to_text(kernel.space, want)
 
 
-def old_coloring_cores(kernel, report, eps):
-    """Cores that multi_type_extract finds in the report's pools under the
-    coloring repair used before its cores became pool prefixes."""
-    pts = [as_fraction(z) for z in report["points"]]
-    pools = [[as_fraction(y) for y in report["pools"][z]] for z in report["points"]]
+def extracted_cores(kernel, pools, core_size, eps):
+    """Cores that multi_type_extract finds in the pools under the coloring
+    of each size vector by the value cell at the sorted selected samples."""
     partition = epsilon_partition(kernel.space, eps)
 
     def coloring_for(vec):
@@ -612,12 +583,29 @@ def old_coloring_cores(kernel, report, eps):
 
         return color
 
+    n = len(pools)
     vectors = sorted(
-        tuple(t.count(i) for i in range(len(pts)))
-        for t in itertools.combinations_with_replacement(range(len(pts)), kernel.arity)
+        tuple(t.count(i) for i in range(n))
+        for t in itertools.combinations_with_replacement(range(n), kernel.arity)
     )
-    cores = multi_type_extract(pools, vectors, coloring_for, report["core_size"])
-    return {frac_str(z): [frac_str(y) for y in sorted(c)] for z, c in zip(pts, cores)}
+    return [sorted(c) for c in multi_type_extract(pools, vectors, coloring_for, core_size)]
+
+
+def check_cores_are_pool_prefixes(kernel, system, points, eps, seed):
+    """Extraction returns the pool prefixes, and the repair's table is
+    ``value_at`` at sorted representatives of those cores."""
+    outcome = repair(kernel, system, points, RepairConfig(epsilon=eps, seed=seed))
+    pools = separated_pools(random.Random(seed), kernel, system, sorted(points))
+    core_size = max(system.variables, kernel.arity)
+    assert extracted_cores(kernel, pools, core_size, eps) == [
+        sorted(p[:core_size]) for p in pools
+    ]
+    names = outcome.report["points"]
+    assert outcome.report["values"] == {
+        ",".join(names[i] for i in t): value_to_text(kernel.space, v)
+        for t, v in sampled_table(kernel, "multiset", pools, core_size).items()
+    }
+    return outcome
 
 
 @pytest.mark.parametrize("index", range(8))
@@ -626,19 +614,16 @@ def test_cores_are_what_extraction_returns(index, seed):
     # the suite's four kinds, with sevenths-valued override constants and
     # diagonal pieces
     kernel, system, points, eps = suite_problem(index, "multiset")
-    outcome = repair(kernel, system, points, RepairConfig(epsilon=eps, seed=seed))
-    assert outcome.report["cores"] == old_coloring_cores(kernel, outcome.report, eps)
+    check_cores_are_pool_prefixes(kernel, system, points, eps, seed)
 
 
 def test_a_failed_repairs_cores_are_what_extraction_returns():
     # the all-ones kernel fails; its pools are drawn at the separating level
     system = triangle_free_system(mode="multiset")
     points = (F(1, 10), F(3, 10), F(7, 10))
-    outcome = repair(all_ones_kernel(), system, points, RepairConfig(epsilon=F(1, 10), seed="0"))
-    report = outcome.report
+    assert separating_refinement(points, 2) == 4
+    outcome = check_cores_are_pool_prefixes(all_ones_kernel(), system, points, F(1, 10), "0")
     assert outcome.status == "failed"
-    assert report["m"] == separating_refinement(points, 2) == 4
-    assert report["cores"] == old_coloring_cores(all_ones_kernel(), report, F(1, 10))
 
 
 # --- the audit against the plain audit, on random kernels and systems ---
@@ -707,12 +692,14 @@ def test_audit_equals_the_plain_audit_on_random_kernels(case):
 # --- a failing repair decides once ---
 
 
+#: fields of the attempt loop's report that ``repair``'s report does not
+#: have: the loop's levels and the witness it drew
+LOOP_ONLY_FIELDS = ("initial_m", "final_m", "samples", "pools", "cores", "pool_size", "core_size")
+
+
 def one_attempt(report):
-    """An attempt-loop report in ``repair``'s format: one ``m`` for its
-    ``initial_m`` and ``final_m``."""
-    out = {k: v for k, v in report.items() if k not in ("initial_m", "final_m")}
-    out["m"] = report["initial_m"]
-    return out
+    """An attempt-loop report in ``repair``'s format."""
+    return {k: v for k, v in report.items() if k not in LOOP_ONLY_FIELDS}
 
 
 def escalating_problem(mode):
@@ -812,17 +799,39 @@ def test_a_failing_repair_decides_once_and_draws_one_attempt(monkeypatch, mode):
     outcome = repair(kernel, system, points, config)
     assert outcome.status == want.status == "failed"
     assert (len(reads), len(sweeps), len(probes)) == (1, 1, 1)
-    part = 2 if mode == "multiset" else 1
-    assert seeds == [f"0:p{part}:0"]
+    assert seeds == []  # the repair draws nothing
     assert strip_timing(outcome.report) == one_attempt(want.report)
+
+
+#: every key of ``repair``'s report, in either mode and for every status
+REPORT_KEYS = {
+    "part", "mode", "status", "epsilon", "seed", "points", "escalations", "probe",
+    "values", "violations", "verdicts", "density_closeness", "agreement_failures", "timing",
+}
+
+
+@pytest.mark.parametrize("mode", ["distinct", "multiset"])
+def test_the_report_holds_only_what_the_repair_decided(mode):
+    kernel, system, points, eps = suite_problem(0, mode)
+    outcomes = [repair(kernel, system, points, RepairConfig(epsilon=eps, seed="k"))]
+    kernel, system, points, eps = escalating_problem(mode)
+    outcomes.append(repair(kernel, system, points, RepairConfig(epsilon=eps, seed="k")))
+    if mode == "distinct":
+        system = antisymmetry_system(symmetrized=True)
+        outcomes.append(repair(oriented_kernel(), system, (F(1, 5), F(7, 10))))
+    assert [o.status for o in outcomes] == ["ok", "failed", "infeasible"][: len(outcomes)]
+    for outcome in outcomes:
+        assert set(outcome.report) == REPORT_KEYS
+        assert outcome.report["part"] == (2 if mode == "multiset" else 1)
 
 
 # --- index-keyed tables, closeness classes and float cuts against plain references ---
 
 
 def reference_values(kernel, system, report):
-    """The value table re-read with ``value_at`` at the report's samples or
-    sorted core representatives, keyed by ``Fraction`` tuples."""
+    """The value table re-read with ``value_at`` at the samples or sorted
+    core representatives of an attempt-loop report, keyed by ``Fraction``
+    tuples."""
     pts = [as_fraction(z) for z in report["points"]]
     if system.mode == "multiset":
         cores = {as_fraction(z): [as_fraction(y) for y in c] for z, c in report["cores"].items()}
@@ -841,10 +850,12 @@ def reference_values(kernel, system, report):
 
 
 def check_against_references(kernel, system, points, eps, seed):
-    outcome = repair(kernel, system, points, RepairConfig(epsilon=eps, seed=seed))
+    config = RepairConfig(epsilon=eps, seed=seed)
+    outcome = repair(kernel, system, points, config)
     report = outcome.report
     space = kernel.space
-    values = reference_values(kernel, system, report)
+    drawn = reference_repair(kernel, system, points, config, max_escalations=0)
+    values = reference_values(kernel, system, drawn.report)
     assert report["values"] == {
         ",".join(frac_str(x) for x in t): value_to_text(space, v) for t, v in values.items()
     }
@@ -1053,94 +1064,6 @@ def test_a_repeated_constant_point_under_a_diagonal_piece_fails_agreement():
     assert strip_timing(report) == one_attempt(want.report)
 
 
-class ScriptedDraws(random.Random):
-    """Its own seeded stream, after the scripted floats are used up."""
-
-    def __init__(self, seed, script):
-        super().__init__(seed)
-        self.script = list(script)
-
-    def random(self):
-        return self.script.pop(0) if self.script else super().random()
-
-
-def witness_texts(drawn, core_size):
-    return [
-        ([text for _, text in d], [text for _, text in sorted(d[:core_size])]) for d in drawn
-    ]
-
-
-def reference_witness_texts(pools, core_size):
-    return [
-        ([frac_str(y) for y in p], [frac_str(y) for y in sorted(p[:core_size])]) for p in pools
-    ]
-
-
-def test_witnesses_redraw_hits_on_the_point_and_on_a_constant():
-    # at m = 8, 3/16 is 1/2 into cell 1 and the constant 5/32 a quarter
-    kernel = StepKernel.from_flat(
-        arity=1,
-        resolution=1,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(0)],
-        exceptions=(ExceptionPiece((CoordIs(1, F(5, 32)),), F(1)),),
-    )
-    pts = (F(3, 16), F(11, 16))
-    # point 3/16: hit itself, hit the constant, 0.7, 0.7 again; point 11/16
-    # (cell 5, its own guard) may draw 0.25 and 0.7
-    script = [0.5, 0.25, 0.7, 0.7, 0.1, 0.25, 0.7]
-    drawn = corrector._draw_witnesses(ScriptedDraws("w", script), kernel, pts, 2, 8)
-    pools = draw_pools(ScriptedDraws("w", script), kernel, pts, 2, 8)
-    assert witness_texts(drawn, 2) == reference_witness_texts(pools, 2)
-    assert [[f for f, _ in d] for d in drawn] == [[0.7, 0.1], [0.25, 0.7]]
-
-
-@st.composite
-def witness_case(draw):
-    """Points, constants, level and a script of floats that hit the guard.
-
-    The script mixes exact hits c·m − s, for the points and for constants
-    in their cells, with repeats and fresh floats.
-    """
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    grid = [F(j, 64) for j in range(64)] + [F(j, 7) for j in range(1, 7)]
-    pts = tuple(sorted(rng.sample(grid, rng.randint(1, 4))))
-    constants = rng.sample(grid, rng.randint(0, 4)) + rng.sample(pts, rng.randint(0, len(pts)))
-    resolution = rng.choice([1, 2, 4])
-    kernel = StepKernel.from_flat(
-        arity=1,
-        resolution=resolution,
-        space=BoundedInterval(F(1)),
-        flat_values=[F(0)] * resolution,
-        exceptions=tuple(ExceptionPiece((CoordIs(1, c),), F(1)) for c in constants),
-    )
-    m = separating_refinement(pts, kernel.resolution) * 2 ** rng.randint(0, 3)
-    hits = []
-    for x in set(pts) | set(constants):
-        offset = x * m - block_of(x, m)
-        if float(offset) == offset:
-            hits.append(float(offset))
-    menu = hits + [rng.random() for _ in range(3)]
-    script = [rng.choice(menu) for _ in range(rng.randint(0, 12))] if menu else []
-    pool = rng.randint(1, 4)
-    return kernel, pts, m, pool, script, rng.randint(1, pool)
-
-
-@settings(max_examples=150, deadline=None)
-@given(witness_case(), st.sampled_from(["0", "x"]))
-def test_witnesses_on_floats_equal_the_fraction_draws(case, seed):
-    kernel, pts, m, pool, script, core_size = case
-    first, second = ScriptedDraws(seed, script), ScriptedDraws(seed, script)
-    drawn = corrector._draw_witnesses(first, kernel, pts, pool, m)
-    pools = draw_pools(second, kernel, pts, pool, m)
-    assert witness_texts(drawn, core_size) == reference_witness_texts(pools, core_size)
-    # the floats stand for the samples, and as many were drawn
-    assert [[F(s) for s in p] for p in pools] == [
-        [(block_of(z, m) + F(f)) / m for f, _ in d] for z, d in zip(pts, drawn)
-    ]
-    assert first.script == second.script and first.random() == second.random()
-
-
 #: report fields that the attempt loop reaches anew in every attempt
 DECIDED_FIELDS = (
     "values", "violations", "verdicts", "density_closeness", "agreement_failures", "probe"
@@ -1190,14 +1113,15 @@ def test_repair_equals_the_attempt_loop(case, budget, cap, data):
         assert looped.report[key] == outcome.report[key], key
 
 
-#: report fields that name the seed, hold the drawn witnesses or time the run
-WITNESS_FIELDS = ("seed", "samples", "pools", "cores", "timing")
+#: report fields that name the seed or time the run
+SEED_AND_TIMING = ("seed", "timing")
 
 
 @settings(max_examples=100, deadline=None)
 @given(table_case(), st.text(max_size=4), st.text(max_size=4))
 def test_only_the_witnesses_depend_on_the_seed(case, seed_a, seed_b):
-    # status, values and verdicts are the same for every seed
+    # the whole report but the seed it records and its timing is the same
+    # for every seed
     kernel, system, points, eps, _ = case
     assume(2 <= len(points) <= 6)
     outcomes = []
@@ -1211,8 +1135,8 @@ def test_only_the_witnesses_depend_on_the_seed(case, seed_a, seed_b):
     if isinstance(first, str):
         assert first == second
         return
-    assert {k: v for k, v in first.report.items() if k not in WITNESS_FIELDS} == {
-        k: v for k, v in second.report.items() if k not in WITNESS_FIELDS
+    assert {k: v for k, v in first.report.items() if k not in SEED_AND_TIMING} == {
+        k: v for k, v in second.report.items() if k not in SEED_AND_TIMING
     }
     assert first.status == second.status
     assert (first.corrected is None) == (second.corrected is None)

@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import draw_pools
-from kernel_repair.corrector import separating_refinement
+from helpers import draw_pools, separating_refinement
 from kernel_repair.errors import ContractError, DomainError
 from kernel_repair.kernel import (
     CoordIs,
@@ -258,8 +257,8 @@ def guarded_case(draw):
 
     Pieces have one or two conditions, ``CoordIs`` on fractions of small
     denominators or on the points themselves, ``CoordsEqual`` on any pair;
-    the samples come from the repair's own guarded draw at m = the
-    separating level times 2^level.
+    the samples come from the guarded draw of the paper's construction
+    (``helpers.draw_pools``) at m = the separating level times 2^level.
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     arity = draw(st.integers(min_value=1, max_value=3))

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_core
+from kernel_repair import ramsey
 from kernel_repair.errors import ContractError, ExtractionFailed
 from kernel_repair.ramsey import (
     all_selections,
@@ -359,3 +361,23 @@ def test_multi_type_reports_failure():
     coloring = lambda vec: (lambda sel: 0 if sel[0][0] < 2 else 1)
     with pytest.raises(ExtractionFailed):
         multi_type_extract(parts, [(1,)], coloring, 3)
+
+
+# --- the plan cache ---
+
+
+def test_only_small_plans_are_cached():
+    def constant(selection):
+        return 0
+
+    info = ramsey._plan.cache_info
+    # C(30, 4) = 27,405 subsets: built per call, never cached
+    before = info()
+    extract_core([list(range(30))], (4,), constant, 5)
+    assert info() == before
+    # C(12, 3) = 220 subsets: built once, then reused
+    extract_core([list(range(12))], (3,), constant, 5)
+    hits = info().hits
+    extract_core([list(range(12))], (3,), constant, 5)
+    assert info().hits == hits + 1
+    assert math.comb(12, 3) <= ramsey._CACHED_PLAN_SUBSETS < math.comb(30, 4)
