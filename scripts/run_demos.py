@@ -3,6 +3,8 @@
 
 Each demo is a pure function of the seed, so rerunning with the same
 arguments reproduces every report byte for byte apart from timing fields.
+An output directory that cannot be made, or a report that cannot be
+written, prints one ``error:`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import time
 from pathlib import Path
 
 from kernel_repair.demos import DEMO_EXPECTATIONS, DEMOS, run_demo
-from kernel_repair.fileio import strip_timing, to_json
+from kernel_repair.errors import FormatError
+from kernel_repair.fileio import strip_timing, write_report
 
 
 def main(argv=None) -> int:
@@ -31,7 +34,11 @@ def main(argv=None) -> int:
 
     names = args.only or sorted(DEMOS)
     if args.out_dir:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot make output directory {args.out_dir}: {exc}", file=sys.stderr)
+            return 1
     failures = 0
     for name in names:
         started = time.perf_counter()
@@ -48,7 +55,11 @@ def main(argv=None) -> int:
             if args.strip_timing:
                 doc = strip_timing(doc)
             path = args.out_dir / f"{name}.json"
-            path.write_text(to_json(doc))
+            try:
+                write_report(doc, path)
+            except FormatError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
             print(f"wrote {path}")
     return 1 if failures else 0
 

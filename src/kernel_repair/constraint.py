@@ -421,19 +421,13 @@ class _AtomChecker:
             self._values.append(value)
         return vid
 
-    def failing(self, fill: Callable[[int], int]) -> Iterator[int]:
+    def failing(self, ids) -> Iterator[int]:
         """Indices of the failing atoms, in order, for one tuple of points.
 
-        ``fill(k)`` returns the interned id of the value at ``self.slots[k]``
-        and is called at most once per slot, only for the slots of the atoms
-        reached, so a caller that stops early reads no more.
+        ``ids[k]`` is the interned id of the value at ``self.slots[k]``.
         """
-        ids: list = [None] * len(self.slots)
         values = self._values
         for n, (atom, positions, key_of, memo) in enumerate(self._compiled):
-            for k in positions:
-                if ids[k] is None:
-                    ids[k] = fill(k)
             key = key_of(ids)
             verdict = memo.get(key)
             if verdict is None:
@@ -495,7 +489,7 @@ def violations(
             ids = tuple([value_id(read(idx)) for read in reads])
         failed = decided.get(ids)
         if failed is None:
-            failed = decided[ids] = tuple(checker.failing(ids.__getitem__))
+            failed = decided[ids] = tuple(checker.failing(ids))
         if not failed:
             continue
         assignment = tuple([pts[i] for i in idx])

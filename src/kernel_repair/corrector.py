@@ -21,10 +21,11 @@ The paper's construction has two regimes, selected by the constraint mode:
 at the points' own base blocks, proven equal to the sampled construction
 (see ``_read_table``), so it draws no sample and decides in one attempt
 (see ``repair``).  The value table is keyed by tuples of point indices
-(positions in the sorted points), so the sweep, the report and the
-closeness table hash and sort small ints, and a successful repair returns
-that table as its ``CorrectedKernel``.  The closeness table computes one
-row per closeness class of tuples (see ``_closeness_table``).  The
+(positions in the sorted points), so the sweep and the report hash and
+sort small ints, and a successful repair returns that table as its
+``CorrectedKernel``.  One walk over the index tuples reads the kernel once
+per closeness class of tuples and fills both the table and the report's
+per-tuple rows from that read (see ``_read_table``).  The
 almost-everywhere audit draws its floats in rounds, places them in base
 blocks by exact float cuts, counts its trials per block vector and decides
 each vector of slot values once (see ``audit_ae_hypothesis``).  A repair is
@@ -53,7 +54,7 @@ from .constraint import (
 )
 from .density import adjacent_blocks, base_in_cell
 from .errors import ContractError
-from .kernel import StepKernel, block_of, repeat_pattern
+from .kernel import StepKernel, repeat_pattern
 from .rational import as_fraction, frac_str
 from .values import epsilon_partition, value_to_text
 
@@ -196,9 +197,9 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
         "escalations": [],
         "probe": {"ran": False, "proven_infeasible": False},
     }
-    table = CorrectedKernel(pts, kernel.arity, symmetric, _read_table(kernel, pts, symmetric))
+    values, texts, closeness, agree = _read_table(kernel, partition, pts, symmetric, eps, names)
+    table = CorrectedKernel(pts, kernel.arity, symmetric, values)
     viols = violations(system, table.at, space, range(len(pts)), eps)
-    texts, closeness, agree = _closeness_table(kernel, partition, pts, table.values, eps, names)
     report["values"] = texts
     report["violations"] = _report_violations(viols, names)
     report["verdicts"] = _verdicts(system, viols)
@@ -217,8 +218,15 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
     return RepairOutcome(status=status, corrected=corrected, report=report)
 
 
-def _read_table(kernel, pts, symmetric: bool) -> dict:
-    """The value table, keyed by tuples of positions in ``pts``.
+def _read_table(kernel, partition, pts, symmetric: bool, eps, names: list):
+    """The value table and its report rows, read in one walk.
+
+    Returns the table keyed by tuples of positions in ``pts`` (every index
+    tuple in distinct mode, every sorted one in multiset mode), the report's
+    ``values`` and ``density_closeness`` tables keyed by point names, and
+    the index tuples that sit at density points yet moved further than eps
+    from the kernel, in ``itertools`` order.  Without a partition (exact
+    mode) density flags are unknown and nothing counts as a failure.
 
     The paper's construction draws guarded samples in each point's cell at
     a level m that separates the points.  Distinct mode reads the kernel at
@@ -242,53 +250,19 @@ def _read_table(kernel, pts, symmetric: bool) -> dict:
     ``extract_core`` accepts every element it tries and each pass keeps the
     first elements of each part.  So the table depends on neither m, the
     seed nor the samples.
-    """
-    blocks = [block_of(z, kernel.resolution) for z in pts]
-    indices = range(len(pts))
-    if symmetric:
-        distinct = tuple(range(kernel.arity))
-        return {
-            t: kernel.generic_value(tuple([blocks[i] for i in t]), distinct)
-            for t in itertools.combinations_with_replacement(indices, kernel.arity)
-        }
-    return {
-        t: kernel.generic_value(tuple([blocks[i] for i in t]), repeat_pattern(t))
-        for t in itertools.product(indices, repeat=kernel.arity)
-    }
 
-
-def _verdicts(system, viols) -> list:
-    """One pass/fail entry per atom over the whole verification sweep."""
-    failed = {id(v.atom) for v in viols}
-    return [
-        {"atom": atom.describe(), "holds": id(atom) not in failed}
-        for atom in system.atoms
-    ]
-
-
-def _closeness_table(kernel, partition, pts, values: dict, eps, names: list):
-    """The report's texts and per-tuple drift from the kernel, and the
-    density tuples that drifted.
-
-    ``values`` is keyed by index tuples into ``pts``.  Returns the report's
-    ``values`` and ``density_closeness`` tables plus the list of index
-    tuples that sit at density points yet moved further than eps.  Without
-    a partition (exact mode) density flags are unknown and nothing counts
-    as a failure.
-
-    A row is computed once per closeness class, at the first tuple of the
-    class, and reused at the others.  The class of a tuple is each
-    coordinate's ``adjacent_blocks`` and the override constant it equals
-    (if any), and its ``repeat_pattern``.  Precondition: the repaired value
-    is a function of the class.  The table of ``_read_table`` meets it: it
-    reads ``generic_value`` at the tuple's base blocks, the last of each
-    coordinate's adjacent blocks, and at its pattern or the all-distinct
-    one.  A ``CoordIs`` condition holds exactly where its coordinate equals
-    its constant and a ``CoordsEqual`` condition exactly where the pattern
+    The kernel is read once per closeness class, at its first tuple, into
+    one row that every tuple of the class copies.  The class of a tuple is
+    each coordinate's ``adjacent_blocks`` and the override constant it
+    equals (if any), and its ``repeat_pattern``.  The repaired value reads
+    only the pattern and the base blocks, the last adjacent blocks.  A
+    ``CoordIs`` condition holds exactly where its coordinate equals its
+    constant and a ``CoordsEqual`` condition exactly where the pattern
     repeats, so ``value_at`` is one value on the class, ``generic_value``
-    when no coordinate equals a constant.  The texts are computed once per
-    pair of values, and the density flag reads only the cell of
-    ``value_at`` and the base at the adjacent blocks (``base_in_cell``).
+    at the pattern when no coordinate equals a constant.  The texts are
+    computed once per pair of values, and the density flag reads only the
+    cell of ``value_at`` and the base at the adjacent blocks
+    (``base_in_cell``).
     """
     r = kernel.resolution
     space = kernel.space
@@ -302,22 +276,34 @@ def _closeness_table(kernel, partition, pts, values: dict, eps, names: list):
         ids.setdefault((adj, x if hit else None), len(ids))
         for x, adj, hit in zip(pts, adjacent, hits)
     ]
+    indices = range(len(pts))
+    if symmetric:
+        distinct = tuple(range(kernel.arity))
+        tuples = itertools.combinations_with_replacement(indices, kernel.arity)
+    else:
+        tuples = itertools.product(indices, repeat=kernel.arity)
+    values = {}
     texts = {}
     table = {}
     bad = []
     # (repaired value, kernel value) -> (value text, distance text, beyond eps)
     pairs: dict = {}
-    rows: dict = {}  # closeness class -> (value text, density flag, distance text, drifted)
-    for t in sorted(values):
+    # closeness class -> (repaired value, value text, density flag, distance text, drifted)
+    rows: dict = {}
+    for t in tuples:
         pattern = repeat_pattern(t)
         key = (tuple([coord[i] for i in t]), pattern)
         row = rows.get(key)
         if row is None:
-            v = values[t]
+            at_blocks = tuple([blocks[i] for i in t])
+            read = distinct if symmetric else pattern
+            v = kernel.generic_value(at_blocks, read)
             if any([hits[i] for i in t]):
                 at_t = kernel.value_at(tuple([pts[i] for i in t]))
+            elif read == pattern:
+                at_t = v
             else:
-                at_t = kernel.generic_value(tuple([blocks[i] for i in t]), pattern)
+                at_t = kernel.generic_value(at_blocks, pattern)
             pair = pairs.get((v, at_t))
             if pair is None:
                 d = space.dist(v, at_t)
@@ -328,14 +314,24 @@ def _closeness_table(kernel, partition, pts, values: dict, eps, names: list):
             else:
                 target = partition.cell_of(at_t)
                 dense = base_in_cell(kernel, partition, [adjacent[i] for i in t], target)
-            row = rows[key] = (text, dense, dist_text, dense and beyond)
-        text, dense, dist_text, drifted = row
+            row = rows[key] = (v, text, dense, dist_text, dense and beyond)
+        v, text, dense, dist_text, drifted = row
+        values[t] = v
         name = _point_key(t, names)
         texts[name] = text
         table[name] = {"density": dense, "dist": dist_text}
         if drifted:
             bad.append(t)
-    return texts, table, bad
+    return values, texts, table, bad
+
+
+def _verdicts(system, viols) -> list:
+    """One pass/fail entry per atom over the whole verification sweep."""
+    failed = {id(v.atom) for v in viols}
+    return [
+        {"atom": atom.describe(), "holds": id(atom) not in failed}
+        for atom in system.atoms
+    ]
 
 
 # 97.5th normal quantile, for two-sided 95% coverage.
@@ -415,7 +411,7 @@ def audit_ae_hypothesis(
     ``generic_value`` runs once per such class, and its id vector is
     decided once, as in ``violations``; a failing vector adds its count.  A
     trial where a coordinate equals a constant is decided on its own: it
-    reads ``value_at`` lazily, only at the slots of the atoms it reaches.
+    reads ``value_at`` once at each slot and ``failing`` decides its ids.
 
     A drawn float x lands in base block ``bisect_right(cuts, x)``, where
     ``cuts[j-1]`` is the least float at or above j/r (``_float_cuts``).
@@ -451,11 +447,8 @@ def audit_ae_hypothesis(
 
     def hit_fails(tup) -> bool:
         tup = [Fraction(x) for x in tup]
-
-        def fill(k):
-            return checker.intern(kernel.value_at(tuple([tup[j] for j in picks[k]])))
-
-        return next(checker.failing(fill), None) is not None
+        ids = [checker.intern(kernel.value_at(tuple([tup[j] for j in pick]))) for pick in picks]
+        return next(checker.failing(ids), None) is not None
 
     bad = 0
     left = samples
@@ -484,7 +477,7 @@ def audit_ae_hypothesis(
             ids = tuple([slot_id((read(blocks), pattern)) for read, pattern in reads])
             failed = decided.get(ids)
             if failed is None:
-                failed = decided[ids] = next(checker.failing(ids.__getitem__), None) is not None
+                failed = decided[ids] = next(checker.failing(ids), None) is not None
             if failed:
                 bad += n
     low, high = wilson_interval(bad, samples)

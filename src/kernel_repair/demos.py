@@ -45,12 +45,13 @@ class DemoReport:
     objects: dict
 
     def to_doc(self) -> dict:
-        """The summary plus every repair report, as written to a report file."""
+        """The summary plus every repair report, as written to a report file;
+        the primary outcome is written once, as ``main``."""
         doc = {"summary": self.summary, "reports": {}}
         if self.outcome is not None:
             doc["reports"]["main"] = self.outcome.report
         for key, obj in self.objects.items():
-            if isinstance(obj, RepairOutcome):
+            if isinstance(obj, RepairOutcome) and obj is not self.outcome:
                 doc["reports"][key] = obj.report
         return doc
 

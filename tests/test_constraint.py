@@ -177,7 +177,7 @@ def test_affine_integer_sums_match_the_fraction_reference(case):
     system = ConstraintSystem(arity=2, variables=3, mode="multiset", atoms=(atom,))
     checker = _AtomChecker(system, space, eps)
     ids = {s: checker.intern(v) for s, v in vals.items()}
-    failing = list(checker.failing(lambda k: ids[checker.slots[k]]))
+    failing = list(checker.failing([ids[slot] for slot in checker.slots]))
     assert failing == ([] if want else [0])
 
 

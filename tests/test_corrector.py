@@ -44,7 +44,7 @@ from kernel_repair.corrector import (
     repair,
     wilson_interval,
 )
-from kernel_repair.density import is_density_tuple
+from kernel_repair.density import adjacent_blocks, is_density_tuple
 from kernel_repair.demos import (
     almost_metric_kernel,
     antisymmetry_system,
@@ -410,27 +410,22 @@ def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, seed):
     monkeypatch.setattr(StepKernel, "generic_value", read_class)
     got = audit_ae_hypothesis(kernel, system, 300, seed=seed)
     got_points, got_classes = list(point_reads), list(class_reads)
-    point_reads.clear()
-    # each trial's points and where its reads start
-    trials = []
-    want = reference_audit(
-        kernel, system, 300, seed=seed, on_trial=lambda tup: trials.append((tup, len(point_reads)))
-    )
+    trials = []  # each trial's points
+    want = reference_audit(kernel, system, 300, seed=seed, on_trial=trials.append)
     assert got == want
-    # a trial that hits a constant reads value_at as lazily as the plain
-    # audit; the clear trials read generic_value once per (slot blocks,
-    # slot pattern), in trial order and then slot order
+    # a trial that hits a constant reads value_at once at each slot; the
+    # clear trials read generic_value once per (slot blocks, slot pattern),
+    # in trial order and then slot order
     constants = kernel.exception_constants()
     hit_reads = []
     clear_classes = []
-    ends = [start for _, start in trials[1:]] + [len(point_reads)]
-    for (tup, start), end in zip(trials, ends):
-        if constants.isdisjoint(tup):
-            for slot in system.all_slots():
+    for tup in trials:
+        for slot in system.all_slots():
+            if constants.isdisjoint(tup):
                 blocks = tuple(block_of(tup[v - 1], kernel.resolution) for v in slot)
                 clear_classes.append((blocks, repeat_pattern(slot)))
-        else:
-            hit_reads += point_reads[start:end]
+            else:
+                hit_reads.append(tuple(tup[v - 1] for v in slot))
     assert got_points == hit_reads
     assert got_classes == list(dict.fromkeys(clear_classes))
 
@@ -453,9 +448,9 @@ def test_audit_reads_value_at_where_a_trial_hits_a_constant(monkeypatch):
         StepKernel, "value_at", lambda self, point: calls.append(point) or value_at(self, point)
     )
     got = audit_ae_hypothesis(kernel, system, 50, seed="0")
-    # value_at only in the first trial, once per slot it reached
+    # value_at only in the first trial, once per slot
     assert any(hit in point for point in calls)
-    assert len(calls) <= len(system.all_slots())
+    assert len(calls) == len(system.all_slots())
     assert got.violations == 49
     assert got == reference_audit(kernel, system, 50, seed="0")
 
@@ -977,6 +972,35 @@ def test_closeness_rows_differ_where_a_point_is_on_a_cut(mode):
     assert (closeness["1/2"]["density"], closeness["3/4"]["density"]) == (False, True)
 
 
+@settings(max_examples=120, deadline=None)
+@given(table_case())
+def test_repair_reads_the_kernel_once_per_closeness_class(case):
+    kernel, system, points, eps, seed = case
+    reads = []
+    generic_value = StepKernel.generic_value
+
+    def read(self, blocks, pattern):
+        reads.append((blocks, pattern))
+        return generic_value(self, blocks, pattern)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StepKernel, "generic_value", read)
+        repair(kernel, system, points, RepairConfig(epsilon=eps, seed=seed))
+    # a class is each coordinate's adjacent blocks and the constant it
+    # equals (if any), plus the tuple's repeat pattern
+    constants = kernel.exception_constants()
+    r = kernel.resolution
+    coords = [(adjacent_blocks(x, r), x if x in constants else None) for x in points]
+    multiset = system.mode == "multiset"
+    if multiset:
+        tuples = itertools.combinations_with_replacement(range(len(points)), kernel.arity)
+    else:
+        tuples = itertools.product(range(len(points)), repeat=kernel.arity)
+    classes = {(tuple(coords[i] for i in t), repeat_pattern(t)) for t in tuples}
+    # multiset mode may read the all-distinct pattern and the tuple's own
+    assert len(reads) <= len(classes) * (2 if multiset else 1)
+
+
 @pytest.mark.parametrize("r", range(1, 13))
 def test_float_cuts_place_every_float_in_its_block(r):
     block = functools.partial(bisect.bisect_right, corrector._float_cuts(r))
@@ -1168,9 +1192,7 @@ def test_a_shared_atom_plan_decides_like_a_fresh_one(case, rnd):
         for values in vectors:
             ids = [checker.intern(v) for v in values]
             fresh_ids = [fresh.intern(v) for v in values]
-            assert list(checker.failing(ids.__getitem__)) == list(
-                fresh.failing(fresh_ids.__getitem__)
-            )
+            assert list(checker.failing(ids)) == list(fresh.failing(fresh_ids))
     plan = vars(system)["_atom_plan"]
     assert all(checker.slots is plan[0] for checker in checkers)
     audit = audit_ae_hypothesis(kernel, system, 30, seed=seed)

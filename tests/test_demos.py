@@ -140,15 +140,40 @@ def test_demos_are_pure_functions_of_the_seed():
     assert a == b
 
 
-def test_run_demos_script_writes_the_demo_doc(tmp_path):
+def load_run_demos():
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_demos.py"
     spec = importlib.util.spec_from_file_location("run_demos", script)
-    run_demos = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_demos)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_demos_script_writes_the_demo_doc(tmp_path):
+    run_demos = load_run_demos()
     argv = ["--seed", "0", "--only", "remark", "--out-dir", str(tmp_path), "--strip-timing"]
     assert run_demos.main(argv) == 0
     doc = json.loads((tmp_path / "remark.json").read_text())
     assert set(doc) == {"summary", "reports"}
-    assert set(doc["reports"]) == {"main", "symmetrized", "antisymmetry", "diagonal"}
+    # the primary outcome, also kept as objects["symmetrized"], is written once
+    assert set(doc["reports"]) == {"main", "antisymmetry", "diagonal"}
     assert doc["summary"] == remark_demo(seed="0").summary
     assert "timing" not in doc["reports"]["main"]
+
+
+@pytest.mark.parametrize("where", ["mkdir", "write"])
+def test_run_demos_script_reports_an_unwritable_out_dir(tmp_path, capsys, where):
+    run_demos = load_run_demos()
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if where == "mkdir":
+        out_dir = blocker / "sub"  # a directory below a regular file
+        message = f"error: cannot make output directory {out_dir}: "
+    else:
+        out_dir = tmp_path
+        (tmp_path / "audit.json").mkdir()  # the report path is a directory
+        message = f"error: cannot write report file {out_dir / 'audit.json'}: "
+    argv = ["--seed", "0", "--only", "audit", "--out-dir", str(out_dir)]
+    assert run_demos.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1
