@@ -377,19 +377,21 @@ class _AtomChecker:
 
     Atoms that are one predicate on renamed slots share one memo.  An
     atom's shape is the atom with its distinct slots renamed ``(0,)``,
-    ``(1,)``, ... in order of first use (``_shape``); two atoms with equal
-    shapes differ only in which slots they read, in the same order, and
-    ``satisfied`` reads a slot only to get its value, so they take the same
-    verdict on the same values at corresponding slots.  Shapes compare every
-    other field (coefficients, bound, allowed values, rows), so atoms that
-    differ in any of them keep separate memos.  ``metric_system()``'s six
-    triangle renamings fall into three shapes and its three symmetry
-    equalities into one.  Affine atoms also share one memo of
-    ``_shift_toward`` per (value, direction).  A checker lives for one call;
-    the memo of a shape holds at most (distinct values) ** (slots of the
-    shape) entries.  The slots, positions, key getters and shapes come from
-    the system's ``_atom_plan``, compiled once per system; the memos, the
-    interned values and the shift memo belong to the checker.
+    ``(1,)``, ... in order of first use, an affine atom's terms sorted by
+    coefficient first (``_shape``); two atoms with equal shapes differ only
+    in which slots they read, in the same order up to the order of a sum's
+    terms, and ``satisfied`` reads a slot only to get its value, so they
+    take the same verdict on the same values at corresponding slots.
+    Shapes compare every other field (coefficients, bound, allowed values,
+    rows), so atoms that differ in any of them keep separate memos.
+    ``metric_system()``'s six triangle renamings fall into one shape and its
+    three symmetry equalities into another.  Affine atoms also share one
+    memo of ``_shift_toward`` per (value, direction).  Every verdict comes
+    from ``failing``, through a checker that lives for one call; the memo of
+    a shape holds at most (distinct values) ** (slots of the shape) entries.
+    The slots, positions, key getters and shapes come from the system's
+    ``_atom_plan``, compiled once per system; the memos, the interned
+    values and the shift memo belong to the checker.
     """
 
     def __init__(self, system: ConstraintSystem, space: ValueSpace, eps: Fraction):
@@ -446,6 +448,41 @@ def _tuple_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
     return operator.itemgetter(*positions)
 
 
+def _failing_keys(checker: _AtomChecker, picks, read) -> Callable[[Iterable], Iterator[tuple]]:
+    """A function from keys to ``(key, failing atom indices)`` for each key
+    where an atom fails, in key order.
+
+    ``picks[k](key)`` names the value at ``checker.slots[k]``; ``read(name)``
+    runs once per name, in order of first use.  A key's id vector (the
+    interned ids at its slots) decides it, so each distinct vector is
+    decided once.  Both memos, name -> id and id vector -> failing atoms,
+    last as long as the returned function.
+    """
+    named: dict = {}
+    decided: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def name_id(name) -> int:
+        vid = named.get(name)
+        if vid is None:
+            vid = named[name] = checker.intern(read(name))
+        return vid
+
+    def failing_keys(keys: Iterable) -> Iterator[tuple]:
+        # a passing key yields nothing, so a sweep runs in this one frame
+        for key in keys:
+            try:
+                ids = tuple([named[pick(key)] for pick in picks])
+            except KeyError:
+                ids = tuple([name_id(pick(key)) for pick in picks])
+            failed = decided.get(ids)
+            if failed is None:
+                failed = decided[ids] = tuple(checker.failing(ids))
+            if failed:
+                yield key, failed
+
+    return failing_keys
+
+
 def violations(
     system: ConstraintSystem,
     evaluate: Callable[[tuple], object],
@@ -456,42 +493,20 @@ def violations(
     """All (assignment, atom) pairs on which the system fails.
 
     ``evaluate`` maps a point tuple of length ``arity`` to a value.  It
-    must be pure: the sweep calls it lazily, at most once per point tuple.
-    Each assignment first reads the values at all its slots, in the order
-    of ``system.all_slots()``; the vector of their interned ids then
-    decides it, since every verdict is a function of those values, so the
-    atoms are checked once per distinct vector and the verdicts are reused
-    at every later assignment with that vector (see ``_AtomChecker``).
-    Violations come in assignment order, atoms in system order.
+    must be pure: the sweep calls it lazily, at most once per point tuple,
+    reading each assignment's slots in the order of ``system.all_slots()``,
+    and decides each distinct vector of slot values once
+    (``_failing_keys``).  Violations come in assignment order, atoms in
+    system order.
     """
     eps = as_fraction(eps)
     pts = tuple(points)
     checker = _AtomChecker(system, space, eps)
-    reads = tuple(_tuple_getter(tuple(v - 1 for v in slot)) for slot in checker.slots)
-    evaluated: dict[tuple[int, ...], int] = {}
-
-    def value_id(key: tuple[int, ...]) -> int:
-        vid = evaluated.get(key)
-        if vid is None:
-            vid = evaluated[key] = checker.intern(evaluate(tuple([pts[i] for i in key])))
-        return vid
-
-    # id vector -> indices of the atoms failing there
-    decided: dict[tuple[int, ...], tuple[int, ...]] = {}
+    picks = tuple(_tuple_getter(tuple(v - 1 for v in slot)) for slot in checker.slots)
+    sweep = _failing_keys(checker, picks, lambda key: evaluate(tuple([pts[i] for i in key])))
     details: dict[int, str] = {}
     found: list[Violation] = []
-    for idx in system.assignments(range(len(pts))):
-        # most assignments read only tuples evaluated before; the first
-        # miss falls back to a pass that evaluates in slot order
-        try:
-            ids = tuple([evaluated[read(idx)] for read in reads])
-        except KeyError:
-            ids = tuple([value_id(read(idx)) for read in reads])
-        failed = decided.get(ids)
-        if failed is None:
-            failed = decided[ids] = tuple(checker.failing(ids))
-        if not failed:
-            continue
+    for idx, failed in sweep(system.assignments(range(len(pts)))):
         assignment = tuple([pts[i] for i in idx])
         for n in failed:
             atom = system.atoms[n]
@@ -550,7 +565,10 @@ def _unchecked_replace(atom: ConstraintAtom, **fields) -> ConstraintAtom:
 
 def _shape(atom: ConstraintAtom) -> tuple[ConstraintAtom, tuple[VarTuple, ...]]:
     """The atom with its slots renamed ``(0,)``, ``(1,)``, ... in order of first
-    use, and its distinct slots in that order."""
+    use (an affine atom's terms sorted stably by coefficient first, since a
+    sum is independent of their order), and its distinct slots in that order."""
+    if isinstance(atom, AffineAtom):
+        atom = _unchecked_replace(atom, terms=tuple(sorted(atom.terms, key=operator.itemgetter(0))))
     order: dict[VarTuple, int] = {}
     for s in atom.slots():
         order.setdefault(s, len(order))
@@ -633,7 +651,8 @@ def proven_infeasible(
     Candidate values per unknown come from finite-values atoms, or from the
     label set of a finite metric; patterns with an unbounded unknown, or
     with more than ``_PROBE_BUDGET`` combinations to scan, are skipped
-    rather than decided.
+    rather than decided.  One ``_AtomChecker`` per call decides every
+    combination, reusing its verdicts across combinations and patterns.
     """
     if num_points < 1:
         return False
@@ -647,7 +666,7 @@ def proven_infeasible(
             for p in _set_partitions(tuple(range(1, system.variables + 1)))
             if len(p) <= num_points
         ]
-    slots = system.all_slots()
+    checker = _AtomChecker(system, space, Fraction(0))
     for pattern in patterns:
         rep = {}
         for group in pattern:
@@ -668,7 +687,7 @@ def proven_infeasible(
                     menus[k] = [v for v in menus[k] if v in allowed]
                 else:
                     menus[k] = allowed
-        keys = sorted({key_of(s) for s in slots})
+        keys = sorted({key_of(s) for s in checker.slots})
         if isinstance(space, FiniteMetric):
             for k in keys:
                 menus.setdefault(k, list(space.labels))
@@ -676,16 +695,12 @@ def proven_infeasible(
             continue
         if math.prod(len(menus[k]) for k in keys) > _PROBE_BUDGET:
             continue
-        zero = Fraction(0)
-        satisfiable = False
-        for combo in itertools.product(*(menus[k] for k in keys)):
-            table = dict(zip(keys, combo))
-            if all(
-                atom.satisfied(lambda s: table[key_of(s)], space, zero)
-                for atom in system.atoms
-            ):
-                satisfiable = True
-                break
-        if not satisfiable:
+        # the id at each slot is the one chosen for its collapsed key
+        ids_at = _tuple_getter(tuple(keys.index(key_of(s)) for s in checker.slots))
+        menu_ids = [[checker.intern(v) for v in menus[k]] for k in keys]
+        if not any(
+            next(checker.failing(ids_at(combo)), None) is None
+            for combo in itertools.product(*menu_ids)
+        ):
             return True
     return False

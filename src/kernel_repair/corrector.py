@@ -48,6 +48,7 @@ from typing import Optional
 from .constraint import (
     ConstraintSystem,
     _AtomChecker,
+    _failing_keys,
     _tuple_getter,
     proven_infeasible,
     violations,
@@ -405,13 +406,13 @@ def audit_ae_hypothesis(
     no coordinate equals an override constant, every slot value is
     ``StepKernel.generic_value`` at the slot's blocks and pattern, so the
     trial's verdict depends only on the tuple of its variables' base
-    blocks.  Each round counts its trials per block vector; each distinct
-    vector, in order of first appearance, reads the interned id of every
-    slot through a per-call memo keyed by the slot's (blocks, pattern), so
-    ``generic_value`` runs once per such class, and its id vector is
-    decided once, as in ``violations``; a failing vector adds its count.  A
-    trial where a coordinate equals a constant is decided on its own: it
-    reads ``value_at`` once at each slot and ``failing`` decides its ids.
+    blocks.  Each round counts its trials per block vector, and a failing
+    vector adds its count.  The vectors are decided through one
+    ``_failing_keys`` for the whole call, whose names are each slot's
+    (blocks, pattern), so ``generic_value`` runs once per such pair and
+    each id vector is decided once, across rounds.  A trial where a
+    coordinate equals a constant is decided through a second one, whose
+    names are point tuples read by ``value_at``.
 
     A drawn float x lands in base block ``bisect_right(cuts, x)``, where
     ``cuts[j-1]`` is the least float at or above j/r (``_float_cuts``).
@@ -429,27 +430,15 @@ def audit_ae_hypothesis(
     checker = _AtomChecker(system, kernel.space, Fraction(0))
     constants = kernel.exception_constants()
     block = functools.partial(bisect.bisect_right, _float_cuts(kernel.resolution))
-    picks = tuple(tuple(v - 1 for v in slot) for slot in checker.slots)
+    picks = tuple(_tuple_getter(tuple(v - 1 for v in slot)) for slot in checker.slots)
     # the trial points are pairwise distinct, so a slot repeats a point
     # exactly where it repeats a variable
-    patterns = tuple(repeat_pattern(slot) for slot in checker.slots)
-    reads = tuple(zip(map(_tuple_getter, picks), patterns))
+    patterns = map(repeat_pattern, checker.slots)
+    names = tuple(lambda b, pick=pick, p=p: (pick(b), p) for pick, p in zip(picks, patterns))
+    by_blocks = _failing_keys(checker, names, lambda name: kernel.generic_value(*name))
+    at_points = _failing_keys(checker, picks, kernel.value_at)
     v = system.variables
     per_round = max(1, _AUDIT_ROUND // v)
-    slot_ids: dict = {}  # (slot blocks, slot pattern) -> interned value id
-    decided: dict[tuple[int, ...], bool] = {}  # id vector -> whether an atom fails
-
-    def slot_id(key) -> int:
-        vid = slot_ids.get(key)
-        if vid is None:
-            vid = slot_ids[key] = checker.intern(kernel.generic_value(*key))
-        return vid
-
-    def hit_fails(tup) -> bool:
-        tup = [Fraction(x) for x in tup]
-        ids = [checker.intern(kernel.value_at(tuple([tup[j] for j in pick]))) for pick in picks]
-        return next(checker.failing(ids), None) is not None
-
     bad = 0
     left = samples
     while left:
@@ -468,17 +457,13 @@ def audit_ae_hypothesis(
             counts = collections.Counter(zip(*[iter(map(block, floats))] * v))
         else:
             counts = collections.Counter()
+            hits = []
             for tup in zip(*[iter(floats)] * v):
                 if constants.isdisjoint(tup):
                     counts[tuple(map(block, tup))] += 1
                 else:
-                    bad += hit_fails(tup)
-        for blocks, n in counts.items():
-            ids = tuple([slot_id((read(blocks), pattern)) for read, pattern in reads])
-            failed = decided.get(ids)
-            if failed is None:
-                failed = decided[ids] = next(checker.failing(ids), None) is not None
-            if failed:
-                bad += n
+                    hits.append(tuple(map(Fraction, tup)))
+            bad += sum(1 for _ in at_points(hits))
+        bad += sum(counts[blocks] for blocks, _ in by_blocks(counts))
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)

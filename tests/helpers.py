@@ -7,7 +7,9 @@ beyond kernel lookup.  reference_violations and reference_audit are the
 plain sweeps the memoised ones replaced: every assignment evaluated anew,
 every atom checked at every assignment, affine atoms by
 reference_affine_satisfied, the ``Fraction`` arithmetic that the integer
-sums of ``AffineAtom.satisfied`` replaced.  reference_core is the candidate
+sums of ``AffineAtom.satisfied`` replaced.  reference_failing_keys is the
+plain decision behind all of them, and reference_proven_infeasible the
+probe that checked every atom afresh on every combination of values.  reference_core is the candidate
 scan that core extraction's pruned search replaced.  reference_repair is the
 paper's sampled construction in the attempt loop that the one-pass,
 closed-form repair replaced: every attempt draws guarded ``Fraction``
@@ -36,6 +38,8 @@ from kernel_repair.constraint import (
     proven_infeasible,
     symmetry_atoms,
     triangle_free_system,
+    _PROBE_BUDGET,
+    _set_partitions,
     _shift_toward,
 )
 from kernel_repair.corrector import (
@@ -273,6 +277,77 @@ def reference_violations(system, evaluate, space, points, eps=F(0)):
             if not reference_satisfied(atom, val, space, eps):
                 found.append(Violation(assignment, atom, atom.describe()))
     return found
+
+
+def reference_failing_keys(system, space, eps, picks, value, keys):
+    """Oracle decision per key: every atom at every key, no memo.
+
+    ``picks[k](key)`` names the value at ``system.all_slots()[k]`` and
+    ``value(name)`` is the value a name denotes.  Returns ``(key, failing
+    atom indices)`` for each key where some atom fails, in key order.
+    """
+    slots = system.all_slots()
+    found = []
+    for key in keys:
+        at = {s: value(pick(key)) for s, pick in zip(slots, picks)}
+        failed = tuple(
+            n
+            for n, atom in enumerate(system.atoms)
+            if not reference_satisfied(atom, at.__getitem__, space, eps)
+        )
+        if failed:
+            found.append((key, failed))
+    return found
+
+
+def reference_proven_infeasible(system, space, num_points, symmetrize=False):
+    """Oracle probe: ``proven_infeasible`` with every atom checked afresh on
+    every combination of menu values, through a dict keyed by collapsed slot."""
+    if num_points < 1:
+        return False
+    if system.mode == "distinct":
+        if num_points < system.variables:
+            return False
+        patterns = [[[v] for v in range(1, system.variables + 1)]]
+    else:
+        patterns = [
+            p
+            for p in _set_partitions(tuple(range(1, system.variables + 1)))
+            if len(p) <= num_points
+        ]
+    for pattern in patterns:
+        rep = {v: min(group) for group in pattern for v in group}
+
+        def key_of(slot):
+            mapped = tuple(rep[v] for v in slot)
+            return tuple(sorted(mapped)) if symmetrize else mapped
+
+        menus = {}
+        for atom in system.atoms:
+            if isinstance(atom, FiniteValuesAtom):
+                k = key_of(atom.slot)
+                allowed = sorted(atom.allowed, key=repr)
+                menus[k] = [v for v in menus[k] if v in allowed] if k in menus else allowed
+        keys = sorted({key_of(s) for s in system.all_slots()})
+        if isinstance(space, FiniteMetric):
+            for k in keys:
+                menus.setdefault(k, list(space.labels))
+        if any(k not in menus for k in keys):
+            continue
+        if math.prod(len(menus[k]) for k in keys) > _PROBE_BUDGET:
+            continue
+        satisfiable = False
+        for combo in itertools.product(*(menus[k] for k in keys)):
+            table = dict(zip(keys, combo))
+            if all(
+                atom.satisfied(lambda s: table[key_of(s)], space, F(0))
+                for atom in system.atoms
+            ):
+                satisfiable = True
+                break
+        if not satisfiable:
+            return True
+    return False
 
 
 def reference_audit(kernel, system, samples=1000, seed="0", on_trial=None):

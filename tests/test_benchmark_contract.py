@@ -4,11 +4,14 @@ The tracer patches package functions and methods by name, and the workloads
 call them with fixed arguments.  A renamed function or a dropped parameter
 would make every traced run fail in ``Tracer.install`` or in the op itself,
 so these tests load the benchmark's tracer and workloads by path, without
-changing them, and check each name and call they rely on.
+changing them, and check each name and call they rely on.  They also pin
+each workload's ``outputs_sha256`` at seed 11, so a change to any report
+the benchmark digests shows here; a deliberate one updates the pin.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -124,3 +127,23 @@ def test_traced_metric_cli_ops_check_and_restore(tmp_path):
         assert workload.check(p, res), res["report"]["result"]["status"]
     assert (cli.cmd_correct, cli.cmd_verify) == original
     assert t.span_stats["cli.correct"][0] == t.span_stats["cli.verify"][0] == len(problems)
+
+
+#: ``outputs_sha256`` of each workload's fixed prefix at seed "11"
+PINNED_OUTPUTS = {
+    "metric-cli": "c689fd866f818f77f1c8fac5400c338c1cc761b53dc4aaf4d195ac9578a81c21",
+    "small-batch": "f2c8f9a16f67d9154d1d6b010ab1afec0d3bbbac15cb0f1f59a24e76ebac584e",
+    "ramsey-cores": "3880f0b7a59dff03f98bdb145df0f92bad6d7e0cd13fd3e0460cf745935e39d9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_the_fixed_prefix_reproduces_the_pinned_outputs(name, tmp_path):
+    # the digests of perfbench/run.py's Loop: one per op, then one of all
+    workload = workloads.WORKLOADS[name]()
+    digests = []
+    for p in workload.generate("11", workload.prefix, str(tmp_path)):
+        res = workload.finish(p, workload.run(p))
+        assert workload.check(p, res)
+        digests.append(hashlib.sha256(workloads.digest_view(workload, res)).hexdigest())
+    assert hashlib.sha256("".join(digests).encode()).hexdigest() == PINNED_OUTPUTS[name]

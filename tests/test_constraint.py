@@ -9,7 +9,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import reference_affine_satisfied, reference_violations
+from helpers import (
+    reference_affine_satisfied,
+    reference_failing_keys,
+    reference_proven_infeasible,
+    reference_violations,
+)
 from kernel_repair.constraint import (
     AffineAtom,
     ConstraintSystem,
@@ -18,6 +23,7 @@ from kernel_repair.constraint import (
     TableAtom,
     ZeroProductAtom,
     _AtomChecker,
+    _failing_keys,
     instantiate_over,
     metric_system,
     proven_infeasible,
@@ -329,10 +335,10 @@ SPACE_MENUS = (
 
 
 @st.composite
-def sweep_case(draw):
+def sweep_case(draw, least_variables=1):
     space, menu = draw(st.sampled_from(SPACE_MENUS))
     arity = draw(st.integers(1, 2))
-    variables = draw(st.integers(1, 3))
+    variables = draw(st.integers(least_variables, 3))
     mode = draw(st.sampled_from(("distinct", "multiset")))
     slot = st.tuples(*[st.integers(1, variables)] * arity)
     value = st.sampled_from(menu)
@@ -487,8 +493,55 @@ def test_sweep_shares_verdicts_between_renamed_atoms(monkeypatch):
     found = violations(system, table.__getitem__, RAY, pts, F(1, 50))
     assert found
     # the 3 symmetry equalities are one shape over 2 slots and the 6
-    # triangles three shapes over 3 slots, 3 values each
-    assert calls["satisfied"] <= 1 * 3**2 + 3 * 3**3
+    # triangles one shape over 3 slots, 3 values each
+    assert calls["satisfied"] <= 3**2 + 3**3
+
+
+def test_affine_atoms_whose_terms_differ_in_order_share_a_shape():
+    # the triangles' terms come sorted by slot, so the slot of their one
+    # positive term moves among them; sorted by coefficient they are one shape
+    assert metric_system()._atom_plan[2] == 2
+
+
+@st.composite
+def failing_keys_case(draw):
+    """A sweep_case's system with random keys, picks of names and values.
+
+    A key is a tuple of small ints; each slot's pick reads a few of its
+    positions as the name of the slot's value, so names repeat within and
+    across keys.
+    """
+    system, _, space, _, eps = draw(sweep_case())
+    menu = dict(SPACE_MENUS)[space]
+    width = draw(st.integers(1, 3))
+    positions = st.lists(st.integers(0, width - 1), min_size=1, max_size=2)
+    picks = tuple(
+        (lambda key, at=tuple(draw(positions)): tuple(key[j] for j in at))
+        for _ in system.all_slots()
+    )
+    names = itertools.chain.from_iterable(
+        itertools.product(range(3), repeat=n) for n in (1, 2)
+    )
+    table = {name: draw(st.sampled_from(menu)) for name in names}
+    key = st.tuples(*[st.integers(0, 2)] * width)
+    calls = [draw(st.lists(key, min_size=1, max_size=12)), draw(st.lists(key, max_size=12))]
+    return system, space, eps, picks, table, calls
+
+
+@settings(deadline=None)
+@given(failing_keys_case())
+def test_failing_keys_match_the_plain_decision(case):
+    system, space, eps, picks, table, calls = case
+    reads = []
+    decide = _failing_keys(
+        _AtomChecker(system, space, eps), picks, lambda name: reads.append(name) or table[name]
+    )
+    for keys in calls:
+        # the memos of the first call carry into the second
+        want = reference_failing_keys(system, space, eps, picks, table.__getitem__, keys)
+        assert list(decide(keys)) == want
+    used = [pick(key) for keys in calls for key in keys for pick in picks]
+    assert reads == list(dict.fromkeys(used))
 
 
 @pytest.mark.parametrize(
@@ -553,3 +606,49 @@ def test_probe_on_finite_metric_uses_labels_as_menu():
         ),
     )
     assert proven_infeasible(system, space, 2, symmetrize=True)
+
+
+@st.composite
+def probe_case(draw):
+    """A sweep_case's system over two or three variables, most slots pinned
+    to one or two values."""
+    system, _, space, _, _ = draw(sweep_case(least_variables=2))
+    menu = st.sampled_from(dict(SPACE_MENUS)[space])
+    pins = tuple(
+        FiniteValuesAtom(slot, frozenset(draw(st.lists(menu, min_size=1, max_size=2))))
+        for slot in system.all_slots()
+        if draw(st.integers(0, 7))
+    )
+    system = ConstraintSystem(
+        arity=system.arity, variables=system.variables, mode=system.mode, atoms=system.atoms + pins
+    )
+    return system, space, draw(st.integers(0, 4)), draw(st.booleans())
+
+
+def probe_verdict(probe, system, space, num_points, symmetrize):
+    try:
+        return probe(system, space, num_points, symmetrize)
+    except ContractError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(probe_case())
+# the slots come out of sorted order, so each must read its own key's value
+@example(
+    (
+        ConstraintSystem(
+            arity=2,
+            variables=2,
+            mode="distinct",
+            atoms=(FiniteValuesAtom((2, 1), {F(0)}), FiniteValuesAtom((1, 2), {F(1)})),
+        ),
+        UNIT,
+        2,
+        False,
+    )
+)
+def test_probe_matches_the_plain_probe(case):
+    assert probe_verdict(proven_infeasible, *case) == probe_verdict(
+        reference_proven_infeasible, *case
+    )
