@@ -19,13 +19,15 @@ import sys
 from fractions import Fraction
 
 from .constraint import violations
-from .corrector import CorrectedKernel, RepairConfig, audit_ae_hypothesis, repair
+from .corrector import CorrectedKernel, RepairConfig, _check_arity, audit_ae_hypothesis, repair
 from .demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from .density import density_mass
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
 from .fileio import (
     MAX_REPAIR_TABLE,
     MAX_SWEEP_ASSIGNMENTS,
+    _fraction,
+    _not_float,
     constraint_to_doc,
     estimated_assignments,
     estimated_selections,
@@ -122,28 +124,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _refuse_large_sweep(count: int, shown: str):
-    """Refuse, before any work, a sweep or audit above ``MAX_SWEEP_ASSIGNMENTS``."""
-    if count > MAX_SWEEP_ASSIGNMENTS:
-        raise ContractError(
-            f"refused: estimated {shown} assignments, more than {MAX_SWEEP_ASSIGNMENTS}"
-        )
+def _refuse_above(cap: int, count: int, shown: str, what: str):
+    """Refuse, before any work, a request for more than ``cap`` of ``what``."""
+    if count > cap:
+        raise ContractError(f"refused: {shown} {what}, more than {cap}")
 
 
 def _refuse_large_system_sweep(system, n: int):
+    """Refuse, before any work, a sweep above ``MAX_SWEEP_ASSIGNMENTS``."""
     v = system.variables
     shown = f"{n}^{v}" if system.mode == "multiset" else f"{n}!/({n}-{v})!"
-    _refuse_large_sweep(estimated_assignments(system.mode, n, v), shown)
+    count = estimated_assignments(system.mode, n, v)
+    _refuse_above(MAX_SWEEP_ASSIGNMENTS, count, f"estimated {shown}", "assignments")
 
 
 def _refuse_large_repair(system, n: int):
     """Refuse, before any read, a value table above ``MAX_REPAIR_TABLE``."""
     a = system.arity
-    if estimated_table_tuples(system.mode, n, a) > MAX_REPAIR_TABLE:
-        shown = f"C({n}+{a}-1,{a})" if system.mode == "multiset" else f"{n}^{a}"
-        raise ContractError(
-            f"refused: estimated {shown} value-table tuples, more than {MAX_REPAIR_TABLE}"
-        )
+    shown = f"C({n}+{a}-1,{a})" if system.mode == "multiset" else f"{n}^{a}"
+    count = estimated_table_tuples(system.mode, n, a)
+    _refuse_above(MAX_REPAIR_TABLE, count, f"estimated {shown}", "value-table tuples")
+
+
+def _load_pair(args):
+    """The ``--kernel`` and ``--constraint`` files, refused unless of one arity."""
+    kernel = load_kernel(args.kernel)
+    system = load_constraint(args.constraint, kernel.space)
+    _check_arity(kernel, system)
+    return kernel, system
 
 
 def cmd_eval(args) -> int:
@@ -165,8 +173,7 @@ def cmd_density(args) -> int:
 
 
 def cmd_correct(args) -> int:
-    kernel = load_kernel(args.kernel)
-    system = load_constraint(args.constraint, kernel.space)
+    kernel, system = _load_pair(args)
     _refuse_large_system_sweep(system, len(args.points))
     _refuse_large_repair(system, len(args.points))
     config = RepairConfig(epsilon=args.epsilon, seed=args.seed)
@@ -196,14 +203,11 @@ def cmd_ramsey(args) -> int:
         raise ContractError("profile length must equal the number of parts")
     if args.colors < 1:
         raise ContractError("at least one color is required")
-    if args.size > MAX_REPAIR_TABLE:
-        raise ContractError(f"refused: {args.size} elements per part, more than {MAX_REPAIR_TABLE}")
+    _refuse_above(MAX_REPAIR_TABLE, args.size, str(args.size), "elements per part")
     validate_request([range(args.size)] * args.parts, args.profile, args.target)
-    if estimated_selections(args.size, args.profile) > MAX_REPAIR_TABLE:
-        shown = "*".join(f"C({args.size},{t})" for t in args.profile)
-        raise ContractError(
-            f"refused: estimated {shown} colored selections, more than {MAX_REPAIR_TABLE}"
-        )
+    shown = "*".join(f"C({args.size},{t})" for t in args.profile)
+    count = estimated_selections(args.size, args.profile)
+    _refuse_above(MAX_REPAIR_TABLE, count, f"estimated {shown}", "colored selections")
     parts = [[f"{i}.{j}" for j in range(args.size)] for i in range(args.parts)]
     rng = random.Random(f"{args.seed}:coloring")
     table = {
@@ -229,21 +233,13 @@ def cmd_demo(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    kernel = load_kernel(args.kernel)
-    system = load_constraint(args.constraint, kernel.space)
-    _refuse_large_sweep(args.trials, str(args.trials))
-    # each trial draws one float per variable
-    draws = args.trials * system.variables
-    if draws > MAX_SWEEP_ASSIGNMENTS:
-        raise ContractError(
-            f"refused: estimated {args.trials}*{system.variables} audit draws, "
-            f"more than {MAX_SWEEP_ASSIGNMENTS}"
-        )
+    kernel, system = _load_pair(args)
+    v = system.variables
+    # one float per variable and trial; every system has a variable, so this caps trials
+    shown = f"estimated {args.trials}*{v}"
+    _refuse_above(MAX_SWEEP_ASSIGNMENTS, args.trials * v, shown, "audit draws")
     # a trial's floats, their set and their blocks are held at once
-    if system.variables > MAX_REPAIR_TABLE:
-        raise ContractError(
-            f"refused: {system.variables} draws in one audit trial, more than {MAX_REPAIR_TABLE}"
-        )
+    _refuse_above(MAX_REPAIR_TABLE, v, str(v), "draws in one audit trial")
     res = audit_ae_hypothesis(kernel, system, samples=args.trials, seed=args.seed)
     doc = {
         "violations": res.violations,
@@ -276,6 +272,7 @@ def _index_table(table: dict, rank: dict, space) -> dict:
                 indices[tok] = rank.get(as_fraction(tok))
             idx.append(indices[tok])
         if type(text) is not str:
+            _not_float(text, f"report.values[{key!r}]")
             value = value_from_text(space, text)
         elif text in parsed:
             value = parsed[text]
@@ -287,8 +284,7 @@ def _index_table(table: dict, rank: dict, space) -> dict:
 
 
 def cmd_verify(args) -> int:
-    kernel = load_kernel(args.kernel)
-    system = load_constraint(args.constraint, kernel.space)
+    kernel, system = _load_pair(args)
     doc = load_json(args.report, "report")
     if not isinstance(doc, dict):
         raise FormatError(f"report file {args.report}: expected an object at the top level")
@@ -311,23 +307,22 @@ def cmd_verify(args) -> int:
         part = result["part"]
         listed = result["points"]
         _refuse_large_system_sweep(system, len(listed))
-        points = tuple(as_fraction(p) for p in listed)
-        eps = args.epsilon if args.epsilon is not None else as_fraction(result["epsilon"])
+        points = tuple(_fraction(p, "report.points") for p in listed)
+        eps = args.epsilon
+        if eps is None:
+            eps = _fraction(result["epsilon"], "report.epsilon")
         if eps < 0:
             raise ContractError("epsilon must be nonnegative")
         table = result["values"]
         if not isinstance(table, dict):
             raise TypeError("values must be an object")
-        if len(table) > MAX_REPAIR_TABLE:
-            raise ContractError(
-                f"refused: {len(table)} report values, more than {MAX_REPAIR_TABLE}"
-            )
+        _refuse_above(MAX_REPAIR_TABLE, len(table), str(len(table)), "report values")
         # repeated points share the index of their point among the sorted
         # distinct points, so sorting indices sorts points
         distinct = sorted(set(points))
         rank = {p: i for i, p in enumerate(distinct)}
         values = _index_table(table, rank, kernel.space)
-    except ContractError:
+    except (ContractError, FormatError):
         raise
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc

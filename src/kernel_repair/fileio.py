@@ -48,8 +48,8 @@ MAX_SYMMETRY_EQUALITIES = 50_000
 #: already (``StepKernel.from_flat``).
 MAX_KERNEL_ARITY = 1_000
 
-#: Most assignments one ``correct`` or ``verify`` sweep, or trials one
-#: ``audit``, may take.  The largest sweep of the tests, demos and benchmark
+#: Most assignments one ``correct`` or ``verify`` sweep, or draws (trials
+#: times variables) one ``audit``, may take.  The largest sweep of the tests, demos and benchmark
 #: is 6^3 = 216; 30 points over 8 variables in multiset mode would be
 #: 30^8, about 6.6e11, and run for days.
 MAX_SWEEP_ASSIGNMENTS = 10_000_000
@@ -63,86 +63,67 @@ MAX_SWEEP_ASSIGNMENTS = 10_000_000
 MAX_REPAIR_TABLE = 1_000_000
 
 
-def _symmetry_equalities(arity: int, variables: int) -> int:
-    """(arity! - 1) * variables! / (variables - arity)!, or a number past the cap.
+def _capped(steps, cap: int) -> int:
+    """The product of ``factor / divisor`` over the steps, or a number past the cap.
 
-    That is how many equalities ``symmetry_atoms`` renames before it drops
-    duplicates.  The product stops once it passes
-    ``MAX_SYMMETRY_EQUALITIES``, so a huge arity costs nothing.
+    Every partial product must be a whole number, so each division is exact.
+    The product stops at the first partial one that is 0 or past ``cap``, so
+    a huge count of steps costs only the steps up to there; where no later
+    step shrinks it, the whole is past the cap too.
     """
     count = 1
-    for k in range(2, arity + 1):
-        count *= k
-        if count > MAX_SYMMETRY_EQUALITIES:
-            return count
-    count -= 1
-    for k in range(max(variables - arity + 1, 0), variables + 1):
-        if count == 0 or count > MAX_SYMMETRY_EQUALITIES:
+    for factor, divisor in steps:
+        count = count * factor // divisor
+        if count == 0 or count > cap:
             break
-        count *= k
     return count
+
+
+def _symmetry_equalities(arity: int, variables: int) -> int:
+    """(arity! - 1) * variables! / (variables - arity)!, or a number past
+    ``MAX_SYMMETRY_EQUALITIES``: how many equalities ``symmetry_atoms``
+    renames before it drops duplicates, none with fewer variables than arity.
+    """
+    if variables < arity:
+        return 0
+    orderings = _capped(((k, 1) for k in range(2, arity + 1)), MAX_SYMMETRY_EQUALITIES)
+    falling = ((variables - k, 1) for k in range(arity))
+    return _capped(itertools.chain([(orderings - 1, 1)], falling), MAX_SYMMETRY_EQUALITIES)
 
 
 def estimated_assignments(mode: str, points: int, variables: int) -> int:
     """points ** variables in multiset mode, points! / (points - variables)! in
-    distinct mode, or a number past the cap.
-
-    That is how many assignments ``violations`` sweeps.  The product stops
-    once it passes ``MAX_SWEEP_ASSIGNMENTS``, so a huge variable count costs
-    nothing.
+    distinct mode, or a number past ``MAX_SWEEP_ASSIGNMENTS``: how many
+    assignments ``violations`` sweeps.
     """
     if mode == "multiset" and points <= 1:
-        # the product never grows, so the loop would run ``variables`` times
+        # the product never grows, so it would take ``variables`` steps
         return points
-    count = 1
-    for k in range(variables):
-        count *= points if mode == "multiset" else points - k
-        if count == 0 or count > MAX_SWEEP_ASSIGNMENTS:
-            break
-    return count
+    steps = ((points if mode == "multiset" else points - k, 1) for k in range(variables))
+    return _capped(steps, MAX_SWEEP_ASSIGNMENTS)
 
 
 def estimated_table_tuples(mode: str, points: int, arity: int) -> int:
     """points ** arity in distinct mode, C(points + arity - 1, arity) in
-    multiset mode, or a number past the cap.
-
-    That is how many tuples the value table of ``repair`` holds.  The
-    product stops once it passes ``MAX_REPAIR_TABLE``, so a huge arity costs
-    nothing.
+    multiset mode, or a number past ``MAX_REPAIR_TABLE``: how many tuples the
+    value table of ``repair`` holds.
     """
     if points <= 1:
-        # the product never grows, so the loop would run ``arity`` times
+        # the product never grows, so it would take ``arity`` steps
         return points
-    count = 1
-    for k in range(arity):
-        # C(points + k, k + 1) from C(points + k - 1, k), exact at each step
-        count = count * (points + k) // (k + 1) if mode == "multiset" else count * points
-        if count > MAX_REPAIR_TABLE:
-            break
-    return count
+    # C(points + k, k + 1) from C(points + k - 1, k) in multiset mode
+    steps = ((points + k, k + 1) if mode == "multiset" else (points, 1) for k in range(arity))
+    return _capped(steps, MAX_REPAIR_TABLE)
 
 
 def estimated_selections(size: int, profile) -> int:
-    """The product of C(size, t) over the profile, or a number past the cap.
-
-    That is how many selections a coloring of equal parts of ``size``
-    elements holds.  Each C(size, t) is built as C(size - k + i, i) for
-    i = 1..k with k = min(t, size - t), which never shrinks, and the count
-    stops once it passes ``MAX_REPAIR_TABLE``, so a huge size or subset size
-    costs a few steps.  Subset sizes must lie in 0..size.
+    """The product of C(size, t) over the profile, or a number past
+    ``MAX_REPAIR_TABLE``: how many selections a coloring of equal parts of
+    ``size`` elements holds.  Subset sizes must lie in 0..size.
     """
-    count = 1
-    for t in profile:
-        k = min(t, size - t)
-        term = 1
-        for i in range(1, k + 1):
-            term = term * (size - k + i) // i
-            if term > MAX_REPAIR_TABLE:
-                break
-        count *= term
-        if count > MAX_REPAIR_TABLE:
-            break
-    return count
+    # C(size, t) as C(size - k + i, i) for i = 1..k, k = min(t, size - t)
+    ks = (min(t, size - t) for t in profile)
+    return _capped(((size - k + i, i) for k in ks for i in range(1, k + 1)), MAX_REPAIR_TABLE)
 
 
 def _require(doc: dict, key: str, where: str):

@@ -575,8 +575,9 @@ def reference_verify(args) -> int:
     """``cli.cmd_verify`` over a table keyed by tuples of ``Fraction`` points.
 
     Its messages, exit codes and verdicts are the command's, except that it
-    parses every point and value before it refuses a sweep above the cap
-    and has no cap on the table's size.
+    parses every point and value before it refuses a sweep above the cap,
+    has no cap on the table's size, does not check the arity before it
+    reads the report, and reads a float in the report at its binary value.
     """
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)

@@ -25,6 +25,7 @@ from kernel_repair.constraint import (
     triangle_free_system,
 )
 from kernel_repair.corrector import AuditResult
+from kernel_repair.demos import almost_metric_kernel
 from kernel_repair.errors import ContractError
 from kernel_repair.fileio import (
     MAX_KERNEL_ARITY,
@@ -211,6 +212,14 @@ def test_a_value_table_above_the_cap_is_refused_quickly(tmp_path, capsys):
     assert f"refused: estimated 30^8 value-table tuples, more than {MAX_REPAIR_TABLE}" in err
 
 
+def test_correct_names_an_arity_mismatch_before_any_size_cap(tmp_path, capsys):
+    # an arity-2 kernel under the arity-8 constraint: 30 points would pass
+    # the table cap for arity 2, and the table cap read the constraint's arity
+    points = ",".join(f"{2 * i + 1}/64" for i in range(30))
+    err = refused_correct(tmp_path, capsys, HUGE_TABLE, constant_kernel(F(1, 2)), points)
+    assert err == "error: system arity 8 does not match kernel arity 2\n"
+
+
 def test_the_repair_caps_refuse_only_past_the_cap():
     system = triangle_free_system(mode="multiset")  # arity 2
     # C(1414, 2) = 999,691 tuples
@@ -228,7 +237,8 @@ def test_audit_refuses_trials_above_the_cap(tmp_path, capsys):
         "audit", "--kernel", kpath, "--constraint", cpath, "--trials", trials, "--seed", "7",
     )
     assert (code, out) == (1, "")
-    assert f"refused: estimated {trials} assignments" in err
+    # every system has a variable, so the draw cap refuses these trials
+    assert f"refused: estimated {trials}*3 audit draws, more than {MAX_SWEEP_ASSIGNMENTS}" in err
 
 
 #: 108 bytes: one finite atom, but each audit trial draws one float per
@@ -252,6 +262,18 @@ def test_audit_refuses_draws_above_the_cap_quickly(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert "refused: estimated 1*100000000 audit draws, more than 10000000" in err
     assert "Traceback" not in err
+
+
+def test_audit_names_an_arity_mismatch_before_any_size_cap(tmp_path, capsys):
+    cpath = tmp_path / "huge-audit.json"
+    cpath.write_text(HUGE_AUDIT)
+    kpath = kernel_file(tmp_path, constant_kernel(F(1), arity=1))
+    code, out, err = run(
+        capsys,
+        "audit", "--kernel", kpath, "--constraint", str(cpath), "--trials", "1", "--seed", "7",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: system arity 2 does not match kernel arity 1\n"
 
 
 @pytest.mark.parametrize("trials, refused", [(3_333_333, False), (3_333_334, True)])
@@ -911,6 +933,69 @@ def test_verify_refuses_a_negative_epsilon_before_sweeping(
     )
     assert (code, out) == (1, "")
     assert err == "error: epsilon must be nonnegative\n"
+
+
+def test_verify_names_an_arity_mismatch_before_reading_the_report(tmp_path, capsys):
+    # a bare result document carries no inputs; the sweep would miss its tuples
+    kpath = kernel_file(tmp_path, constant_kernel(F(1, 2)))
+    cpath = tmp_path / "arity-3.json"
+    cpath.write_text(json.dumps({
+        "mode": "distinct", "arity": 3, "variables": 3,
+        "atoms": [{"kind": "finite", "slot": [1, 2, 3], "allowed": ["1/2"]}],
+    }))
+    rpath = report_file(tmp_path, symmetric_values())
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", str(cpath), "--report", rpath
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: system arity 3 does not match kernel arity 2\n"
+
+
+def float_field(result, field):
+    """The result with ``field`` rewritten as binary floats."""
+    if field == "values":
+        result["values"] = {k: float(F(v)) for k, v in result["values"].items()}
+    elif field == "points":
+        result["points"] = [float(F(p)) for p in result["points"]]
+    else:
+        result["epsilon"] = float(F(result["epsilon"]))
+
+
+@pytest.mark.parametrize("field", ["epsilon", "points", "values"])
+def test_verify_refuses_a_float_in_the_report(tmp_path, capsys, field):
+    # 0.02 reads as a binary fraction a little above 1/50, and a float
+    # point names no tuple of the table
+    kpath = kernel_file(tmp_path, almost_metric_kernel())
+    cpath = tmp_path / "metric.json"
+    save_constraint(metric_system(), CompactifiedRay(), str(cpath))
+    rpath = tmp_path / "report.json"
+    common = ["--kernel", kpath, "--constraint", str(cpath)]
+    code, _, _ = run(
+        capsys, "correct", *common, "--points", "1/10,3/5,9/10", "--epsilon", "1/50",
+        "--seed", "0", "--out", str(rpath),
+    )
+    assert code == 0
+    assert run(capsys, "verify", *common, "--report", str(rpath))[0] == 0
+    doc = load_json(str(rpath), "report")
+    float_field(doc["result"], field)
+    rpath.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", *common, "--report", str(rpath))
+    assert_one_error_line(code, out, err)
+    assert err.startswith(f"error: report.{field}")
+    assert "expected an exact rational string or integer, not the float" in err
+
+
+def test_verify_reads_integers_in_the_report(tmp_path, capsys):
+    kpath, cpath = equality_files(tmp_path)
+    rpath = tmp_path / "report.json"
+    rpath.write_text(json.dumps({"result": {
+        "part": 1, "points": [0, "1/2"], "epsilon": 0,
+        "values": {"0,0": 1, "0,1/2": 0, "1/2,0": 0, "1/2,1/2": 1},
+    }}))
+    code, out, _ = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", str(rpath)
+    )
+    assert (code, out) == (0, "checked 2 assignments: all atoms hold\n")
 
 
 def test_verify_reads_a_table_at_the_cap(tmp_path, capsys, monkeypatch):

@@ -202,6 +202,32 @@ def test_infeasible_system_stops_at_the_probe():
     assert outcome.report["probe"] == {"ran": True, "proven_infeasible": True}
 
 
+def budget_system():
+    """Two one-slot unknowns with disjoint menus of 3 and 2 values, forced
+    equal: its one distinct-mode pattern has 6 combinations, none holding."""
+    return ConstraintSystem(
+        arity=1,
+        variables=2,
+        mode="distinct",
+        atoms=(
+            FiniteValuesAtom((1,), frozenset({F(0), F(1, 2), F(1)})),
+            FiniteValuesAtom((2,), frozenset({F(1, 4), F(3, 4)})),
+            EqualityAtom((1,), (2,)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("budget, proven", [(6, True), (5, False)])
+def test_the_probe_skips_a_pattern_over_its_budget(monkeypatch, budget, proven):
+    monkeypatch.setattr(constraint, "_PROBE_BUDGET", budget)
+    system, unit = budget_system(), BoundedInterval(F(1))
+    assert constraint.proven_infeasible(system, unit, 2) is proven
+    kernel = StepKernel.from_flat(arity=1, resolution=1, space=unit, flat_values=[F(1, 2)])
+    outcome = repair(kernel, system, (F(1, 4), F(3, 4)), RepairConfig(seed="0"))
+    assert outcome.status == ("infeasible" if proven else "failed")
+    assert outcome.report["probe"] == {"ran": True, "proven_infeasible": proven}
+
+
 # --- multiset mode ---
 
 

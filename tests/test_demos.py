@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -23,6 +24,7 @@ from kernel_repair.demos import (
     triangle_demo,
 )
 from kernel_repair.errors import ContractError
+from kernel_repair.fileio import strip_timing, to_json
 
 F = Fraction
 
@@ -138,6 +140,25 @@ def test_demos_are_pure_functions_of_the_seed():
     a = triangle_demo(seed="x").summary
     b = triangle_demo(seed="x").summary
     assert a == b
+
+
+#: sha256 of every demo report, timing stripped, in sorted name order: the
+#: bytes of ``cat <out-dir>/*.json`` after ``scripts/run_demos.py --seed S
+#: --strip-timing --out-dir <out-dir>``.  A deliberate report change
+#: updates these in the same commit.
+DEMO_DIGESTS = {
+    "0": "9dc0f5f00baeeac9ac3592377b81846948cb83359d3dcd010c6aa58d6f579960",
+    "7": "a2c1e694891c4ff460231dfba5b526170f613686504ab4b4663e60fce74e3c75",
+    "abc": "890f5d0372b540f1df08a34dd1cec845046ba750b0b06dcb932ce3386ca04f42",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEMO_DIGESTS))
+def test_the_demo_reports_match_their_pinned_digests(seed):
+    text = "".join(
+        to_json(strip_timing(run_demo(name, seed=seed).to_doc())) for name in sorted(DEMOS)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == DEMO_DIGESTS[seed]
 
 
 def load_run_demos():

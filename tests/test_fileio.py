@@ -27,9 +27,12 @@ from kernel_repair.errors import FormatError
 from kernel_repair.fileio import (
     MAX_REPAIR_TABLE,
     MAX_SWEEP_ASSIGNMENTS,
+    MAX_SYMMETRY_EQUALITIES,
+    _symmetry_equalities,
     constraint_from_doc,
     constraint_to_doc,
     estimated_assignments,
+    estimated_selections,
     estimated_table_tuples,
     kernel_from_doc,
     kernel_to_doc,
@@ -339,6 +342,59 @@ def test_estimated_table_tuples_stops_past_the_cap():
     assert estimated_table_tuples("multiset", 30, 10**12) > MAX_REPAIR_TABLE
     assert estimated_table_tuples("multiset", 1, 10**12) == 1
     assert estimated_table_tuples("distinct", 0, 10**12) == 0
+
+
+#: point counts, variable counts and part sizes on both sides of each cap:
+#: 10^7 points over one variable, 1000^2 table tuples, and multiset tables
+#: of C(1414, 2) < 10^6 < C(1415, 2) tuples
+GRID_SIZES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 30, 999, 1000, 1001, 1414, 1415, 10**7, 10**7 + 1)
+#: variable counts, arities and subset sizes; 8! < 50,000 < 9!
+GRID_POWERS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 30)
+
+
+def capped_as(estimate, exact, cap):
+    """The estimate equals the exact count up to the cap and passes it beyond."""
+    return estimate == exact if exact <= cap else estimate > cap
+
+
+@pytest.mark.parametrize("n", GRID_SIZES)
+def test_the_estimators_match_exact_counts_up_to_their_caps(n):
+    for k in GRID_POWERS:
+        assert capped_as(estimated_assignments("multiset", n, k), n**k, MAX_SWEEP_ASSIGNMENTS)
+        # fewer points than variables sweep nothing; the estimate may still
+        # pass the cap before its product reaches 0, but never undercounts
+        distinct = estimated_assignments("distinct", n, k)
+        if n >= k:
+            assert capped_as(distinct, math.perm(n, k), MAX_SWEEP_ASSIGNMENTS)
+        else:
+            assert distinct == 0 or distinct > MAX_SWEEP_ASSIGNMENTS
+        assert capped_as(estimated_table_tuples("distinct", n, k), n**k, MAX_REPAIR_TABLE)
+        assert capped_as(
+            estimated_table_tuples("multiset", n, k), math.comb(n + k - 1, k), MAX_REPAIR_TABLE
+        )
+        # arity k over n variables
+        assert capped_as(
+            _symmetry_equalities(k, n),
+            (math.factorial(k) - 1) * math.perm(n, k),
+            MAX_SYMMETRY_EQUALITIES,
+        )
+    # subset sizes from both ends; C(n, t) = C(n, n - t)
+    ends = {t for k in (0,) + GRID_POWERS for t in (k, n - k) if 0 <= t <= n}
+    for t in sorted(ends | ({n // 2} if n < 2000 else set())):
+        exact = math.comb(n, t)
+        assert capped_as(estimated_selections(n, [t]), exact, MAX_REPAIR_TABLE)
+        for u in sorted(ends):
+            assert capped_as(
+                estimated_selections(n, [t, u]), exact * math.comb(n, u), MAX_REPAIR_TABLE
+            )
+
+
+def test_symmetry_over_too_few_variables_counts_no_equalities():
+    # 9! orderings are past the cap, but no variable subset can take them
+    assert _symmetry_equalities(9, 2) == 0
+    doc = {"mode": "multiset", "arity": 9, "variables": 2, "atoms": [{"kind": "symmetry"}]}
+    with pytest.raises(FormatError, match="more variables than the target system"):
+        constraint_from_doc(doc, BoundedInterval(F(1)))
 
 
 def test_constraint_shape_inferred_from_slots():
