@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import random
 import sys
 from fractions import Fraction
 
-from .constraint import violations
-from .corrector import CorrectedKernel, RepairConfig, _check_arity, audit_ae_hypothesis, repair
+from .corrector import RepairConfig, _check_arity, audit_ae_hypothesis, judge, repair
 from .demos import DEMO_EXPECTATIONS, DEMOS, run_demo
 from .density import density_mass
 from .errors import ContractError, DomainError, ExtractionFailed, FormatError
@@ -115,11 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", required=True)
 
-    p = sub.add_parser("verify", help="recheck a report's value table against its constraint")
+    p = sub.add_parser("verify", help="recheck every derived field of a correct report")
     p.add_argument("--kernel", required=True)
     p.add_argument("--constraint", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--epsilon", type=_fraction_arg, help="override the report's epsilon")
 
     return parser
 
@@ -251,36 +250,33 @@ def cmd_audit(args) -> int:
     return 0
 
 
-def _index_table(table: dict, rank: dict, space) -> dict:
-    """A report's value table keyed by tuples of point indices.
-
-    ``rank`` maps each point of the report to its index.  A key becomes the
-    tuple of its tokens' indices; keys naming any other point are dropped,
-    since no sweep of the points reads them, but every key and value is
-    still parsed, in table order, so a malformed entry anywhere raises.
-    Each distinct key token and value text is parsed once.  A later key
-    naming the same tuple (``1/2`` and ``2/4``) wins.
-    """
-    # token -> index of its point, or None for a point not listed
-    indices: dict = {}
+def _read_values(table: dict, space) -> dict:
+    """A report's value table with each value parsed, each distinct text once."""
     parsed: dict = {}
     values = {}
     for key, text in table.items():
-        idx = []
-        for tok in key.split(","):
-            if tok not in indices:
-                indices[tok] = rank.get(as_fraction(tok))
-            idx.append(indices[tok])
         if type(text) is not str:
             _not_float(text, f"report.values[{key!r}]")
-            value = value_from_text(space, text)
+            values[key] = value_from_text(space, text)
         elif text in parsed:
-            value = parsed[text]
+            values[key] = parsed[text]
         else:
-            value = parsed[text] = value_from_text(space, text)
-        if None not in idx:
-            values[tuple(idx)] = value
+            values[key] = parsed[text] = value_from_text(space, text)
     return values
+
+
+def _differing_key(field: str, judged, reported):
+    """The first tuple key at which a per-tuple field of a report differs."""
+    missing = object()
+    if field == "density_closeness" and isinstance(reported, dict):
+        both = [*judged, *reported]
+        keys = (k for k in both if judged.get(k, missing) != reported.get(k, missing))
+    elif field == "agreement_failures" and isinstance(reported, list):
+        pairs = itertools.zip_longest(judged, reported, fillvalue=missing)
+        keys = (b if a is missing else a for a, b in pairs if a != b)
+    else:
+        return None
+    return next(keys, None)
 
 
 def cmd_verify(args) -> int:
@@ -307,50 +303,42 @@ def cmd_verify(args) -> int:
         part = result["part"]
         listed = result["points"]
         _refuse_large_system_sweep(system, len(listed))
+        _refuse_large_repair(system, len(listed))
         points = tuple(_fraction(p, "report.points") for p in listed)
-        eps = args.epsilon
-        if eps is None:
-            eps = _fraction(result["epsilon"], "report.epsilon")
+        eps = _fraction(result["epsilon"], "report.epsilon")
         if eps < 0:
             raise ContractError("epsilon must be nonnegative")
         table = result["values"]
         if not isinstance(table, dict):
             raise TypeError("values must be an object")
         _refuse_above(MAX_REPAIR_TABLE, len(table), str(len(table)), "report values")
-        # repeated points share the index of their point among the sorted
-        # distinct points, so sorting indices sorts points
-        distinct = sorted(set(points))
-        rank = {p: i for i, p in enumerate(distinct)}
-        values = _index_table(table, rank, kernel.space)
+        values = _read_values(table, kernel.space)
     except (ContractError, FormatError):
         raise
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
+    if not points or points != tuple(sorted(set(points))) or points[0] < 0 or points[-1] >= 1:
+        raise FormatError("report.points must be nonempty, sorted, distinct and in [0, 1)")
     # the constraint's mode, not the report, decides whether lookups sort
-    symmetric = system.mode == "multiset"
-    if type(part) is not int or part != (2 if symmetric else 1):
+    if type(part) is not int or part != (2 if system.mode == "multiset" else 1):
         raise FormatError(f"report file {args.report}: its part {part!r} does not match "
                           f"the constraint's {system.mode} mode")
-    lookup = CorrectedKernel(tuple(distinct), kernel.arity, symmetric, values)
-    canon = [rank[p] for p in points]
-
-    def evaluate(t):
-        try:
-            return lookup.at(tuple([canon[i] for i in t]))
-        except KeyError as exc:
-            shown = tuple(distinct[i] for i in exc.args[0])
-            raise FormatError(f"report has no value for tuple {shown}") from None
-
-    viols = violations(system, evaluate, kernel.space, range(len(points)), eps)
+    judged, _, viols = judge(kernel, system, points, eps, values)
     for v in viols[:10]:
-        shown = ",".join(frac_str(points[i]) for i in v.assignment)
+        shown = ",".join(judged["points"][i] for i in v.assignment)
         print(f"violated: {v.detail} at ({shown})")
     n, v = len(points), system.variables
     # multiset mode sweeps every n^v tuple, distinct mode only the injective ones
     checked = f"{n}^{v}" if system.mode == "multiset" else str(math.perm(n, v))
     print(f"checked {checked} assignments: "
           f"{'all atoms hold' if not viols else f'{len(viols)} violations'}")
-    return 0 if not viols else 2
+    # every field the report carries must be the judged one, but for its inputs
+    derived = judged.keys() - {"epsilon", "points", "values"}
+    differs = [f for f in judged if f in derived and f in result and result[f] != judged[f]]
+    for field in differs:
+        key = _differing_key(field, judged[field], result[field])
+        print(f"mismatch: {field}" + (f" at {key}" if isinstance(key, str) else ""))
+    return 0 if not viols and not differs else 2
 
 
 @functools.cache

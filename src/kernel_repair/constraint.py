@@ -630,20 +630,15 @@ def _set_partitions(items: tuple[int, ...]):
 _PROBE_BUDGET = 200_000
 
 
-def proven_infeasible(
-    system: ConstraintSystem,
-    space: ValueSpace,
-    num_points: int,
-    symmetrize: bool = False,
-) -> bool:
+def proven_infeasible(system: ConstraintSystem, space: ValueSpace, num_points: int) -> bool:
     """True when some forced tuple pattern admits no satisfying values.
 
     Sound one-way test.  In multiset mode every identification pattern of
     the variables (with at most ``num_points`` groups) is realized by some
     tuple, and identified variables collapse slots onto a common unknown;
-    in distinct mode only the all-distinct pattern applies.  With
-    ``symmetrize`` slots are further identified up to argument order, which
-    matches a repair that is forced to produce a symmetric function.  If
+    in distinct mode only the all-distinct pattern applies.  In multiset
+    mode slots are further identified up to argument order, which matches a
+    repair that is forced to produce a symmetric function.  If
     under any pattern no assignment of values to the collapsed slots
     satisfies every atom, no function whatsoever can satisfy the quantified
     system, and the repair reports it infeasible.
@@ -666,6 +661,7 @@ def proven_infeasible(
             for p in _set_partitions(tuple(range(1, system.variables + 1)))
             if len(p) <= num_points
         ]
+    symmetrize = system.mode == "multiset"
     checker = _AtomChecker(system, space, Fraction(0))
     for pattern in patterns:
         rep = {}

@@ -54,7 +54,7 @@ from .constraint import (
     violations,
 )
 from .density import adjacent_blocks, base_in_cell
-from .errors import ContractError
+from .errors import ContractError, FormatError
 from .kernel import StepKernel, repeat_pattern
 from .rational import as_fraction, frac_str
 from .values import epsilon_partition, value_to_text
@@ -137,10 +137,6 @@ def _point_key(t, names: list) -> str:
     return ",".join([names[i] for i in t])
 
 
-def _report_violations(viols, names: list) -> list:
-    return [{"tuple": _point_key(v.assignment, names), "atom": v.detail} for v in viols[:10]]
-
-
 def _check_arity(kernel: StepKernel, system: ConstraintSystem):
     if system.arity != kernel.arity:
         raise ContractError(
@@ -178,56 +174,67 @@ def repair(kernel: StepKernel, system: ConstraintSystem, points, config: Optiona
             raise ContractError(f"point {x} outside [0, 1)")
     _check_arity(kernel, system)
     system.validate_for_space(kernel.space)
-    space = kernel.space
     eps = cfg.epsilon
-    symmetric = system.mode == "multiset"
-    if symmetric:
+    if system.mode == "multiset":
         if eps <= 0:
             raise ContractError("multiset-mode repair needs a positive epsilon")
         if not kernel.symmetric_base:
             raise ContractError("multiset-mode repair needs a symmetric base grid")
-    partition = epsilon_partition(space, eps) if eps > 0 else None
-    names = [frac_str(x) for x in pts]
-    report = {
-        "part": 2 if symmetric else 1,
-        "mode": system.mode,
-        "status": None,
-        "epsilon": frac_str(eps),
-        "seed": str(cfg.seed),
-        "points": names,
-        "escalations": [],
-        "probe": {"ran": False, "proven_infeasible": False},
-    }
-    values, texts, closeness, agree = _read_table(kernel, partition, pts, symmetric, eps, names)
-    table = CorrectedKernel(pts, kernel.arity, symmetric, values)
-    viols = violations(system, table.at, space, range(len(pts)), eps)
-    report["values"] = texts
-    report["violations"] = _report_violations(viols, names)
-    report["verdicts"] = _verdicts(system, viols)
-    report["density_closeness"] = closeness
-    report["agreement_failures"] = [_point_key(t, names) for t in agree]
-    status, corrected = _STATUS_FAILED, None
-    if not viols and not agree:
-        status, corrected = _STATUS_OK, table
-    elif viols:
-        report["probe"]["ran"] = True
-        if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
-            report["probe"]["proven_infeasible"] = True
-            status = _STATUS_INFEASIBLE
-    report["status"] = status
+    report, table, _ = judge(kernel, system, pts, eps)
+    report["seed"] = str(cfg.seed)
     report["timing"] = time.perf_counter() - start
+    status = report["status"]
+    corrected = table if status == _STATUS_OK else None
     return RepairOutcome(status=status, corrected=corrected, report=report)
 
 
-def _read_table(kernel, partition, pts, symmetric: bool, eps, names: list):
+def judge(kernel: StepKernel, system: ConstraintSystem, pts: tuple, eps: Fraction, given=None):
+    """Sweep a value table over sorted distinct points and derive its report.
+
+    The table is ``given``, a mapping from report keys to values, or else
+    the closed-form repair (see ``_read_table``).  Returns the report but
+    its ``seed`` and ``timing``, the table and the violations.  ``repair``
+    and ``verify`` both judge here: verify rederives every field.
+    """
+    space = kernel.space
+    symmetric = system.mode == "multiset"
+    names = [frac_str(x) for x in pts]
+    values, texts, closeness, agree = _read_table(kernel, pts, symmetric, eps, names, given)
+    table = CorrectedKernel(pts, kernel.arity, symmetric, values)
+    viols = violations(system, table.at, space, range(len(pts)), eps)
+    # a bounded-budget probe tells genuinely infeasible systems apart
+    infeasible = bool(viols) and proven_infeasible(system, space, len(pts))
+    status = _STATUS_FAILED if viols or agree else _STATUS_OK
+    failed = {id(v.atom) for v in viols}
+    report = {
+        "part": 2 if symmetric else 1,
+        "mode": system.mode,
+        "status": _STATUS_INFEASIBLE if infeasible else status,
+        "epsilon": frac_str(eps),
+        "points": names,
+        "escalations": [],
+        "probe": {"ran": bool(viols), "proven_infeasible": infeasible},
+        "values": texts,
+        "violations": [
+            {"tuple": _point_key(v.assignment, names), "atom": v.detail} for v in viols[:10]
+        ],
+        "verdicts": [{"atom": a.describe(), "holds": id(a) not in failed} for a in system.atoms],
+        "density_closeness": closeness,
+        "agreement_failures": [_point_key(t, names) for t in agree],
+    }
+    return report, table, viols
+
+
+def _read_table(kernel, pts, symmetric: bool, eps, names: list, given=None):
     """The value table and its report rows, read in one walk.
 
     Returns the table keyed by tuples of positions in ``pts`` (every index
     tuple in distinct mode, every sorted one in multiset mode), the report's
     ``values`` and ``density_closeness`` tables keyed by point names, and
     the index tuples that sit at density points yet moved further than eps
-    from the kernel, in ``itertools`` order.  Without a partition (exact
-    mode) density flags are unknown and nothing counts as a failure.
+    from the kernel, in ``itertools`` order.  Without a positive eps (exact
+    mode) density flags are unknown and nothing counts as a failure.  A
+    ``given`` table (see ``judge``) lacking a tuple's name raises.
 
     The paper's construction draws guarded samples in each point's cell at
     a level m that separates the points.  Distinct mode reads the kernel at
@@ -263,10 +270,11 @@ def _read_table(kernel, partition, pts, symmetric: bool, eps, names: list):
     at the pattern when no coordinate equals a constant.  The texts are
     computed once per pair of values, and the density flag reads only the
     cell of ``value_at`` and the base at the adjacent blocks
-    (``base_in_cell``).
+    (``base_in_cell``); a given value unlike its class's first gets its own texts.
     """
     r = kernel.resolution
     space = kernel.space
+    partition = epsilon_partition(space, eps) if eps > 0 else None
     constants = kernel.exception_constants()
     adjacent = [adjacent_blocks(x, r) for x in pts]
     blocks = [adj[-1] for adj in adjacent]
@@ -289,50 +297,51 @@ def _read_table(kernel, partition, pts, symmetric: bool, eps, names: list):
     bad = []
     # (repaired value, kernel value) -> (value text, distance text, beyond eps)
     pairs: dict = {}
-    # closeness class -> (repaired value, value text, density flag, distance text, drifted)
+
+    def pair(v, at_t):
+        got = pairs.get((v, at_t))
+        if got is None:
+            d = space.dist(v, at_t)
+            got = pairs[(v, at_t)] = (value_to_text(space, v), frac_str(d), d > eps)
+        return got
+
+    # closeness class -> (repaired value, kernel value, density flag, *pair)
     rows: dict = {}
     for t in tuples:
+        name = _point_key(t, names)
+        if given is not None:
+            try:
+                v = given[name]
+            except KeyError:
+                raise FormatError(f"report has no value for tuple {name}") from None
         pattern = repeat_pattern(t)
         key = (tuple([coord[i] for i in t]), pattern)
         row = rows.get(key)
         if row is None:
             at_blocks = tuple([blocks[i] for i in t])
             read = distinct if symmetric else pattern
-            v = kernel.generic_value(at_blocks, read)
-            if any([hits[i] for i in t]):
+            hit = any([hits[i] for i in t])
+            if hit:
                 at_t = kernel.value_at(tuple([pts[i] for i in t]))
-            elif read == pattern:
-                at_t = v
             else:
                 at_t = kernel.generic_value(at_blocks, pattern)
-            pair = pairs.get((v, at_t))
-            if pair is None:
-                d = space.dist(v, at_t)
-                pair = pairs[(v, at_t)] = (value_to_text(space, v), frac_str(d), d > eps)
-            text, dist_text, beyond = pair
+            if given is None:
+                v = at_t if read == pattern and not hit else kernel.generic_value(at_blocks, read)
             if partition is None:
                 dense = None
             else:
                 target = partition.cell_of(at_t)
                 dense = base_in_cell(kernel, partition, [adjacent[i] for i in t], target)
-            row = rows[key] = (v, text, dense, dist_text, dense and beyond)
-        v, text, dense, dist_text, drifted = row
+            row = rows[key] = (v, at_t, dense, *pair(v, at_t))
+        elif given is not None and v is not row[0] and v != row[0]:
+            row = (v, *row[1:3], *pair(v, row[1]))
+        v, _, dense, text, dist_text, beyond = row
         values[t] = v
-        name = _point_key(t, names)
         texts[name] = text
         table[name] = {"density": dense, "dist": dist_text}
-        if drifted:
+        if dense and beyond:
             bad.append(t)
     return values, texts, table, bad
-
-
-def _verdicts(system, viols) -> list:
-    """One pass/fail entry per atom over the whole verification sweep."""
-    failed = {id(v.atom) for v in viols}
-    return [
-        {"atom": atom.describe(), "holds": id(atom) not in failed}
-        for atom in system.atoms
-    ]
 
 
 # 97.5th normal quantile, for two-sided 95% coverage.

@@ -99,6 +99,8 @@ def estimated_assignments(mode: str, points: int, variables: int) -> int:
     if mode == "multiset" and points <= 1:
         # the product never grows, so it would take ``variables`` steps
         return points
+    if mode != "multiset" and points < variables:
+        return 0  # no injective assignment; the product would pass the cap first
     steps = ((points if mode == "multiset" else points - k, 1) for k in range(variables))
     return _capped(steps, MAX_SWEEP_ASSIGNMENTS)
 

@@ -15,9 +15,10 @@ paper's sampled construction in the attempt loop that the one-pass,
 closed-form repair replaced: every attempt draws guarded ``Fraction``
 samples at a level that separates the points (draw_pools), reads the kernel
 with ``value_at`` at them, sweeps and compares its table anew, and reports
-the samples, pools and cores it drew.  reference_verify is the
-``verify`` command that the index-keyed one replaced: it keys the report's
-table by tuples of ``Fraction`` points.
+the samples, pools and cores it drew; reference_closeness is its density
+row and agreement check, tuple by tuple.  reference_verify is the
+``verify`` sweep over the report's table keyed by tuples of ``Fraction``
+points.
 """
 
 from __future__ import annotations
@@ -459,6 +460,30 @@ def sampled_table(kernel, mode, pools, core_size):
     }
 
 
+def reference_closeness(kernel, pts, eps, values):
+    """``density_closeness`` and ``agreement_failures`` of a table keyed by
+    tuples of indices into ``pts``, computed tuple by tuple.
+
+    A tuple's density flag is ``is_density_tuple`` at its points (unknown
+    without a positive eps), its distance ``space.dist`` from the kernel's
+    ``value_at`` there; a tuple at a density point further than eps from
+    the kernel fails agreement.  Rows and failures come in sorted order.
+    """
+    space = kernel.space
+    partition = epsilon_partition(space, eps) if eps > 0 else None
+    names = [frac_str(x) for x in pts]
+    closeness, agree = {}, []
+    for t, v in sorted(values.items()):
+        key = ",".join(names[i] for i in t)
+        pt = tuple(pts[i] for i in t)
+        d = space.dist(v, kernel.value_at(pt))
+        dense = None if partition is None else is_density_tuple(kernel, partition, pt)
+        closeness[key] = {"density": dense, "dist": frac_str(d)}
+        if dense and d > eps:
+            agree.append(key)
+    return closeness, agree
+
+
 def reference_repair(
     kernel, system, points, config, *, max_escalations=3, max_refinement=None, pool_size=None
 ):
@@ -488,7 +513,6 @@ def reference_repair(
     m = separating_refinement(pts, kernel.resolution)
     if cap is not None and m > cap:
         raise ContractError(f"refinement cap {cap} cannot separate the given points")
-    partition = epsilon_partition(space, eps) if eps > 0 else None
     part = 2 if symmetric else 1
     names = [frac_str(x) for x in pts]
 
@@ -538,14 +562,7 @@ def reference_repair(
             {"atom": atom.describe(), "holds": all(v.atom is not atom for v in viols)}
             for atom in system.atoms
         ]
-        closeness, agree = {}, []
-        for t, v in sorted(values.items()):
-            pt = tuple(pts[i] for i in t)
-            d = space.dist(v, kernel.value_at(pt))
-            dense = None if partition is None else is_density_tuple(kernel, partition, pt)
-            closeness[key(t)] = {"density": dense, "dist": frac_str(d)}
-            if dense and d > eps:
-                agree.append(key(t))
+        closeness, agree = reference_closeness(kernel, pts, eps, values)
         report["density_closeness"] = closeness
         report["agreement_failures"] = agree
         if not viols and not agree:
@@ -559,7 +576,7 @@ def reference_repair(
             break
         if viols and not report["probe"]["ran"]:
             report["probe"]["ran"] = True
-            if proven_infeasible(system, space, len(pts), symmetrize=symmetric):
+            if proven_infeasible(system, space, len(pts)):
                 report["probe"]["proven_infeasible"] = True
                 status = "infeasible"
                 break
@@ -572,12 +589,17 @@ def reference_repair(
 
 
 def reference_verify(args) -> int:
-    """``cli.cmd_verify`` over a table keyed by tuples of ``Fraction`` points.
+    """``cli.cmd_verify``'s sweep over a table keyed by tuples of ``Fraction`` points.
 
-    Its messages, exit codes and verdicts are the command's, except that it
-    parses every point and value before it refuses a sweep above the cap,
-    has no cap on the table's size, does not check the arity before it
-    reads the report, and reads a float in the report at its binary value.
+    It reads what ``correct`` writes: every value is parsed, the points
+    must be nonempty, sorted, distinct and in [0, 1), and the table's value
+    at a tuple is the one at its ``frac_str`` key, every tuple of the table
+    (sorted ones in multiset mode) in ``itertools`` order.  Its messages,
+    exit codes and verdicts are the command's, except that it parses every
+    point and value before it refuses a sweep above the cap, has no cap on
+    the table's size, does not check the arity before it reads the report,
+    reads a float in the report at its binary value, and rechecks no field
+    but the constraints (see ``reference_closeness`` for the density rows).
     """
     kernel = load_kernel(args.kernel)
     system = load_constraint(args.constraint, kernel.space)
@@ -598,15 +620,14 @@ def reference_verify(args) -> int:
     try:
         part = result["part"]
         points = tuple(as_fraction(p) for p in result["points"])
-        eps = args.epsilon if args.epsilon is not None else as_fraction(result["epsilon"])
-        values = {
-            tuple(as_fraction(tok) for tok in key.split(",")): value_from_text(
-                kernel.space, text
-            )
-            for key, text in result["values"].items()
+        eps = as_fraction(result["epsilon"])
+        texts = {
+            key: value_from_text(kernel.space, text) for key, text in result["values"].items()
         }
     except (KeyError, TypeError, DomainError, ValueError) as exc:
         raise FormatError(f"report file {args.report} is missing repair data: {exc}") from exc
+    if not points or list(points) != sorted(set(points)) or points[0] < 0 or points[-1] >= 1:
+        raise FormatError("report.points must be nonempty, sorted, distinct and in [0, 1)")
     symmetric = system.mode == "multiset"
     if type(part) is not int or part != (2 if symmetric else 1):
         raise FormatError(
@@ -614,12 +635,19 @@ def reference_verify(args) -> int:
             f"the constraint's {system.mode} mode"
         )
     _refuse_large_system_sweep(system, len(points))
+    if symmetric:
+        tuples = itertools.combinations_with_replacement(points, kernel.arity)
+    else:
+        tuples = itertools.product(points, repeat=kernel.arity)
+    values = {}
+    for t in tuples:
+        key = ",".join(frac_str(x) for x in t)
+        if key not in texts:
+            raise FormatError(f"report has no value for tuple {key}")
+        values[t] = texts[key]
 
     def evaluate(t):
-        key = tuple(sorted(t)) if symmetric else tuple(t)
-        if key not in values:
-            raise FormatError(f"report has no value for tuple {key}")
-        return values[key]
+        return values[tuple(sorted(t)) if symmetric else tuple(t)]
 
     viols = reference_violations(system, evaluate, kernel.space, points, eps)
     for v in viols[:10]:

@@ -16,16 +16,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_verify, suite_problem
-from kernel_repair import cli
+from kernel_repair import cli, corrector
 from kernel_repair.cli import main
 from kernel_repair.constraint import (
     ConstraintSystem,
     EqualityAtom,
+    FiniteValuesAtom,
     metric_system,
     triangle_free_system,
 )
 from kernel_repair.corrector import AuditResult
-from kernel_repair.demos import almost_metric_kernel
+from kernel_repair.demos import (
+    almost_metric_kernel,
+    antisymmetry_system,
+    diagonal_contrast_kernel,
+    diagonal_contrast_system,
+    loopy_bipartite_kernel,
+    oriented_kernel,
+)
 from kernel_repair.errors import ContractError
 from kernel_repair.fileio import (
     MAX_KERNEL_ARITY,
@@ -38,7 +46,7 @@ from kernel_repair.fileio import (
     strip_timing,
     to_json,
 )
-from kernel_repair.kernel import CoordIs, ExceptionPiece, StepKernel
+from kernel_repair.kernel import CoordIs, CoordsEqual, ExceptionPiece, StepKernel
 from kernel_repair.rational import frac_str
 from kernel_repair.values import BoundedInterval, CompactifiedRay
 
@@ -716,20 +724,6 @@ def test_verify_flags_a_tampered_value(tmp_path, capsys):
     assert "violated:" in out
 
 
-def test_verify_epsilon_override_forgives_small_tampering(tmp_path, capsys):
-    kpath, cpath = equality_files(tmp_path)
-    values = symmetric_values()
-    values["3/4,1/4"] = "1/2"
-    rpath = report_file(tmp_path, values)
-    code, out, _ = run(
-        capsys,
-        "verify", "--kernel", kpath, "--constraint", cpath,
-        "--report", rpath, "--epsilon", "1/20",
-    )
-    assert code == 0
-    assert "all atoms hold" in out
-
-
 def test_verify_part_two_reads_sorted_keys(tmp_path, capsys):
     kpath, cpath = equality_files(tmp_path, "multiset")
     values = {"1/4,1/4": "1/2", "1/4,3/4": "3/5", "3/4,3/4": "1/2"}
@@ -877,6 +871,172 @@ def test_verify_refuses_a_report_of_another_constraint(tmp_path, capsys):
     assert f"inputs.constraint differs from {cpath}" in err
 
 
+# --- verify: every derived field ---
+
+
+def correct_then_verify(tmp_path, capsys, kernel, system, points, eps):
+    """The report ``correct`` writes, and verify's ``(code, stdout, stderr)`` on it."""
+    kpath = kernel_file(tmp_path, kernel)
+    cpath = str(tmp_path / "system.json")
+    save_constraint(system, kernel.space, cpath)
+    rpath = tmp_path / "report.json"
+    common = ["--kernel", kpath, "--constraint", cpath]
+    run(
+        capsys, "correct", *common, "--points", ",".join(map(frac_str, points)),
+        "--epsilon", frac_str(eps), "--seed", "0", "--out", str(rpath),
+    )
+    return rpath, run(capsys, "verify", *common, "--report", str(rpath))
+
+
+def demo_problems():
+    """(kernel, system, points, epsilon) of every repair the demos run."""
+    six = (F(1, 10), F(1, 5), F(3, 10), F(3, 5), F(7, 10), F(4, 5))
+    two = (F(1, 5), F(7, 10))
+    all_ones = StepKernel.from_flat(2, 2, BoundedInterval(F(1)), [F(1)] * 4, symmetric_base=True)
+    return [
+        (loopy_bipartite_kernel(), triangle_free_system(mode="multiset"), six, F(1, 10)),
+        (all_ones, triangle_free_system(mode="multiset"), six, F(1, 10)),
+        (almost_metric_kernel(), metric_system(), (F(1, 10), F(3, 5), F(9, 10)), F(1, 50)),
+        (oriented_kernel(), antisymmetry_system(symmetrized=True), two, F(0)),
+        (oriented_kernel(), antisymmetry_system(symmetrized=False), two, F(0)),
+        (diagonal_contrast_kernel(), diagonal_contrast_system(), two, F(1, 10)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_verify_rederives_every_field_of_a_demo_report(tmp_path, capsys, index):
+    rpath, (code, out, err) = correct_then_verify(tmp_path, capsys, *demo_problems()[index])
+    result = load_json(str(rpath), "report")["result"]
+    # a sweep that fails exits 2 as before; no field differs either way
+    assert code == (2 if result["violations"] else 0)
+    assert "mismatch" not in out and err == ""
+
+
+def test_verify_rederives_a_failed_agreement(tmp_path, capsys):
+    # the repeated constant 1/2 under a diagonal piece: the sweep holds, the
+    # kernel disagrees at (1/2, 1/2), and the report says failed
+    kernel = StepKernel.from_flat(
+        arity=2, resolution=1, space=BoundedInterval(F(1)), flat_values=[F(0)],
+        exceptions=(
+            ExceptionPiece((CoordIs(1, F(1, 2)),), F(0)),
+            ExceptionPiece((CoordsEqual(1, 2),), F(1)),
+        ),
+    )
+    system = ConstraintSystem(2, 1, "distinct", (FiniteValuesAtom((1, 1), {F(0), F(1)}),))
+    rpath, verified = correct_then_verify(
+        tmp_path, capsys, kernel, system, (F(1, 4), F(1, 2)), F(1, 10)
+    )
+    result = load_json(str(rpath), "report")["result"]
+    assert (result["status"], result["agreement_failures"]) == ("failed", ["1/2,1/2"])
+    assert verified == (0, "checked 2 assignments: all atoms hold\n", "")
+
+
+#: one field of a correct report of the loopy bipartite kernel, tampered,
+#: and the line verify prints for it
+TAMPERS = {
+    "density_closeness": (
+        lambda r: r["density_closeness"].update({"1/10,1/10": {"density": True, "dist": "1"}}),
+        "density_closeness at 1/10,1/10",
+    ),
+    "agreement_failures": (
+        lambda r: r.update(agreement_failures=["1/10,3/10"]), "agreement_failures at 1/10,3/10"
+    ),
+    "status": (lambda r: r.update(status="failed"), "status"),
+    "probe": (lambda r: r.update(probe={"ran": True, "proven_infeasible": True}), "probe"),
+    "verdicts": (lambda r: r.update(verdicts=[]), "verdicts"),
+    "mode": (lambda r: r.update(mode="distinct"), "mode"),
+    "escalations": (
+        lambda r: r.update(escalations=[{"reason": "agreement", "m": 2}]), "escalations"
+    ),
+    "violations": (
+        lambda r: r.update(violations=[{"tuple": "1/10,1/10,1/10", "atom": "x"}]), "violations"
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TAMPERS))
+def test_verify_names_a_tampered_field(tmp_path, capsys, field):
+    system = triangle_free_system(mode="multiset")
+    points = (F(1, 10), F(3, 10), F(7, 10))
+    rpath, verified = correct_then_verify(
+        tmp_path, capsys, loopy_bipartite_kernel(), system, points, F(1, 10)
+    )
+    checked = "checked 3^3 assignments: all atoms hold\n"
+    assert verified == (0, checked, "")
+    doc = load_json(str(rpath), "report")
+    tamper, shown = TAMPERS[field]
+    tamper(doc["result"])
+    rpath.write_text(to_json(doc))
+    code, out, err = run(
+        capsys, "verify", "--kernel", str(tmp_path / "kernel.json"),
+        "--constraint", str(tmp_path / "system.json"), "--report", str(rpath),
+    )
+    assert (code, out, err) == (2, f"{checked}mismatch: {shown}\n", "")
+
+
+def test_correct_and_verify_sweep_nothing_with_fewer_points_than_variables(tmp_path, capsys):
+    # 11!/(11-12)! = 0 injective assignments: nothing to refuse, nothing violated
+    system = ConstraintSystem(2, 12, "distinct", (EqualityAtom((1, 2), (2, 1)),))
+    points = tuple(F(2 * i + 1, 22) for i in range(11))
+    rpath, verified = correct_then_verify(
+        tmp_path, capsys, constant_kernel(F(1, 2)), system, points, F(0)
+    )
+    assert load_json(str(rpath), "report")["result"]["status"] == "ok"
+    assert verified == (0, "checked 0 assignments: all atoms hold\n", "")
+
+
+@pytest.mark.parametrize(
+    "field, tampered, shown",
+    [
+        ("density_closeness", {"1/10,1/10": None}, "density_closeness at 1/10,1/10"),
+        ("density_closeness", [], "density_closeness"),
+        ("agreement_failures", [None], "agreement_failures"),
+        ("agreement_failures", ["1/10,1/10", None], "agreement_failures at 1/10,1/10"),
+    ],
+)
+def test_verify_names_a_malformed_per_tuple_field(tmp_path, capsys, field, tampered, shown):
+    rpath, _ = correct_then_verify(
+        tmp_path, capsys, loopy_bipartite_kernel(), triangle_free_system(mode="multiset"),
+        (F(1, 10), F(3, 10), F(7, 10)), F(1, 10),
+    )
+    doc = load_json(str(rpath), "report")
+    if field == "density_closeness" and isinstance(tampered, dict):
+        tampered = {**doc["result"][field], **tampered}
+    doc["result"][field] = tampered
+    rpath.write_text(to_json(doc))
+    code, out, err = run(
+        capsys, "verify", "--kernel", str(tmp_path / "kernel.json"),
+        "--constraint", str(tmp_path / "system.json"), "--report", str(rpath),
+    )
+    assert (code, out.splitlines()[1:], err) == (2, [f"mismatch: {shown}"], "")
+
+
+def test_verify_has_no_epsilon_option(tmp_path, capsys):
+    kpath, cpath = equality_files(tmp_path)
+    rpath = report_file(tmp_path, symmetric_values())
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath,
+        "--epsilon", "1/20",
+    )
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --epsilon 1/20" in err
+
+
+@pytest.mark.parametrize("listed", [["5/4"], ["1/2", "1/4"], ["1/4", "1/4"], []])
+def test_verify_reads_only_the_points_correct_writes(tmp_path, capsys, listed):
+    kpath, cpath = equality_files(tmp_path)
+    rpath = tmp_path / "report.json"
+    rpath.write_text(to_json({"result": {
+        "part": 1, "points": listed, "epsilon": "0",
+        "values": {f"{a},{b}": "1/2" for a in listed for b in listed},
+    }}))
+    code, out, err = run(
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", str(rpath)
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: report.points must be nonempty, sorted, distinct and in [0, 1)\n"
+
+
 # --- verify: refusals before parsing ---
 
 
@@ -916,20 +1076,14 @@ def test_verify_refuses_a_large_table_before_parsing_a_value(tmp_path, capsys, m
 @pytest.mark.parametrize(
     "space", [BoundedInterval(F(1)), CompactifiedRay()], ids=lambda s: type(s).__name__
 )
-@pytest.mark.parametrize("source", ["flag", "report"])
-def test_verify_refuses_a_negative_epsilon_before_sweeping(
-    tmp_path, capsys, monkeypatch, space, source
-):
+def test_verify_refuses_a_negative_epsilon_before_sweeping(tmp_path, capsys, monkeypatch, space):
     kernel = StepKernel.from_flat(arity=2, resolution=1, space=space, flat_values=[F(1, 2)])
     _, cpath = equality_files(tmp_path)
     kpath = kernel_file(tmp_path, kernel)
-    if source == "flag":
-        rpath, flag = report_file(tmp_path, symmetric_values()), ["--epsilon=-1/10"]
-    else:
-        rpath, flag = report_file(tmp_path, symmetric_values(), epsilon="-1/50"), []
-    monkeypatch.setattr(cli, "violations", lambda *args: pytest.fail("swept"))
+    rpath = report_file(tmp_path, symmetric_values(), epsilon="-1/50")
+    monkeypatch.setattr(corrector, "violations", lambda *args: pytest.fail("swept"))
     code, out, err = run(
-        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath, *flag
+        capsys, "verify", "--kernel", kpath, "--constraint", cpath, "--report", rpath
     )
     assert (code, out) == (1, "")
     assert err == "error: epsilon must be nonnegative\n"
@@ -1036,6 +1190,10 @@ def written_report(path, points, values, part=1, epsilon="0"):
 #: a value, and one 1/10 away from it
 HALF, OFF = "1/2", "3/5"
 
+#: Tables off the format ``correct`` writes.  Verify reads each value at
+#: its tuple's ``frac_str`` key and refuses unsorted or repeated points, so
+#: most cases now exit 1; a key spelled otherwise is never read, so "the
+#: last key of a tuple wins" reads the canonical key wherever it stands.
 VERIFY_CASES = {
     "non-canonical tokens": (
         ["1/4", "1/2"], 1,
@@ -1092,35 +1250,20 @@ def test_verify_agrees_with_the_fraction_keyed_reference(tmp_path, monkeypatch, 
         assert got == want
 
 
-def spellings(q):
-    """Token spellings of a point: canonical, scaled, and decimal where it ends."""
-    forms = [frac_str(q), f"{3 * q.numerator}/{3 * q.denominator}"]
-    if q.denominator in (1, 2, 4, 8):
-        forms.append(repr(q.numerator / q.denominator))
-    return forms
-
-
 @st.composite
 def metric_reports(draw):
+    """Reports as ``correct`` writes them: sorted distinct points, canonical
+    keys, every tuple of a part's table, and perhaps a key of another point."""
     pool = [F(0), F(1, 4), F(1, 2), F(3, 4)]
-    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    points = sorted(draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4)))
     part = draw(st.sampled_from((1, 2)))
-    distinct = sorted(set(points))
-    tuples = [
-        (a, b) for a in distinct for b in distinct if part == 1 or a <= b
-    ]
+    tuples = [(a, b) for a in points for b in points if part == 1 or a <= b]
     texts = st.sampled_from(("0", "1/4", "1/2", "1", "2", "inf"))
-    values = {}
-    for t in tuples:
-        key = ",".join(draw(st.sampled_from(spellings(q))) for q in t)
-        values[key] = draw(texts)
+    values = {",".join(map(frac_str, t)): draw(texts) for t in tuples}
     if draw(st.booleans()):
-        values["1/8," + frac_str(distinct[0])] = draw(texts)
-    if tuples and draw(st.integers(0, 4)) == 0:
-        del values[draw(st.sampled_from(sorted(values)))]
-    shown = [draw(st.sampled_from(spellings(q))) for q in points]
+        values["1/8," + frac_str(points[0])] = draw(texts)
     epsilon = draw(st.sampled_from(("0", "1/50", "1/10")))
-    return shown, values, part, epsilon
+    return [frac_str(q) for q in points], values, part, epsilon
 
 
 @settings(max_examples=60, deadline=None)

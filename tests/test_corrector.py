@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import functools
+import io
 import itertools
 import math
+import os
 import random
 import re
+import tempfile
 import types
 from fractions import Fraction
 
@@ -17,6 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     reference_audit,
+    reference_closeness,
     reference_repair,
     reference_violations,
     sampled_table,
@@ -24,7 +29,7 @@ from helpers import (
     separating_refinement,
     suite_problem,
 )
-from kernel_repair import constraint, corrector
+from kernel_repair import cli, constraint, corrector
 from kernel_repair.constraint import (
     AffineAtom,
     _AtomChecker,
@@ -41,6 +46,7 @@ from kernel_repair.corrector import (
     CorrectedKernel,
     RepairConfig,
     audit_ae_hypothesis,
+    judge,
     repair,
     wilson_interval,
 )
@@ -52,7 +58,7 @@ from kernel_repair.demos import (
     oriented_kernel,
 )
 from kernel_repair.errors import ContractError
-from kernel_repair.fileio import strip_timing
+from kernel_repair.fileio import load_json, save_constraint, save_kernel, strip_timing
 from kernel_repair.kernel import (
     CoordIs,
     CoordsEqual,
@@ -1025,6 +1031,51 @@ def test_repair_reads_the_kernel_once_per_closeness_class(case):
     classes = {(tuple(coords[i] for i in t), repeat_pattern(t)) for t in tuples}
     # multiset mode may read the all-distinct pattern and the tuple's own
     assert len(reads) <= len(classes) * (2 if multiset else 1)
+
+
+#: values a perturbed table may take in [0, 1], some within eps of the menu
+PERTURBED = (F(0), F(1, 20), F(1, 2), F(11, 20), F(19, 20), F(1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_case(), st.data())
+def test_the_judged_rows_match_the_per_tuple_oracle(case, data):
+    # a repaired table with a few values moved, judged as verify judges a report
+    kernel, system, points, eps, seed = case
+    report = repair(kernel, system, points, RepairConfig(epsilon=eps, seed=seed)).report
+    given = {key: value_from_text(kernel.space, text) for key, text in report["values"].items()}
+    for key in data.draw(st.lists(st.sampled_from(sorted(given)), max_size=3)):
+        given[key] = data.draw(st.sampled_from(PERTURBED))
+    pts = tuple(as_fraction(z) for z in report["points"])
+    judged, table, _ = judge(kernel, system, pts, eps, given)
+    index = {name: i for i, name in enumerate(report["points"])}
+    values = {tuple(index[tok] for tok in key.split(",")): v for key, v in given.items()}
+    assert table.values == values
+    closeness, agree = reference_closeness(kernel, pts, eps, values)
+    assert judged["density_closeness"] == closeness
+    assert judged["agreement_failures"] == agree
+
+
+@settings(max_examples=60, deadline=None)
+@given(table_case())
+def test_verify_rederives_every_field_of_a_repair_report(case):
+    kernel, system, points, eps, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: os.path.join(tmp, f"{name}.json") for name in ("kernel", "system", "report")}
+        save_kernel(kernel, files["kernel"])
+        save_constraint(system, kernel.space, files["system"])
+        common = ["--kernel", files["kernel"], "--constraint", files["system"]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            cli.main([
+                "correct", *common, "--points", ",".join(map(frac_str, points)),
+                "--epsilon", frac_str(eps), "--seed", seed, "--out", files["report"],
+            ])
+            code = cli.main(["verify", *common, "--report", files["report"]])
+        result = load_json(files["report"], "report")["result"]
+    # a sweep that fails exits 2 as before; no field differs either way
+    assert code == (2 if result["violations"] else 0)
+    assert "mismatch" not in out.getvalue()
 
 
 @pytest.mark.parametrize("r", range(1, 13))

@@ -322,7 +322,7 @@ def test_estimated_assignments_counts_the_sweep():
 def test_estimated_assignments_stops_past_the_cap():
     # variables is unbounded in a constraint file; 30 ** 10**12 would not fit in memory
     assert estimated_assignments("multiset", 30, 10**12) > MAX_SWEEP_ASSIGNMENTS
-    assert estimated_assignments("distinct", 10**9, 10**12) > MAX_SWEEP_ASSIGNMENTS
+    assert estimated_assignments("distinct", 10**9, 10**12) == 0
     assert estimated_assignments("multiset", 1, 10**12) == 1
 
 
@@ -361,13 +361,9 @@ def capped_as(estimate, exact, cap):
 def test_the_estimators_match_exact_counts_up_to_their_caps(n):
     for k in GRID_POWERS:
         assert capped_as(estimated_assignments("multiset", n, k), n**k, MAX_SWEEP_ASSIGNMENTS)
-        # fewer points than variables sweep nothing; the estimate may still
-        # pass the cap before its product reaches 0, but never undercounts
-        distinct = estimated_assignments("distinct", n, k)
-        if n >= k:
-            assert capped_as(distinct, math.perm(n, k), MAX_SWEEP_ASSIGNMENTS)
-        else:
-            assert distinct == 0 or distinct > MAX_SWEEP_ASSIGNMENTS
+        assert capped_as(
+            estimated_assignments("distinct", n, k), math.perm(n, k), MAX_SWEEP_ASSIGNMENTS
+        )
         assert capped_as(estimated_table_tuples("distinct", n, k), n**k, MAX_REPAIR_TABLE)
         assert capped_as(
             estimated_table_tuples("multiset", n, k), math.comb(n + k - 1, k), MAX_REPAIR_TABLE
