@@ -324,6 +324,13 @@ def cmd_verify(args) -> int:
         raise FormatError(f"report file {args.report}: its part {part!r} does not match "
                           f"the constraint's {system.mode} mode")
     judged, _, viols = judge(kernel, system, points, eps, values)
+    # the judge reads one value per tuple correct writes; any other is no part of a repair
+    unread = next((key for key in table if key not in judged["values"]), None)
+    if unread is not None:
+        kind = "sorted tuple" if system.mode == "multiset" else "tuple"
+        raise FormatError(
+            f"report file {args.report}: values has {unread!r}, which is no {kind} of its points"
+        )
     for v in viols[:10]:
         shown = ",".join(judged["points"][i] for i in v.assignment)
         print(f"violated: {v.detail} at ({shown})")

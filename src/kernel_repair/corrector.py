@@ -26,10 +26,14 @@ sort small ints, and a successful repair returns that table as its
 ``CorrectedKernel``.  One walk over the index tuples reads the kernel once
 per closeness class of tuples and fills both the table and the report's
 per-tuple rows from that read (see ``_read_table``).  The
-almost-everywhere audit draws its floats in rounds, places them in base
-blocks by exact float cuts, counts its trials per block vector and decides
-each vector of slot values once (see ``audit_ae_hypothesis``).  A repair is
-a pure function of its inputs and an audit of its seed.
+almost-everywhere audit decides every block vector exactly when there are
+no more of them than trials.  When they all share one verdict it draws its
+floats only to find the trials that hit an override constant, and not at
+all when no constant is a dyadic rational, since every float is one.
+Otherwise it draws its floats in rounds, places them in base blocks by
+exact float cuts, counts its trials per block vector and decides each
+vector of slot values once (see ``audit_ae_hypothesis``).  A repair is a
+pure function of its inputs and an audit of its seed.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .constraint import (
 from .density import adjacent_blocks, base_in_cell
 from .errors import ContractError, FormatError
 from .kernel import StepKernel, repeat_pattern
-from .rational import as_fraction, frac_str
+from .rational import _capped, as_fraction, frac_str
 from .values import epsilon_partition, value_to_text
 
 #: About how many floats the audit draws per round: enough trials per round
@@ -392,6 +396,14 @@ def _float_cuts(r: int) -> list[float]:
     return cuts
 
 
+def _drawable(c: Fraction) -> bool:
+    """Whether a float could equal the override constant c, which lies in
+    [0, 1): every float is a dyadic rational, so only a power-of-two
+    denominator can."""
+    d = c.denominator
+    return d & (d - 1) == 0
+
+
 def audit_ae_hypothesis(
     kernel: StepKernel, system: ConstraintSystem, samples: int = 1000, seed="0"
 ) -> AuditResult:
@@ -407,21 +419,38 @@ def audit_ae_hypothesis(
     dropped and the next chunk drawn in its place.  The floats are drawn in
     rounds of about ``_AUDIT_ROUND`` floats, each round drawing only the
     chunks still needed, so a round never draws past the last trial and
-    memory stays bounded whatever the sample count.
+    memory stays bounded whatever the sample count.  The count equals the
+    trial-by-trial loop's on that stream, whichever way below it is found.
 
-    Trials are counted per block vector.  A trial's points are pairwise
-    distinct, so a slot repeats a point exactly where it repeats a
-    variable, and each slot's repeat pattern is fixed by the system.  When
-    no coordinate equals an override constant, every slot value is
-    ``StepKernel.generic_value`` at the slot's blocks and pattern, so the
-    trial's verdict depends only on the tuple of its variables' base
-    blocks.  Each round counts its trials per block vector, and a failing
-    vector adds its count.  The vectors are decided through one
-    ``_failing_keys`` for the whole call, whose names are each slot's
-    (blocks, pattern), so ``generic_value`` runs once per such pair and
-    each id vector is decided once, across rounds.  A trial where a
-    coordinate equals a constant is decided through a second one, whose
-    names are point tuples read by ``value_at``.
+    A clear trial, one where no coordinate equals an override constant, is
+    decided by the tuple of its variables' base blocks.  Its points are
+    pairwise distinct, so a slot repeats a point exactly where it repeats a
+    variable, and each slot's repeat pattern is fixed by the system; so
+    every slot value is ``StepKernel.generic_value`` at the slot's blocks
+    and pattern.  Block vectors are decided through one ``_failing_keys``
+    for the whole call, whose names are each slot's (blocks, pattern), so
+    ``generic_value`` runs once per such pair and each id vector is decided
+    once.  A trial that hits a constant is decided through a second one,
+    whose names are point tuples read by ``value_at``.
+
+    When the r ** variables block vectors (r the resolution) are no more
+    than ``samples``, all of them are decided first, in ``product`` order;
+    ``rational._capped`` counts them and stops past ``samples``, so a large
+    variable count never forms the power, and the enumeration costs at most
+    ``samples`` decisions, which the size of the draw already bounds.  If
+    none fails, or all do, the trials are neither placed in blocks nor
+    counted: the stream is drawn only to find the trials that hit a
+    constant, and the count is the failing hit trials plus, when every
+    vector fails, every clear trial.  If moreover no constant is a dyadic
+    rational (``_drawable``), the count is ``samples`` or 0 without a draw.
+    Proof: a clear trial's block vector is one of the enumerated ones and
+    its verdict is that vector's, so under one verdict for all vectors it
+    fails exactly when every vector fails; a hit trial is decided at its
+    points, as the loop decides it.  Every float in [0, 1) is k / 2**j, so
+    a constant equals a drawn float only if its reduced denominator is a
+    power of two; without such a constant every trial is clear.  Otherwise
+    (a mixed verdict, or more vectors than samples) each round counts its
+    clear trials per block vector and a failing vector adds its count.
 
     A drawn float x lands in base block ``bisect_right(cuts, x)``, where
     ``cuts[j-1]`` is the least float at or above j/r (``_float_cuts``).
@@ -435,10 +464,8 @@ def audit_ae_hypothesis(
     if samples < 1:
         raise ContractError("at least one audit sample is required")
     _check_arity(kernel, system)
-    rng = random.Random(f"{seed}:audit")
     checker = _AtomChecker(system, kernel.space, Fraction(0))
     constants = kernel.exception_constants()
-    block = functools.partial(bisect.bisect_right, _float_cuts(kernel.resolution))
     picks = tuple(_tuple_getter(tuple(v - 1 for v in slot)) for slot in checker.slots)
     # the trial points are pairwise distinct, so a slot repeats a point
     # exactly where it repeats a variable
@@ -446,15 +473,27 @@ def audit_ae_hypothesis(
     names = tuple(lambda b, pick=pick, p=p: (pick(b), p) for pick, p in zip(picks, patterns))
     by_blocks = _failing_keys(checker, names, lambda name: kernel.generic_value(*name))
     at_points = _failing_keys(checker, picks, kernel.value_at)
-    v = system.variables
+    r, v = kernel.resolution, system.variables
+    # the verdict of every clear trial, when all block vectors share one
+    uniform = None
+    vectors = _capped(itertools.repeat((r, 1), v), samples)
+    if vectors <= samples:
+        failing = sum(1 for _ in by_blocks(itertools.product(range(r), repeat=v)))
+        if failing in (0, vectors):
+            uniform = failing > 0
+    bad, left = 0, samples
+    if uniform is not None and not any(map(_drawable, constants)):
+        # no float is a constant, so every trial is clear: nothing to draw
+        bad, left = samples * uniform, 0
+    rng = random.Random(f"{seed}:audit") if left else None
     per_round = max(1, _AUDIT_ROUND // v)
-    bad = 0
-    left = samples
+    block = None
     while left:
         # floats compare and hash exactly like the Fractions they denote
         draws = itertools.repeat((), min(left, per_round) * v)
         floats = list(itertools.starmap(rng.random, draws))
-        if len(set(floats)) < len(floats):
+        drawn = set(floats)
+        if len(drawn) < len(floats):
             # drop the chunks with a repeated float; a later round redraws them
             floats = list(
                 itertools.chain.from_iterable(
@@ -462,17 +501,22 @@ def audit_ae_hypothesis(
                 )
             )
         left -= len(floats) // v
-        if constants.isdisjoint(floats):
-            counts = collections.Counter(zip(*[iter(map(block, floats))] * v))
-        else:
-            counts = collections.Counter()
-            hits = []
-            for tup in zip(*[iter(floats)] * v):
-                if constants.isdisjoint(tup):
-                    counts[tuple(map(block, tup))] += 1
+        # drawn holds every kept float, so a round clear of it needs no split
+        if not constants.isdisjoint(drawn):
+            clear, hits = [], []
+            for c in zip(*[iter(floats)] * v):
+                if constants.isdisjoint(c):
+                    clear.extend(c)
                 else:
-                    hits.append(tuple(map(Fraction, tup)))
+                    hits.append(tuple(map(Fraction, c)))
             bad += sum(1 for _ in at_points(hits))
-        bad += sum(counts[blocks] for blocks, _ in by_blocks(counts))
+            floats = clear
+        if uniform is None:
+            if block is None:
+                block = functools.partial(bisect.bisect_right, _float_cuts(r))
+            counts = collections.Counter(zip(*[iter(map(block, floats))] * v))
+            bad += sum(counts[blocks] for blocks, _ in by_blocks(counts))
+        elif uniform:
+            bad += len(floats) // v
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)

@@ -25,7 +25,7 @@ from .constraint import (
 )
 from .errors import ContractError, DomainError, FormatError
 from .kernel import CoordIs, CoordsEqual, ExceptionPiece, StepKernel
-from .rational import as_fraction, frac_str
+from .rational import _capped, as_fraction, frac_str
 from .values import (
     BoundedInterval,
     CompactifiedRay,
@@ -61,22 +61,6 @@ MAX_SWEEP_ASSIGNMENTS = 10_000_000
 #: tables of the tests, demos and benchmark hold at most 6^3 = 216 tuples,
 #: and their repairs draw a few dozen samples.
 MAX_REPAIR_TABLE = 1_000_000
-
-
-def _capped(steps, cap: int) -> int:
-    """The product of ``factor / divisor`` over the steps, or a number past the cap.
-
-    Every partial product must be a whole number, so each division is exact.
-    The product stops at the first partial one that is 0 or past ``cap``, so
-    a huge count of steps costs only the steps up to there; where no later
-    step shrinks it, the whole is past the cap too.
-    """
-    count = 1
-    for factor, divisor in steps:
-        count = count * factor // divisor
-        if count == 0 or count > cap:
-            break
-    return count
 
 
 def _symmetry_equalities(arity: int, variables: int) -> int:

@@ -47,3 +47,19 @@ def frac_str(x) -> str:
         return "inf"
     f = as_fraction(x)
     return str(f)
+
+
+def _capped(steps, cap: int) -> int:
+    """The product of ``factor / divisor`` over the steps, or a number past the cap.
+
+    Every partial product must be a whole number, so each division is exact.
+    The product stops at the first partial one that is 0 or past ``cap``, so
+    a huge count of steps costs only the steps up to there; where no later
+    step shrinks it, the whole is past the cap too.
+    """
+    count = 1
+    for factor, divisor in steps:
+        count = count * factor // divisor
+        if count == 0 or count > cap:
+            break
+    return count

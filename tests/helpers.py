@@ -8,7 +8,8 @@ plain sweeps the memoised ones replaced: every assignment evaluated anew,
 every atom checked at every assignment, affine atoms by
 reference_affine_satisfied, the ``Fraction`` arithmetic that the integer
 sums of ``AffineAtom.satisfied`` replaced.  reference_failing_keys is the
-plain decision behind all of them, and reference_proven_infeasible the
+plain decision behind all of them, reference_failing_blocks the audit's
+block vectors decided one clear trial each, and reference_proven_infeasible the
 probe that checked every atom afresh on every combination of values.  reference_core is the candidate
 scan that core extraction's pruned search replaced.  reference_repair is the
 paper's sampled construction in the attempt loop that the one-pass,
@@ -301,6 +302,27 @@ def reference_failing_keys(system, space, eps, picks, value, keys):
     return found
 
 
+def reference_failing_blocks(kernel, system, vectors):
+    """Oracle block vectors where some atom fails, as a set.
+
+    Each vector is judged at one clear trial read through ``value_at``:
+    variable j (from 1) at ``(b + j/11) / r`` in its block b.  The points
+    are pairwise distinct for up to ten variables, and none equals a
+    constant whose reduced denominator 11 does not divide.
+    """
+    r = kernel.resolution
+
+    def point(b, j):
+        return (b + F(j, 11)) / r
+
+    picks = [
+        lambda key, slot=slot: tuple(point(key[j - 1], j) for j in slot)
+        for slot in system.all_slots()
+    ]
+    found = reference_failing_keys(system, kernel.space, F(0), picks, kernel.value_at, vectors)
+    return {key for key, _ in found}
+
+
 def reference_proven_infeasible(system, space, num_points, symmetrize=False):
     """Oracle probe: ``proven_infeasible`` with every atom checked afresh on
     every combination of menu values, through a dict keyed by collapsed slot."""
@@ -378,6 +400,28 @@ def reference_audit(kernel, system, samples=1000, seed="0", on_trial=None):
             bad += 1
     low, high = wilson_interval(bad, samples)
     return AuditResult(samples=samples, violations=bad, interval_low=low, interval_high=high)
+
+
+class CountingRandom:
+    """Stands in for ``random.Random``: draws the real stream of its seed;
+    ``drawn`` counts the draws of every instance."""
+
+    real = random.Random
+    drawn = 0
+
+    def __init__(self, seed):
+        self._random = self.real(seed).random
+
+    def random(self):
+        CountingRandom.drawn += 1
+        return self._random()
+
+
+def counted_draws(run):
+    """``run()``'s result and how many floats it drew, with ``random.Random``
+    patched to ``CountingRandom``."""
+    before = CountingRandom.drawn
+    return run(), CountingRandom.drawn - before
 
 
 def reference_core(parts, sizes, coloring, goal):
@@ -594,7 +638,8 @@ def reference_verify(args) -> int:
     It reads what ``correct`` writes: every value is parsed, the points
     must be nonempty, sorted, distinct and in [0, 1), and the table's value
     at a tuple is the one at its ``frac_str`` key, every tuple of the table
-    (sorted ones in multiset mode) in ``itertools`` order.  Its messages,
+    (sorted ones in multiset mode) in ``itertools`` order; a key at no such
+    tuple is refused.  Its messages,
     exit codes and verdicts are the command's, except that it parses every
     point and value before it refuses a sweep above the cap, has no cap on
     the table's size, does not check the arity before it reads the report,
@@ -640,11 +685,19 @@ def reference_verify(args) -> int:
     else:
         tuples = itertools.product(points, repeat=kernel.arity)
     values = {}
+    read = set()
     for t in tuples:
         key = ",".join(frac_str(x) for x in t)
         if key not in texts:
             raise FormatError(f"report has no value for tuple {key}")
         values[t] = texts[key]
+        read.add(key)
+    for key in texts:
+        if key not in read:
+            kind = "sorted tuple" if symmetric else "tuple"
+            raise FormatError(
+                f"report file {args.report}: values has {key!r}, which is no {kind} of its points"
+            )
 
     def evaluate(t):
         return values[tuple(sorted(t)) if symmetric else tuple(t)]

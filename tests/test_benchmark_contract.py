@@ -14,10 +14,12 @@ from __future__ import annotations
 import hashlib
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
 
+from helpers import CountingRandom, counted_draws
 from kernel_repair.errors import ExtractionFailed
 from kernel_repair.ramsey import extract_core
 
@@ -127,6 +129,38 @@ def test_traced_metric_cli_ops_check_and_restore(tmp_path):
         assert workload.check(p, res), res["report"]["result"]["status"]
     assert (cli.cmd_correct, cli.cmd_verify) == original
     assert t.span_stats["cli.correct"][0] == t.span_stats["cli.verify"][0] == len(problems)
+
+
+#: per small-batch family: whether its audit draws floats.  No family
+#: places a float in a base block: in each, every block vector fails or
+#: every one holds, so only trials that hit a constant need a closer look.
+AUDIT_DRAWS = {
+    # no override constant: nothing can be hit
+    "all-ones": False,
+    "diagonal": False,
+    # symmetry and antisymmetry together fail on every block vector
+    "antisymmetry": False,
+    # a sixteenth is a constant, and a float can equal it
+    "triangle": True,
+    "metric": True,
+    "finite3": True,
+    "equality1": True,
+}
+
+
+def test_the_small_batch_audits_draw_and_place_only_where_needed(tmp_path, monkeypatch):
+    # counts, not time, over two cycles of the families
+    corrector = package_module("corrector")
+    workload = workloads.SmallBatch()
+    problems = workload.generate("11", 2 * len(workload.families), str(tmp_path))
+    cuts = []
+    float_cuts = corrector._float_cuts
+    monkeypatch.setattr(corrector, "_float_cuts", lambda r: cuts.append(r) or float_cuts(r))
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    for p in problems:
+        _, drawn = counted_draws(lambda: workload.run(p))
+        assert (drawn > 0) == AUDIT_DRAWS[p["family"]], p["family"]
+    assert cuts == []
 
 
 #: ``outputs_sha256`` of each workload's fixed prefix at seed "11"

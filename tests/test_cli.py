@@ -753,7 +753,11 @@ def test_verify_counts_the_assignments_it_sweeps(tmp_path, capsys, mode, checked
             "part": 2 if mode == "multiset" else 1,
             "points": points,
             "epsilon": "0",
-            "values": {f"{a},{b}": "1/2" for a in points for b in points},
+            # every tuple correct writes: the sorted ones in multiset mode
+            "values": {
+                f"{a},{b}": "1/2" for a in points for b in points
+                if mode == "distinct" or F(a) <= F(b)
+            },
         }
     }))
     code, out, _ = run(
@@ -974,6 +978,28 @@ def test_verify_names_a_tampered_field(tmp_path, capsys, field):
     assert (code, out, err) == (2, f"{checked}mismatch: {shown}\n", "")
 
 
+@pytest.mark.parametrize("key", ["1/2,1/2", "3/5,1/10", "0.1,0.1"])
+def test_verify_refuses_a_value_at_no_tuple_of_the_report(tmp_path, capsys, key):
+    # off the points, unsorted under the multiset metric system, and a
+    # non-canonical spelling of a tuple the table has: correct writes none
+    rpath, verified = correct_then_verify(
+        tmp_path, capsys, almost_metric_kernel(), metric_system(),
+        (F(1, 10), F(3, 5), F(9, 10)), F(1, 50),
+    )
+    assert verified == (0, "checked 3^3 assignments: all atoms hold\n", "")
+    doc = load_json(str(rpath), "report")
+    doc["result"]["values"][key] = "7"
+    rpath.write_text(to_json(doc))
+    code, out, err = run(
+        capsys, "verify", "--kernel", str(tmp_path / "kernel.json"),
+        "--constraint", str(tmp_path / "system.json"), "--report", str(rpath),
+    )
+    assert_one_error_line(code, out, err)
+    assert err == (
+        f"error: report file {rpath}: values has {key!r}, which is no sorted tuple of its points\n"
+    )
+
+
 def test_correct_and_verify_sweep_nothing_with_fewer_points_than_variables(tmp_path, capsys):
     # 11!/(11-12)! = 0 injective assignments: nothing to refuse, nothing violated
     system = ConstraintSystem(2, 12, "distinct", (EqualityAtom((1, 2), (2, 1)),))
@@ -1191,9 +1217,9 @@ def written_report(path, points, values, part=1, epsilon="0"):
 HALF, OFF = "1/2", "3/5"
 
 #: Tables off the format ``correct`` writes.  Verify reads each value at
-#: its tuple's ``frac_str`` key and refuses unsorted or repeated points, so
-#: most cases now exit 1; a key spelled otherwise is never read, so "the
-#: last key of a tuple wins" reads the canonical key wherever it stands.
+#: its tuple's ``frac_str`` key and refuses unsorted or repeated points and
+#: any key it does not read, so a key spelled otherwise exits 1 wherever it
+#: stands, in "the last key of a tuple wins" too.
 VERIFY_CASES = {
     "non-canonical tokens": (
         ["1/4", "1/2"], 1,

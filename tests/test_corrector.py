@@ -20,8 +20,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
+    CountingRandom,
+    counted_draws,
     reference_audit,
     reference_closeness,
+    reference_failing_blocks,
     reference_repair,
     reference_violations,
     sampled_table,
@@ -378,20 +381,43 @@ def constant_hit_kernel():
     )
 
 
+def audit_path(kernel, system, samples):
+    """Which way the audit finds its count, judged by the oracle: all block
+    vectors decided when they are no more than the samples, no draw when
+    they share one verdict and no constant is dyadic."""
+    r, v = kernel.resolution, system.variables
+    if r**v > samples:
+        return "counting"
+    vectors = list(itertools.product(range(r), repeat=v))
+    failing = reference_failing_blocks(kernel, system, vectors)
+    if 0 < len(failing) < len(vectors):
+        return "mixed"
+    dyadic = [c for c in kernel.exception_constants() if c.denominator & (c.denominator - 1) == 0]
+    return "uniform" if dyadic else "no-draw"
+
+
 @pytest.mark.parametrize(
-    "kernel, system",
+    "kernel, system, path",
     [
         pytest.param(
-            loopy_bipartite_kernel(), triangle_free_system(mode="multiset"), id="triangle-free"
+            loopy_bipartite_kernel(), triangle_free_system(mode="multiset"), "no-draw",
+            id="triangle-free",
         ),
         pytest.param(
-            constant_hit_kernel(), triangle_free_system(mode="distinct"), id="constant-hit"
+            constant_hit_kernel(), triangle_free_system(mode="distinct"), "uniform",
+            id="constant-hit",
         ),
-        pytest.param(all_ones_kernel(), triangle_free_system(mode="distinct"), id="all-ones"),
-        pytest.param(almost_metric_kernel(), metric_system(), id="metric"),
-        pytest.param(oriented_kernel(), antisymmetry_system(symmetrized=False), id="antisymmetry"),
         pytest.param(
-            oriented_kernel(), antisymmetry_system(symmetrized=True), id="antisymmetry-symmetrized"
+            all_ones_kernel(), triangle_free_system(mode="distinct"), "no-draw", id="all-ones"
+        ),
+        # tenths and fifths are never drawn
+        pytest.param(almost_metric_kernel(), metric_system(), "no-draw", id="metric"),
+        pytest.param(
+            oriented_kernel(), antisymmetry_system(symmetrized=False), "mixed", id="antisymmetry"
+        ),
+        pytest.param(
+            oriented_kernel(), antisymmetry_system(symmetrized=True), "no-draw",
+            id="antisymmetry-symmetrized",
         ),
         # about half the draws fail the first atom and never read f(2,3)
         pytest.param(
@@ -405,6 +431,7 @@ def constant_hit_kernel():
                     FiniteValuesAtom((2, 3), frozenset({F(0), F(1)})),
                 ),
             ),
+            "mixed",
             id="short-circuit",
         ),
         # slots that repeat a variable read the diagonal piece
@@ -419,12 +446,27 @@ def constant_hit_kernel():
                     FiniteValuesAtom((1, 2), frozenset({F(0)})),
                 ),
             ),
+            "no-draw",
             id="diagonal",
+        ),
+        # 7^3 block vectors, more than the 300 samples
+        pytest.param(
+            StepKernel.from_flat(
+                arity=2,
+                resolution=7,
+                space=BoundedInterval(F(1)),
+                flat_values=[F(int(i * j % 3 == 1)) for i in range(7) for j in range(7)],
+            ),
+            triangle_free_system(mode="distinct"),
+            "counting",
+            id="counting",
         ),
     ],
 )
 @pytest.mark.parametrize("seed", ["0", "7"])
-def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, seed):
+def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, path, seed):
+    samples = 300
+    assert audit_path(kernel, system, samples) == path
     # value_at reads are recorded as point tuples, generic_value reads as
     # (blocks, repeat pattern)
     point_reads, class_reads = [], []
@@ -440,26 +482,49 @@ def test_audit_matches_the_plain_audit(monkeypatch, kernel, system, seed):
 
     monkeypatch.setattr(StepKernel, "value_at", read_point)
     monkeypatch.setattr(StepKernel, "generic_value", read_class)
-    got = audit_ae_hypothesis(kernel, system, 300, seed=seed)
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    got, got_drawn = counted_draws(lambda: audit_ae_hypothesis(kernel, system, samples, seed))
     got_points, got_classes = list(point_reads), list(class_reads)
     trials = []  # each trial's points
-    want = reference_audit(kernel, system, 300, seed=seed, on_trial=trials.append)
+    want, want_drawn = counted_draws(
+        lambda: reference_audit(kernel, system, samples, seed=seed, on_trial=trials.append)
+    )
     assert got == want
-    # a trial that hits a constant reads value_at once at each slot; the
-    # clear trials read generic_value once per (slot blocks, slot pattern),
-    # in trial order and then slot order
+    # no float is drawn where no trial can hit a constant and the block
+    # vectors share one verdict; otherwise exactly the plain audit's floats
+    assert got_drawn == (0 if path == "no-draw" else want_drawn)
+    # a trial that hits a constant reads value_at once at each slot
     constants = kernel.exception_constants()
-    hit_reads = []
-    clear_classes = []
-    for tup in trials:
-        for slot in system.all_slots():
-            if constants.isdisjoint(tup):
-                blocks = tuple(block_of(tup[v - 1], kernel.resolution) for v in slot)
-                clear_classes.append((blocks, repeat_pattern(slot)))
-            else:
-                hit_reads.append(tuple(tup[v - 1] for v in slot))
-    assert got_points == hit_reads
-    assert got_classes == list(dict.fromkeys(clear_classes))
+    hits = [tup for tup in trials if not constants.isdisjoint(tup)]
+    slots = system.all_slots()
+    assert got_points == [tuple(tup[v - 1] for v in slot) for tup in hits for slot in slots]
+    # generic_value runs once per (slot blocks, slot pattern): with every
+    # block vector decided, in product order, else in the order of the
+    # clear trials; then in slot order
+    if path == "counting":
+        vectors = [
+            tuple(block_of(x, kernel.resolution) for x in tup)
+            for tup in trials
+            if constants.isdisjoint(tup)
+        ]
+    else:
+        vectors = itertools.product(range(kernel.resolution), repeat=system.variables)
+    classes = [
+        (tuple(b[v - 1] for v in slot), repeat_pattern(slot)) for b in vectors for slot in slots
+    ]
+    assert got_classes == list(dict.fromkeys(classes))
+
+
+def test_a_mixed_audit_places_its_trials_in_blocks(monkeypatch):
+    # two points in different halves pass, two in one half fail, so the
+    # trials are placed in blocks and counted
+    cuts = []
+    float_cuts = corrector._float_cuts
+    monkeypatch.setattr(corrector, "_float_cuts", lambda r: cuts.append(r) or float_cuts(r))
+    kernel, system = oriented_kernel(), antisymmetry_system(symmetrized=False)
+    got = audit_ae_hypothesis(kernel, system, 300, seed="0")
+    assert cuts == [kernel.resolution]
+    assert 0 < got.violations < 300
 
 
 def test_audit_reads_value_at_where_a_trial_hits_a_constant(monkeypatch):
@@ -714,6 +779,125 @@ def test_audit_equals_the_plain_audit_on_random_kernels(case):
     assert audit_ae_hypothesis(kernel, system, 60, seed=seed) == reference_audit(
         kernel, system, 60, seed=seed
     )
+
+
+@st.composite
+def edge_audit_case(draw):
+    """A small kernel and system, a sample count at the count of block
+    vectors or one below it, and an audit seed.
+
+    The atoms pass everywhere, fail everywhere, or are drawn at random; the
+    kernel's one constant is none, 1/3 (never drawn), 1/4 (dyadic) or a
+    float the audit draws early, and its value may fall off the atoms'
+    menu, so a hit trial can differ from the clear ones.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    seed = draw(st.sampled_from(["0", "7", "abc"]))
+    arity = draw(st.integers(min_value=1, max_value=3))
+    resolution = draw(st.integers(min_value=1, max_value=4))
+    variables = draw(st.integers(min_value=1, max_value=3))
+    verdict = draw(st.sampled_from(["pass", "fail", "mixed"]))
+    constant = draw(st.sampled_from([None, F(1, 3), F(1, 4), "drawn"]))
+    menu = [F(0), F(1, 2), F(1)]
+    if constant == "drawn":
+        stream = random.Random(f"{seed}:audit")
+        constant = rng.choice([F(stream.random()) for _ in range(2 * variables)])
+    pieces = []
+    if constant is not None:
+        value = rng.choice(menu + [F(1, 3)])
+        pieces.append(ExceptionPiece((CoordIs(rng.randint(1, arity), constant),), value))
+    if arity >= 2 and rng.random() < 0.5:
+        pieces.append(ExceptionPiece((CoordsEqual(1, 2),), rng.choice(menu)))
+    kernel = StepKernel.from_flat(
+        arity=arity,
+        resolution=resolution,
+        space=BoundedInterval(F(1)),
+        flat_values=[rng.choice(menu) for _ in range(resolution**arity)],
+        exceptions=pieces,
+    )
+
+    def slot():
+        return tuple(rng.randint(1, variables) for _ in range(arity))
+
+    if verdict == "pass":
+        atoms = (FiniteValuesAtom(slot(), frozenset(menu)),)
+    elif verdict == "fail":
+        atoms = (FiniteValuesAtom(slot(), frozenset({F(1, 3)})),)
+    else:
+        atoms = (
+            FiniteValuesAtom(slot(), frozenset(rng.sample(menu, 2))),
+            EqualityAtom(slot(), slot()),
+        )
+    system = ConstraintSystem(arity=arity, variables=variables, mode="distinct", atoms=atoms)
+    samples = max(1, resolution**variables - draw(st.sampled_from([0, 1])))
+    return kernel, system, samples, seed
+
+
+def recorded_block_failures(monkeypatch, found: list, limit=None):
+    """Patch ``corrector._failing_keys`` so that every failing block vector
+    the audit decides is appended to ``found``; more than ``limit`` block
+    vectors asked about raise."""
+    failing_keys = corrector._failing_keys
+
+    def recording(checker, picks, read):
+        decide = failing_keys(checker, picks, read)
+        asked = 0
+
+        def keys(given):
+            nonlocal asked
+            # block vectors are int tuples, hit trials Fraction tuples
+            for key in given:
+                if isinstance(key[0], int):
+                    asked += 1
+                    assert limit is None or asked <= limit, "too many block vectors"
+                yield key
+
+        def failing(given):
+            for key, failed in decide(keys(given)):
+                if isinstance(key[0], int):
+                    found.append(key)
+                yield key, failed
+
+        return failing
+
+    monkeypatch.setattr(corrector, "_failing_keys", recording)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_audit_case())
+def test_audit_equals_the_plain_audit_at_the_edges(case):
+    kernel, system, samples, seed = case
+    found = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorded_block_failures(monkeypatch, found)
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        got, got_drawn = counted_draws(lambda: audit_ae_hypothesis(kernel, system, samples, seed))
+        want, want_drawn = counted_draws(lambda: reference_audit(kernel, system, samples, seed))
+    assert got == want
+    path = audit_path(kernel, system, samples)
+    assert got_drawn == (0 if path == "no-draw" else want_drawn)
+    # every block vector is decided, as brute force decides it, unless
+    # there are more of them than samples; then only those of clear trials
+    vectors = itertools.product(range(kernel.resolution), repeat=system.variables)
+    brute = reference_failing_blocks(kernel, system, vectors)
+    if path == "counting":
+        assert set(found) <= brute
+    else:
+        assert set(found) == brute
+
+
+def test_an_audit_over_many_variables_counts_its_trials(monkeypatch):
+    # 2^40 block vectors: the ten trials are counted, and no more than ten
+    # vectors are ever asked about
+    kernel = StepKernel.from_flat(1, 2, BoundedInterval(F(1)), [F(0), F(1)])
+    atoms = tuple(FiniteValuesAtom((j,), frozenset({F(0)})) for j in (1, 40))
+    system = ConstraintSystem(arity=1, variables=40, mode="distinct", atoms=atoms)
+    found = []
+    recorded_block_failures(monkeypatch, found, limit=10)
+    got = audit_ae_hypothesis(kernel, system, 10, seed="0")
+    assert got == reference_audit(kernel, system, 10, seed="0")
+    assert 0 < got.violations < 10
+    assert found and all(1 in (key[0], key[39]) for key in found)
 
 
 # --- a failing repair decides once ---

@@ -6,11 +6,14 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from helpers import CountingRandom, counted_draws
+from kernel_repair import corrector
 from kernel_repair.constraint import violations
 from kernel_repair.demos import (
     DEMOS,
@@ -134,6 +137,17 @@ def test_audit_demo_summary():
     assert s["all_zero"]["violations"] == 0
     assert s["all_ones"]["violations"] == 10_000
     assert s["all_ones"]["interval"][1] == 1.0
+
+
+def test_the_audit_demo_draws_no_float(monkeypatch):
+    # its kernels have no override constant and each has one verdict on
+    # every block vector, so the 30,000 trials are known without a draw
+    cuts = []
+    float_cuts = corrector._float_cuts
+    monkeypatch.setattr(corrector, "_float_cuts", lambda r: cuts.append(r) or float_cuts(r))
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    _, drawn = counted_draws(lambda: audit_demo(seed="0"))
+    assert (drawn, cuts) == (0, [])
 
 
 def test_demos_are_pure_functions_of_the_seed():
