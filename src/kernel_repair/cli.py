@@ -320,17 +320,23 @@ def cmd_verify(args) -> int:
     if not points or points != tuple(sorted(set(points))) or points[0] < 0 or points[-1] >= 1:
         raise FormatError("report.points must be nonempty, sorted, distinct and in [0, 1)")
     # the constraint's mode, not the report, decides whether lookups sort
-    if type(part) is not int or part != (2 if system.mode == "multiset" else 1):
+    multiset = system.mode == "multiset"
+    if type(part) is not int or part != (2 if multiset else 1):
         raise FormatError(f"report file {args.report}: its part {part!r} does not match "
                           f"the constraint's {system.mode} mode")
-    judged, _, viols = judge(kernel, system, points, eps, values)
-    # the judge reads one value per tuple correct writes; any other is no part of a repair
-    unread = next((key for key in table if key not in judged["values"]), None)
-    if unread is not None:
-        kind = "sorted tuple" if system.mode == "multiset" else "tuple"
-        raise FormatError(
-            f"report file {args.report}: values has {unread!r}, which is no {kind} of its points"
+    # the judge reads one key per tuple correct writes and refuses a missing
+    # one, so a key at no tuple shows, before the sweep, as one key too many
+    if len(table) > estimated_table_tuples(system.mode, len(points), system.arity):
+        names = [frac_str(x) for x in points]
+        tuples = (
+            itertools.combinations_with_replacement(names, system.arity)
+            if multiset else itertools.product(names, repeat=system.arity)
         )
+        keys = {",".join(t) for t in tuples}
+        unread = next(key for key in table if key not in keys)
+        raise FormatError(f"report file {args.report}: values has {unread!r}, "
+                          f"which is no {'sorted tuple' if multiset else 'tuple'} of its points")
+    judged, _, viols = judge(kernel, system, points, eps, values)
     for v in viols[:10]:
         shown = ",".join(judged["points"][i] for i in v.assignment)
         print(f"violated: {v.detail} at ({shown})")

@@ -29,7 +29,7 @@ per-tuple rows from that read (see ``_read_table``).  The
 almost-everywhere audit decides every block vector exactly when there are
 no more of them than trials.  When they all share one verdict it draws its
 floats only to find the trials that hit an override constant, and not at
-all when no constant is a dyadic rational, since every float is one.
+all when the kernel has no constant.
 Otherwise it draws its floats in rounds, places them in base blocks by
 exact float cuts, counts its trials per block vector and decides each
 vector of slot values once (see ``audit_ae_hypothesis``).  A repair is a
@@ -396,14 +396,6 @@ def _float_cuts(r: int) -> list[float]:
     return cuts
 
 
-def _drawable(c: Fraction) -> bool:
-    """Whether a float could equal the override constant c, which lies in
-    [0, 1): every float is a dyadic rational, so only a power-of-two
-    denominator can."""
-    d = c.denominator
-    return d & (d - 1) == 0
-
-
 def audit_ae_hypothesis(
     kernel: StepKernel, system: ConstraintSystem, samples: int = 1000, seed="0"
 ) -> AuditResult:
@@ -441,16 +433,15 @@ def audit_ae_hypothesis(
     none fails, or all do, the trials are neither placed in blocks nor
     counted: the stream is drawn only to find the trials that hit a
     constant, and the count is the failing hit trials plus, when every
-    vector fails, every clear trial.  If moreover no constant is a dyadic
-    rational (``_drawable``), the count is ``samples`` or 0 without a draw.
+    vector fails, every clear trial.  If moreover the kernel has no
+    constant, the count is ``samples`` or 0 without a draw.
     Proof: a clear trial's block vector is one of the enumerated ones and
     its verdict is that vector's, so under one verdict for all vectors it
     fails exactly when every vector fails; a hit trial is decided at its
-    points, as the loop decides it.  Every float in [0, 1) is k / 2**j, so
-    a constant equals a drawn float only if its reduced denominator is a
-    power of two; without such a constant every trial is clear.  Otherwise
-    (a mixed verdict, or more vectors than samples) each round counts its
-    clear trials per block vector and a failing vector adds its count.
+    points, as the loop decides it; without a constant every trial is
+    clear.  Otherwise (a mixed verdict, or more vectors than samples) each
+    round counts its clear trials per block vector and a failing vector
+    adds its count.
 
     A drawn float x lands in base block ``bisect_right(cuts, x)``, where
     ``cuts[j-1]`` is the least float at or above j/r (``_float_cuts``).
@@ -482,8 +473,8 @@ def audit_ae_hypothesis(
         if failing in (0, vectors):
             uniform = failing > 0
     bad, left = 0, samples
-    if uniform is not None and not any(map(_drawable, constants)):
-        # no float is a constant, so every trial is clear: nothing to draw
+    if uniform is not None and not constants:
+        # every trial is clear: nothing to draw
         bad, left = samples * uniform, 0
     rng = random.Random(f"{seed}:audit") if left else None
     per_round = max(1, _AUDIT_ROUND // v)

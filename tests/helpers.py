@@ -638,8 +638,8 @@ def reference_verify(args) -> int:
     It reads what ``correct`` writes: every value is parsed, the points
     must be nonempty, sorted, distinct and in [0, 1), and the table's value
     at a tuple is the one at its ``frac_str`` key, every tuple of the table
-    (sorted ones in multiset mode) in ``itertools`` order; a key at no such
-    tuple is refused.  Its messages,
+    (sorted ones in multiset mode) in ``itertools`` order.  A table with more
+    keys than tuples is refused at its first key at no tuple.  Its messages,
     exit codes and verdicts are the command's, except that it parses every
     point and value before it refuses a sweep above the cap, has no cap on
     the table's size, does not check the arity before it reads the report,
@@ -684,20 +684,20 @@ def reference_verify(args) -> int:
         tuples = itertools.combinations_with_replacement(points, kernel.arity)
     else:
         tuples = itertools.product(points, repeat=kernel.arity)
+    keys = {tuple(t): ",".join(frac_str(x) for x in t) for t in tuples}
+    # more keys than tuples: some key is at no tuple.  With no more, a key
+    # at no tuple leaves some tuple without one.
+    if len(texts) > len(keys):
+        stray = next(key for key in texts if key not in keys.values())
+        kind = "sorted tuple" if symmetric else "tuple"
+        raise FormatError(
+            f"report file {args.report}: values has {stray!r}, which is no {kind} of its points"
+        )
     values = {}
-    read = set()
-    for t in tuples:
-        key = ",".join(frac_str(x) for x in t)
+    for t, key in keys.items():
         if key not in texts:
             raise FormatError(f"report has no value for tuple {key}")
         values[t] = texts[key]
-        read.add(key)
-    for key in texts:
-        if key not in read:
-            kind = "sorted tuple" if symmetric else "tuple"
-            raise FormatError(
-                f"report file {args.report}: values has {key!r}, which is no {kind} of its points"
-            )
 
     def evaluate(t):
         return values[tuple(sorted(t)) if symmetric else tuple(t)]

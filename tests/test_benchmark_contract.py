@@ -135,12 +135,13 @@ def test_traced_metric_cli_ops_check_and_restore(tmp_path):
 #: places a float in a base block: in each, every block vector fails or
 #: every one holds, so only trials that hit a constant need a closer look.
 AUDIT_DRAWS = {
-    # no override constant: nothing can be hit
+    # no override constant, so no trial can hit one
     "all-ones": False,
     "diagonal": False,
-    # symmetry and antisymmetry together fail on every block vector
+    # no constant either; symmetry and antisymmetry together fail on every
+    # block vector
     "antisymmetry": False,
-    # a sixteenth is a constant, and a float can equal it
+    # a sixteenth is a constant, so the stream is searched for hits
     "triangle": True,
     "metric": True,
     "finite3": True,

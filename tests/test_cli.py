@@ -1206,36 +1206,53 @@ def both_verifies(monkeypatch, argv):
 
 
 def written_report(path, points, values, part=1, epsilon="0"):
-    # unsorted, so the table keeps its order
-    path.write_text(json.dumps({
-        "result": {"part": part, "points": points, "epsilon": epsilon, "values": values}
-    }))
+    # the table's (key, value) pairs in order, so a key may repeat
+    pairs = values.items() if isinstance(values, dict) else values
+    table = ", ".join(f"{json.dumps(key)}: {json.dumps(text)}" for key, text in pairs)
+    head = json.dumps({"part": part, "points": points, "epsilon": epsilon})[:-1]
+    path.write_text('{"result": ' + head + ', "values": {' + table + "}}}")
     return str(path)
 
 
 #: a value, and one 1/10 away from it
 HALF, OFF = "1/2", "3/5"
 
-#: Tables off the format ``correct`` writes.  Verify reads each value at
-#: its tuple's ``frac_str`` key and refuses unsorted or repeated points and
-#: any key it does not read, so a key spelled otherwise exits 1 wherever it
-#: stands, in "the last key of a tuple wins" too.
+#: Tables that verify sweeps, and tables off the format ``correct``
+#: writes.  Verify reads each value at its tuple's ``frac_str`` key, the
+#: last one where JSON repeats a key, and refuses unsorted or repeated
+#: points, a missing tuple and a table with more keys than tuples, so a
+#: key spelled otherwise exits 1; a point spelled otherwise is read at its
+#: value.  A list of pairs writes its keys in order, repeats too.
 VERIFY_CASES = {
     "non-canonical tokens": (
         ["1/4", "1/2"], 1,
         {"0.25,2/4": HALF, "2/4,1/4": HALF, "1/4,0.250": HALF, "0.5,0.5": HALF},
     ),
     "a non-canonical token flags a violation": (
-        ["1/4", "1/2"], 1,
-        {"0.25,2/4": HALF, "2/4,1/4": OFF, "1/4,1/4": HALF, "1/2,1/2": HALF},
+        ["0.25", "2/4"], 1,
+        {"1/4,1/2": HALF, "1/2,1/4": OFF, "1/4,1/4": HALF, "1/2,1/2": HALF},
     ),
     "the last key of a tuple wins": (
         ["1/4", "1/2"], 1,
-        {"1/4,1/2": HALF, "1/2,1/4": HALF, "0.25,0.5": OFF, "1/4,1/4": HALF, "1/2,1/2": HALF},
+        [("1/4,1/2", OFF), ("1/2,1/4", HALF), ("1/4,1/4", HALF), ("1/2,1/2", HALF),
+         ("1/4,1/2", HALF)],
     ),
     "the last key of a tuple wins, the other way": (
         ["1/4", "1/2"], 1,
-        {"0.25,0.5": OFF, "1/4,1/2": HALF, "1/2,1/4": HALF, "1/4,1/4": HALF, "1/2,1/2": HALF},
+        [("1/4,1/2", HALF), ("1/2,1/4", HALF), ("1/4,1/4", HALF), ("1/2,1/2", HALF),
+         ("1/4,1/2", OFF)],
+    ),
+    "a second spelling of a tuple": (
+        ["1/4", "1/2"], 1,
+        {"1/4,1/2": HALF, "1/2,1/4": HALF, "0.25,0.5": OFF, "1/4,1/4": HALF, "1/2,1/2": HALF},
+    ),
+    "a canonical table in part 2": (
+        ["1/4", "1/2"], 2, {"1/4,1/4": HALF, "1/4,1/2": HALF, "1/2,1/2": HALF},
+    ),
+    "three points in part 2": (
+        ["1/4", "1/2", "3/4"], 2,
+        {"1/4,1/4": HALF, "1/4,1/2": OFF, "1/4,3/4": HALF,
+         "1/2,1/2": HALF, "1/2,3/4": HALF, "3/4,3/4": "0"},
     ),
     "keys naming other points": (
         ["1/4", "1/2"], 1,
@@ -1278,16 +1295,15 @@ def test_verify_agrees_with_the_fraction_keyed_reference(tmp_path, monkeypatch, 
 
 @st.composite
 def metric_reports(draw):
-    """Reports as ``correct`` writes them: sorted distinct points, canonical
-    keys, every tuple of a part's table, and perhaps a key of another point."""
+    """Reports as ``correct`` writes them for the multiset metric system:
+    sorted distinct points, canonical keys, every sorted tuple, and a part
+    that may be the wrong one."""
     pool = [F(0), F(1, 4), F(1, 2), F(3, 4)]
     points = sorted(draw(st.sets(st.sampled_from(pool), min_size=1, max_size=4)))
     part = draw(st.sampled_from((1, 2)))
-    tuples = [(a, b) for a in points for b in points if part == 1 or a <= b]
+    tuples = [(a, b) for a in points for b in points if a <= b]
     texts = st.sampled_from(("0", "1/4", "1/2", "1", "2", "inf"))
     values = {",".join(map(frac_str, t)): draw(texts) for t in tuples}
-    if draw(st.booleans()):
-        values["1/8," + frac_str(points[0])] = draw(texts)
     epsilon = draw(st.sampled_from(("0", "1/50", "1/10")))
     return [frac_str(q) for q in points], values, part, epsilon
 

@@ -384,7 +384,7 @@ def constant_hit_kernel():
 def audit_path(kernel, system, samples):
     """Which way the audit finds its count, judged by the oracle: all block
     vectors decided when they are no more than the samples, no draw when
-    they share one verdict and no constant is dyadic."""
+    they share one verdict and the kernel has no constant."""
     r, v = kernel.resolution, system.variables
     if r**v > samples:
         return "counting"
@@ -392,8 +392,7 @@ def audit_path(kernel, system, samples):
     failing = reference_failing_blocks(kernel, system, vectors)
     if 0 < len(failing) < len(vectors):
         return "mixed"
-    dyadic = [c for c in kernel.exception_constants() if c.denominator & (c.denominator - 1) == 0]
-    return "uniform" if dyadic else "no-draw"
+    return "uniform" if kernel.exception_constants() else "no-draw"
 
 
 @pytest.mark.parametrize(
@@ -410,8 +409,8 @@ def audit_path(kernel, system, samples):
         pytest.param(
             all_ones_kernel(), triangle_free_system(mode="distinct"), "no-draw", id="all-ones"
         ),
-        # tenths and fifths are never drawn
-        pytest.param(almost_metric_kernel(), metric_system(), "no-draw", id="metric"),
+        # tenths and fifths are never drawn, yet the stream is searched for them
+        pytest.param(almost_metric_kernel(), metric_system(), "uniform", id="metric"),
         pytest.param(
             oriented_kernel(), antisymmetry_system(symmetrized=False), "mixed", id="antisymmetry"
         ),
@@ -787,7 +786,7 @@ def edge_audit_case(draw):
     vectors or one below it, and an audit seed.
 
     The atoms pass everywhere, fail everywhere, or are drawn at random; the
-    kernel's one constant is none, 1/3 (never drawn), 1/4 (dyadic) or a
+    kernel's one constant is none, 1/3 (never drawn), 1/4 or a
     float the audit draws early, and its value may fall off the atoms'
     menu, so a hit trial can differ from the clear ones.
     """
